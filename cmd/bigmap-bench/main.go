@@ -80,7 +80,6 @@ func run(args []string) error {
 	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark subset")
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	trials := fs.Int("trials", 1, "average grid cells over this many runs (paper uses 3)")
-	virginShards := fs.Int("virgin-shards", 0, "campaign virgin union shards for fig9/fig10 (0 = off, 1 = locked, >=2 lock-free)")
 	csv := fs.Bool("csv", false, "emit CSV")
 	jsonOut := fs.Bool("json", false, "emit one JSON report (benchjson schema) instead of text tables")
 	quiet := fs.Bool("q", false, "suppress progress")
@@ -101,11 +100,10 @@ func run(args []string) error {
 	}
 
 	opts := bench.Options{
-		Scale:        *scale,
-		ExecsPerRun:  *execs,
-		Seed:         *seed,
-		Trials:       *trials,
-		VirginShards: *virginShards,
+		Scale:       *scale,
+		ExecsPerRun: *execs,
+		Seed:        *seed,
+		Trials:      *trials,
 	}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")

@@ -68,7 +68,6 @@ func RunScaling(opts Options, secondsPerCell float64) (*ScalingResult, error) {
 				camp, err := parallel.NewCampaign(b.prog, parallel.Config{
 					Instances:           n,
 					SyncEvery:           opts.ExecsPerRun / 4,
-					VirginShards:        opts.VirginShards,
 					MasterDeterministic: false, // short runs skip deterministic (§V-A1)
 					Fuzzer: fuzzer.Config{
 						Scheme:         scheme,

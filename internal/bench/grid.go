@@ -38,10 +38,6 @@ type Options struct {
 	// Trials averages each grid cell over this many runs with different
 	// seeds (default 1; the paper uses an average of three runs, §V-B).
 	Trials int
-	// VirginShards configures campaign-level virgin union sharding for the
-	// scaling experiments (fig9/fig10): 0 disables the union, 1 uses the
-	// single-lock reference, >=2 merges lock-free across that many shards.
-	VirginShards int
 	// Benchmarks filters profiles by name (nil = experiment default set).
 	Benchmarks []string
 	// Progress, when non-nil, receives one line per completed cell.

@@ -119,9 +119,6 @@ type FuzzerState struct {
 type CampaignState struct {
 	// SyncEvery pins the round length the campaign ran with.
 	SyncEvery uint64
-	// SeenUpTo[i][j] is how many of instance j's queue entries instance i
-	// had imported at the snapshot.
-	SeenUpTo [][]uint64
 	// Instances holds each instance's full state, in instance order.
 	Instances []FuzzerState
 }

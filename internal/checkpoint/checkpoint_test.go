@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -84,7 +86,6 @@ func TestZeroFuzzerRoundTrip(t *testing.T) {
 func TestCampaignRoundTrip(t *testing.T) {
 	want := &CampaignState{
 		SyncEvery: 20000,
-		SeenUpTo:  [][]uint64{{1, 2}, {3, 4}},
 		Instances: []FuzzerState{*sampleFuzzer(), {Scheme: "afl", MapSize: 65536}},
 	}
 	data := EncodeCampaign(want)
@@ -95,6 +96,39 @@ func TestCampaignRoundTrip(t *testing.T) {
 	want.Instances[0].Entries[1].Input = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("campaign round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestV2CampaignRejected pins the v3 bump: a campaign checkpoint written by
+// the v2 codec, which still carried the pairwise import matrix, is refused
+// with ErrVersion instead of being misread. The fixture is the v2 seed kept
+// in the round-trip fuzz corpus.
+func TestV2CampaignRejected(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointRoundTrip", "seed-v2-campaign"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if !ok {
+		t.Fatalf("fixture line %q is not a []byte literal", lines[1])
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(data, magic+"\x02\x02") {
+		t.Fatalf("fixture is not a v2 campaign checkpoint: % x", data[:6])
+	}
+	if _, err := DecodeCampaign([]byte(data)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("DecodeCampaign(v2) = %v, want ErrVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), "v2.bm")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCampaign(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("LoadCampaign(v2) = %v, want ErrVersion", err)
 	}
 }
 
@@ -225,7 +259,6 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(EncodeFuzzer(&FuzzerState{}))
 	f.Add(EncodeCampaign(&CampaignState{
 		SyncEvery: 1,
-		SeenUpTo:  [][]uint64{{0}},
 		Instances: []FuzzerState{*sampleFuzzer()},
 	}))
 	f.Add([]byte(magic))

@@ -12,8 +12,10 @@ import (
 const (
 	// Version is the current checkpoint format version. v2 appended the
 	// selective-tracing counters (FilterSkips/FilterFulls) to the fuzzer
-	// payload tail; v1 files are rejected rather than misread.
-	Version = 2
+	// payload tail; v3 dropped the campaign payload's pairwise import
+	// matrix, since campaigns sync through a dist.Hub rebuilt on resume.
+	// Older files are rejected rather than misread.
+	Version = 3
 
 	// KindFuzzer frames a single-instance FuzzerState payload.
 	KindFuzzer byte = 1
@@ -412,10 +414,6 @@ func DecodeFuzzer(data []byte) (*FuzzerState, error) {
 func EncodeCampaign(st *CampaignState) []byte {
 	var w writer
 	w.u64(st.SyncEvery)
-	w.u64(uint64(len(st.SeenUpTo)))
-	for _, row := range st.SeenUpTo {
-		w.u64s(row)
-	}
 	w.u64(uint64(len(st.Instances)))
 	for i := range st.Instances {
 		encodeFuzzerPayload(&w, &st.Instances[i])
@@ -432,12 +430,6 @@ func DecodeCampaign(data []byte) (*CampaignState, error) {
 	r := reader{buf: payload}
 	st := CampaignState{SyncEvery: r.u64()}
 	if n := r.length(1); n > 0 {
-		st.SeenUpTo = make([][]uint64, n)
-		for i := range st.SeenUpTo {
-			st.SeenUpTo[i] = r.u64s()
-		}
-	}
-	if n := r.length(1); n > 0 {
 		st.Instances = make([]FuzzerState, n)
 		for i := range st.Instances {
 			st.Instances[i] = decodeFuzzerPayload(&r)
@@ -448,16 +440,6 @@ func DecodeCampaign(data []byte) (*CampaignState, error) {
 	}
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after payload", ErrCorrupt, len(r.buf))
-	}
-	if len(st.SeenUpTo) != len(st.Instances) {
-		return nil, fmt.Errorf("%w: seen-up-to matrix is %d rows for %d instances",
-			ErrCorrupt, len(st.SeenUpTo), len(st.Instances))
-	}
-	for i, row := range st.SeenUpTo {
-		if len(row) != len(st.Instances) {
-			return nil, fmt.Errorf("%w: seen-up-to row %d has %d columns for %d instances",
-				ErrCorrupt, i, len(row), len(st.Instances))
-		}
 	}
 	return &st, nil
 }

@@ -12,6 +12,9 @@ import (
 // with well-formed encodings plus the classic corruption shapes (bit flip in
 // the payload, truncated tail, bare magic) so plain `go test` replays them.
 // Gated behind BIGMAP_WRITE_CORPUS=1; see internal/selffuzz for the workflow.
+// The directory's seed-v2-campaign is not regenerated: it is a campaign
+// checkpoint written by the retired v2 codec, kept as the rejection seed
+// (TestV2CampaignRejected).
 func TestWriteCheckpointCorpus(t *testing.T) {
 	if os.Getenv("BIGMAP_WRITE_CORPUS") != "1" {
 		t.Skip("set BIGMAP_WRITE_CORPUS=1 to regenerate testdata/fuzz corpora")
@@ -28,7 +31,6 @@ func TestWriteCheckpointCorpus(t *testing.T) {
 		EncodeFuzzer(&FuzzerState{}),
 		EncodeCampaign(&CampaignState{
 			SyncEvery: 1,
-			SeenUpTo:  [][]uint64{{0}},
 			Instances: []FuzzerState{*sampleFuzzer()},
 		}),
 		[]byte(magic),

@@ -158,7 +158,7 @@ func (m *AFLMap) NewVirgin() *Virgin {
 // MergeVirginInto folds an instance virgin map into a campaign-level union.
 // The flat scheme's virgin is already indexed by raw key, so no translation
 // table is needed.
-func (m *AFLMap) MergeVirginInto(u VirginUnion, v *Virgin) {
+func (m *AFLMap) MergeVirginInto(u *LockedVirginUnion, v *Virgin) {
 	u.MergeVirgin(v, nil)
 }
 

@@ -329,7 +329,7 @@ func (m *BigMap) DroppedKeys() uint64 { return m.dropped }
 // MergeVirginInto folds an instance virgin map into a campaign-level union,
 // translating each dense slot to its raw coverage key through the live
 // slot-to-key table (no copy; the union reads it during the call only).
-func (m *BigMap) MergeVirginInto(u VirginUnion, v *Virgin) {
+func (m *BigMap) MergeVirginInto(u *LockedVirginUnion, v *Virgin) {
 	u.MergeVirgin(v, m.slotKey[:m.used])
 }
 

@@ -110,7 +110,7 @@ func padWord(p []byte) uint64 {
 // Apply AND-merges the delta into dst, a virgin byte map of exactly
 // d.Size bytes, and returns how many bytes transitioned from 0xFF
 // (undiscovered) to below it — the newly discovered key count, matching the
-// accounting of the VirginUnion implementations. Applying the same delta
+// accounting of LockedVirginUnion. Applying the same delta
 // twice is a no-op the second time.
 func (d VirginDelta) Apply(dst []byte) (discovered int, err error) {
 	if len(dst) != d.Size {

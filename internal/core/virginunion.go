@@ -1,248 +1,52 @@
 package core
 
 import (
-	"math/bits"
+	"bytes"
 	"sync"
-	"sync/atomic"
 )
 
 // Campaign-level union coverage. Each parallel fuzzing instance owns a
-// private virgin map, so "edges the campaign as a whole has discovered" used
-// to be unanswerable without stopping every instance. A VirginUnion is the
-// shared answer: a virgin-shaped map indexed by raw coverage key that
-// instances merge their private virgin state into at sync boundaries.
+// private virgin map, so "edges the campaign as a whole has discovered"
+// needs a shared view: a virgin-shaped map indexed by raw coverage key that
+// instance virgin state is merged into. dist.Worker renders each instance's
+// coverage into one before publishing it as a delta.
 //
 // Virgin bytes only ever lose bits (0xFF = untouched, bits clear as buckets
 // are discovered), so the union of instance coverage is the bitwise AND of
-// their virgin bytes. AND is commutative, associative and idempotent, which
-// is what makes the lock-free implementation below deterministic: any
-// interleaving of merges, including torn ones that retry, converges to the
-// same final bytes as a serialized merge.
+// their virgin bytes — commutative, associative and idempotent, so merge
+// order never matters.
 //
 // The union is keyed by raw coverage key rather than dense slot because
 // BigMap instances assign dense slots in private first-sight order — slot 7
 // on instance A and slot 7 on instance B are usually different edges. Flat
-// (AFL) maps pass slotKeys == nil and merge word-at-a-time; BigMap passes its
+// (AFL) maps pass slotKeys == nil and merge by raw key; BigMap passes its
 // slot-to-key table and each slot's byte is routed to its raw key.
-type VirginUnion interface {
-	// MergeVirgin folds one instance's virgin map into the union. slotKeys
-	// is nil for the flat scheme (v is indexed by raw key) or the dense
-	// slot-to-key table for the two-level scheme (v is indexed by slot).
-	MergeVirgin(v *Virgin, slotKeys []uint32)
-
-	// CountDiscovered returns the number of keys with at least one
-	// discovered bucket bit across all merged instances.
-	CountDiscovered() int
-
-	// Snapshot returns a copy of the union's virgin bytes, indexed by raw
-	// coverage key. Concurrent merges may land between words; each 8-byte
-	// word is internally consistent.
-	Snapshot() []byte
-
-	// Size returns the key space the union covers.
-	Size() int
-}
 
 // CoverageMerger is the optional map interface that routes an instance's
-// virgin state into a VirginUnion with the right indexing: the flat scheme
-// merges by raw key, the two-level scheme translates dense slots through its
-// slot-to-key table. Both schemes implement it.
+// virgin state into a LockedVirginUnion with the right indexing: the flat
+// scheme merges by raw key, the two-level scheme translates dense slots
+// through its slot-to-key table. Both schemes implement it.
 type CoverageMerger interface {
 	// MergeVirginInto folds v (a virgin created by this map's NewVirgin)
 	// into u. The map itself is read-only during the call.
-	MergeVirginInto(u VirginUnion, v *Virgin)
+	MergeVirginInto(u *LockedVirginUnion, v *Virgin)
 }
 
-// AtomicVirginUnion is the lock-free sharded implementation: the byte space
-// is packed into uint64 words merged with a compare-and-swap AND loop, so
-// concurrent instances never serialize on a lock. Words are grouped into
-// shards only for bookkeeping — each shard keeps its own discovered counter,
-// so the hot CAS path touches one counter cache line per shard rather than a
-// single global contention point.
-//
-// The zero-cost determinism argument: a successful CAS replaces old with
-// old&mask, and AND-merges commute, so the final word value is independent of
-// merge order; a byte's 0xFF->discovered transition happens in exactly one
-// successful CAS, so the per-shard counters are exact, not approximate.
-type AtomicVirginUnion struct {
-	// words holds the virgin bytes packed 8 per uint64 (little-endian, the
-	// loadWord layout). guarded by atomics: every access outside
-	// construction goes through sync/atomic Load/CompareAndSwap.
-	words []uint64
-
-	// disc counts discovered keys per shard. guarded by atomics: the
-	// atomic.Int64 methods are the only access path.
-	disc []atomic.Int64
-
-	size          int
-	wordsPerShard int
-}
-
-var _ VirginUnion = (*AtomicVirginUnion)(nil)
-
-// NewAtomicVirginUnion creates a lock-free union over a key space of the
-// given size (the map's Size for flat schemes, the slot capacity's key space
-// for two-level schemes) with the given shard count. shards is clamped to
-// [1, number of words].
-func NewAtomicVirginUnion(size, shards int) (*AtomicVirginUnion, error) {
-	if !validSize(size) {
-		return nil, ErrBadMapSize
-	}
-	nwords := (size + 7) / 8
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > nwords {
-		shards = nwords
-	}
-	u := &AtomicVirginUnion{
-		words:         make([]uint64, nwords),
-		disc:          make([]atomic.Int64, shards),
-		size:          size,
-		wordsPerShard: (nwords + shards - 1) / shards,
-	}
-	for i := range u.words {
-		u.words[i] = ^uint64(0)
-	}
-	return u, nil
-}
-
-// Size returns the key space the union covers.
-func (u *AtomicVirginUnion) Size() int { return u.size }
-
-// Shards returns the shard count.
-func (u *AtomicVirginUnion) Shards() int { return len(u.disc) }
-
-func (u *AtomicVirginUnion) shardFor(word int) int {
-	s := word / u.wordsPerShard
-	if s >= len(u.disc) {
-		s = len(u.disc) - 1
-	}
-	return s
-}
-
-// andWord CAS-ANDs mask into word wi and charges any 0xFF->discovered byte
-// transitions to the word's shard counter. The loop retries only when another
-// instance merged into the same word between the load and the swap.
-func (u *AtomicVirginUnion) andWord(wi int, mask uint64) {
-	for {
-		old := atomic.LoadUint64(&u.words[wi])
-		merged := old & mask
-		if merged == old {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&u.words[wi], old, merged) {
-			if d := newlyDiscovered(old, merged); d != 0 {
-				u.disc[u.shardFor(wi)].Add(int64(d))
-			}
-			return
-		}
-	}
-}
-
-// newlyDiscovered counts the bytes that were 0xFF in old and are not in
-// merged: fold each byte of the complement into an occupancy bit (non-zero
-// complement = byte below 0xFF) and count the bits that appeared.
-func newlyDiscovered(old, merged uint64) int {
-	before := foldByteOccupancy(^old)
-	after := foldByteOccupancy(^merged)
-	return bits.OnesCount64(after &^ before)
-}
-
-// foldByteOccupancy folds each byte's bits into bit 0 and masks to one
-// occupancy bit per byte (the countNonZeroWord trick).
-func foldByteOccupancy(w uint64) uint64 {
-	w |= w >> 4
-	w |= w >> 2
-	w |= w >> 1
-	return w & 0x0101010101010101
-}
-
-// MergeVirgin implements VirginUnion. The flat path skips all-0xFF words (the
-// instance discovered nothing there, AND is a no-op); the keyed path routes
-// each discovered dense slot's byte to its raw key with a one-byte AND mask.
-func (u *AtomicVirginUnion) MergeVirgin(v *Virgin, slotKeys []uint32) {
-	if slotKeys != nil {
-		bits := v.bits
-		for slot, key := range slotKeys {
-			b := bits[slot]
-			if b == 0xFF || int(key) >= u.size {
-				continue
-			}
-			shift := uint(key&7) * 8
-			mask := ^(uint64(0xFF) << shift) | uint64(b)<<shift
-			u.andWord(int(key>>3), mask)
-		}
-		return
-	}
-	bits := v.bits
-	n := len(bits)
-	if n > u.size {
-		n = u.size
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := loadWord(bits[i:])
-		if w == ^uint64(0) {
-			continue
-		}
-		u.andWord(i>>3, w)
-	}
-	if i < n {
-		// Partial tail word: pad the bytes past the virgin with 0xFF so the
-		// AND leaves them untouched.
-		w := ^uint64(0)
-		for j := i; j < n; j++ {
-			shift := uint(j-i) * 8
-			w = ^(uint64(0xFF) << shift) & w | uint64(bits[j])<<shift
-		}
-		if w != ^uint64(0) {
-			u.andWord(i>>3, w)
-		}
-	}
-}
-
-// CountDiscovered sums the per-shard counters; O(shards), no map scan.
-func (u *AtomicVirginUnion) CountDiscovered() int {
-	total := int64(0)
-	for i := range u.disc {
-		total += u.disc[i].Load()
-	}
-	return int(total)
-}
-
-// Snapshot copies the union bytes out with atomic word reads.
-func (u *AtomicVirginUnion) Snapshot() []byte {
-	out := make([]byte, len(u.words)*8)
-	for i := range u.words {
-		storeWord(out[i*8:], atomic.LoadUint64(&u.words[i]))
-	}
-	return out[:u.size]
-}
-
-// LockedVirginUnion is the reference implementation: one mutex, plain byte
-// loops. It exists for the same reason the scalar kernels do — it is the
-// obviously correct semantics the lock-free implementation is equivalence-
-// pinned against (virginunion_test.go merges arbitrary instance states into
-// both and requires identical bytes and counts).
+// LockedVirginUnion is the campaign coverage union: one mutex, plain byte
+// loops.
 type LockedVirginUnion struct {
 	mu         sync.Mutex
 	bits       []byte // guarded by mu
 	discovered int    // guarded by mu
 }
 
-var _ VirginUnion = (*LockedVirginUnion)(nil)
-
-// NewLockedVirginUnion creates the single-lock reference union.
+// NewLockedVirginUnion creates an empty union over a key space of the given
+// size.
 func NewLockedVirginUnion(size int) (*LockedVirginUnion, error) {
 	if !validSize(size) {
 		return nil, ErrBadMapSize
 	}
-	u := &LockedVirginUnion{bits: make([]byte, size)}
-	for i := range u.bits {
-		u.bits[i] = 0xFF
-	}
-	return u, nil
+	return &LockedVirginUnion{bits: bytes.Repeat([]byte{0xFF}, size)}, nil
 }
 
 // Size returns the key space the union covers.
@@ -252,7 +56,9 @@ func (u *LockedVirginUnion) Size() int {
 	return len(u.bits)
 }
 
-// MergeVirgin implements VirginUnion under the single lock.
+// MergeVirgin folds one instance's virgin map into the union. slotKeys is
+// nil for the flat scheme (v is indexed by raw key) or the dense slot-to-key
+// table for the two-level scheme (v is indexed by slot).
 func (u *LockedVirginUnion) MergeVirgin(v *Virgin, slotKeys []uint32) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -291,14 +97,16 @@ func (u *LockedVirginUnion) andByteLocked(key int, b byte) {
 	u.bits[key] = merged
 }
 
-// CountDiscovered returns the number of discovered keys.
+// CountDiscovered returns the number of keys with at least one discovered
+// bucket bit across all merged instances.
 func (u *LockedVirginUnion) CountDiscovered() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.discovered
 }
 
-// Snapshot copies the union bytes out.
+// Snapshot returns a copy of the union's virgin bytes, indexed by raw
+// coverage key.
 func (u *LockedVirginUnion) Snapshot() []byte {
 	u.mu.Lock()
 	defer u.mu.Unlock()

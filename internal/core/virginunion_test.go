@@ -8,11 +8,10 @@ import (
 	"github.com/bigmap/bigmap/internal/rng"
 )
 
-// The lock-free sharded union must be equivalence-pinned to the single-lock
-// reference the same way the word kernels are pinned to the scalar ones:
-// arbitrary instance virgin states, merged in arbitrary orders and from
-// arbitrary goroutine interleavings, must produce identical union bytes and
-// identical discovered counts.
+// The campaign union must agree with a plain scalar model: arbitrary
+// instance virgin states, merged in arbitrary orders and from arbitrary
+// goroutine interleavings, must produce identical union bytes and identical
+// discovered counts.
 
 // randomVirgin builds an instance virgin of n slots with roughly the given
 // percentage of discovered (non-0xFF) bytes.
@@ -67,8 +66,8 @@ func randomMergeOps(src *rng.Source, size, n int) []mergeOp {
 	return ops
 }
 
-// modelUnion is the in-test scalar model both implementations are checked
-// against: plain byte ANDs into a slice.
+// modelUnion is the in-test scalar model the union is checked against: plain
+// byte ANDs into a slice.
 func modelUnion(size int, ops []mergeOp) ([]byte, int) {
 	bits := bytes.Repeat([]byte{0xFF}, size)
 	for _, op := range ops {
@@ -93,55 +92,16 @@ func modelUnion(size int, ops []mergeOp) ([]byte, int) {
 	return bits, discovered
 }
 
-// TestVirginUnionEquivalence pins the atomic implementation (at several shard
-// counts) and the locked reference against the scalar model on random merge
-// programs over both merge paths.
-func TestVirginUnionEquivalence(t *testing.T) {
-	src := rng.New(0xbeef)
-	for iter := 0; iter < 60; iter++ {
-		size := []int{8, 64, 256, 1024}[src.Intn(4)]
-		ops := randomMergeOps(src, size, 1+src.Intn(6))
-		wantBits, wantDisc := modelUnion(size, ops)
-
-		locked, err := NewLockedVirginUnion(size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unions := []VirginUnion{locked}
-		for _, shards := range []int{1, 3, 8} {
-			au, err := NewAtomicVirginUnion(size, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unions = append(unions, au)
-		}
-		for ui, u := range unions {
-			for _, op := range ops {
-				u.MergeVirgin(op.v, op.slotKeys)
-			}
-			if got := u.Snapshot(); !bytes.Equal(got, wantBits) {
-				t.Fatalf("iter %d union %d: snapshot diverged from model\n got  %x\n want %x", iter, ui, got, wantBits)
-			}
-			if got := u.CountDiscovered(); got != wantDisc {
-				t.Fatalf("iter %d union %d: discovered %d, model %d", iter, ui, got, wantDisc)
-			}
-			if got := u.Size(); got != size {
-				t.Fatalf("iter %d union %d: size %d, want %d", iter, ui, got, size)
-			}
-		}
-	}
-}
-
 // TestVirginUnionMergeOrderIrrelevant re-merges the same ops in reversed and
 // duplicated order: AND-merges are commutative and idempotent, so the result
-// must not move.
+// must not move, and it must match the scalar model.
 func TestVirginUnionMergeOrderIrrelevant(t *testing.T) {
 	src := rng.New(0x5eed)
 	const size = 256
 	ops := randomMergeOps(src, size, 5)
 
-	forward, _ := NewAtomicVirginUnion(size, 4)
-	backward, _ := NewAtomicVirginUnion(size, 4)
+	forward, _ := NewLockedVirginUnion(size)
+	backward, _ := NewLockedVirginUnion(size)
 	for _, op := range ops {
 		forward.MergeVirgin(op.v, op.slotKeys)
 	}
@@ -152,6 +112,9 @@ func TestVirginUnionMergeOrderIrrelevant(t *testing.T) {
 	if !bytes.Equal(forward.Snapshot(), backward.Snapshot()) {
 		t.Fatal("merge order changed the union bytes")
 	}
+	if want, wantDisc := modelUnion(size, ops); !bytes.Equal(forward.Snapshot(), want) || forward.CountDiscovered() != wantDisc {
+		t.Fatal("union diverged from the scalar model")
+	}
 	if forward.CountDiscovered() != backward.CountDiscovered() {
 		t.Fatalf("merge order changed the discovered count: %d vs %d",
 			forward.CountDiscovered(), backward.CountDiscovered())
@@ -159,20 +122,19 @@ func TestVirginUnionMergeOrderIrrelevant(t *testing.T) {
 }
 
 // TestVirginUnionConcurrentMatchesSequential runs the same merge set from
-// many goroutines and sequentially; the lock-free result must be identical —
-// the determinism property the parallel campaign's sync boundary relies on.
+// many goroutines and sequentially; the results must be identical.
 func TestVirginUnionConcurrentMatchesSequential(t *testing.T) {
 	src := rng.New(0xc0ffee)
 	const size = 1024
 	ops := randomMergeOps(src, size, 16)
 
-	sequential, _ := NewAtomicVirginUnion(size, 8)
+	sequential, _ := NewLockedVirginUnion(size)
 	for _, op := range ops {
 		sequential.MergeVirgin(op.v, op.slotKeys)
 	}
 
 	for round := 0; round < 20; round++ {
-		concurrent, _ := NewAtomicVirginUnion(size, 8)
+		concurrent, _ := NewLockedVirginUnion(size)
 		var wg sync.WaitGroup
 		for _, op := range ops {
 			wg.Add(1)
@@ -192,16 +154,15 @@ func TestVirginUnionConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestVirginUnionRace hammers concurrent shard merges against Snapshot and
+// TestVirginUnionRace hammers concurrent merges against Snapshot and
 // CountDiscovered readers. Its job is to run under `go test -race` (the CI
-// race job): any unsynchronized access in the CAS loop or the snapshot reader
-// is a hard failure there.
+// race job): any unsynchronized access is a hard failure there.
 func TestVirginUnionRace(t *testing.T) {
 	src := rng.New(0xace)
 	const size = 2048
 	ops := randomMergeOps(src, size, 12)
 
-	u, _ := NewAtomicVirginUnion(size, 6)
+	u, _ := NewLockedVirginUnion(size)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Readers: snapshot + count in a tight loop until the writers finish.
@@ -267,7 +228,7 @@ func TestCoverageMergerSlotTranslation(t *testing.T) {
 	a.ClassifyAndCompare(va)
 	b.ClassifyAndCompare(vb)
 
-	u, _ := NewAtomicVirginUnion(size, 2)
+	u, _ := NewLockedVirginUnion(size)
 	a.MergeVirginInto(u, va)
 	snapA := u.Snapshot()
 	b.MergeVirginInto(u, vb)

@@ -1,46 +1,34 @@
 // Package corpusd is the content-addressed corpus service behind
-// bigmap-corpusd: the wire-side implementation of the dist sync contract
-// (internal/dist), with durability and tamper evidence on top.
+// bigmap-corpusd: the wire side of the dist sync contract (internal/dist),
+// with durability and tamper evidence on top.
 //
-// A Store hosts named campaigns. Each campaign keeps:
-//
-//   - inputs, content-addressed by hex SHA-256 and deduplicated — two
-//     workers pushing the same bytes cost one stored copy and a dedup
-//     counter bump;
-//   - crash buckets, deduplicated by their Crashwalk key;
-//   - the campaign-wide virgin union, maintained by AND-merging the
-//     virgin-map deltas workers publish (core.VirginDelta — changed words
-//     only, never whole maps);
-//   - per-worker cursors (pull position, last accepted batch sequence), so
-//     pushes are idempotent and a restarted worker resumes where its name
-//     left off;
-//   - a hash-chained ledger of accepted batches (ledger.go). Every record
-//     commits to its predecessor, so the ledger prefix up to any point is
-//     tamper-evident, and replaying it rebuilds the campaign bit for bit.
+// A Store hosts named campaigns. Each campaign is a dist.Hub — the one sync
+// state machine every campaign in the tree runs on: content-addressed input
+// dedup, crash buckets keyed by their Crashwalk key, the AND-merged virgin
+// union, per-worker sequence chains and pull cursors — plus a journal that
+// makes it durable (journal.go). The Hub hands every accepted batch to the
+// journal before it changes any in-memory state, so what the Hub shows is
+// always on disk first.
 //
 // On disk (when the Store has a directory) a campaign lives under
 // <dir>/<name>/: campaign.json (geometry), inputs/<hash> and
 // crashes/<key>.json (content files, written before the ledger record that
-// references them), ledger.jsonl (fsynced append-only chain — the
-// atomicity point; a crash mid-append leaves a truncated tail line that
-// recovery tolerates, while orphaned content files are harmless), and
-// workers.json (cursors; if lost, workers simply re-pull and re-push, which
-// dedup absorbs). Open replays every campaign's ledger, verifying the
-// chain and each input's content hash, and rebuilds the union from the
-// recorded deltas — recovery IS verification.
+// references them), ledger.jsonl (fsynced, hash-chained append-only log of
+// accepted batches — the atomicity point; see ledger.go), and workers.json
+// (cursors; if lost, workers simply re-pull and re-push, which dedup
+// absorbs). New replays every campaign's ledger into a fresh Hub, verifying
+// the chain and each input's content hash — recovery IS verification. A
+// memory-only Store (dir "") hosts Hubs without journals.
 package corpusd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
-	"github.com/bigmap/bigmap/internal/checkpoint"
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/telemetry"
@@ -60,37 +48,24 @@ type Store struct {
 	telSyncNS  *telemetry.Histogram
 }
 
-// campaign is one hosted campaign's full state.
+// campaign is one hosted campaign: the Hub that owns its state and the
+// journal that makes it durable (nil in a memory-only store).
 type campaign struct {
-	mu sync.Mutex
-
-	name string
-	size int
-	dir  string // "" when the store is memory-only
-
-	inputs     map[string][]byte            // guarded by mu; content hash -> bytes
-	order      []orderEntry                 // guarded by mu; global arrival order
-	crashes    map[uint64]dist.Crash        // guarded by mu
-	union      []byte                       // guarded by mu; virgin bytes
-	discovered int                          // guarded by mu
-	workers    map[string]*workerCursor     // guarded by mu
-	prevHash   string                       // guarded by mu; ledger chain tail
-	records    int                          // guarded by mu; ledger length
-	dedupHits  uint64                       // guarded by mu
-	deltaWords uint64                       // guarded by mu
-	ledgerF    *os.File                     // guarded by mu; append handle
+	hub     *dist.Hub
+	journal *journal
 }
 
-type orderEntry struct {
-	hash string
-	src  string
-}
-
-type workerCursor struct {
-	Cursor  int    `json:"cursor"`   // guarded by mu (campaign.mu)
-	LastSeq uint64 `json:"last_seq"` // guarded by mu (campaign.mu)
-
-	lastReceipt dist.Receipt // guarded by mu (campaign.mu); not persisted
+// newCampaign wires a Hub to its journal; j may be nil.
+func newCampaign(mapSize int, j *journal) (*campaign, error) {
+	var dj dist.Journal
+	if j != nil {
+		dj = j
+	}
+	hub, err := dist.NewJournaledHub(mapSize, nil, dj)
+	if err != nil {
+		return nil, err
+	}
+	return &campaign{hub: hub, journal: j}, nil
 }
 
 // New creates a store. dir may be "" for a memory-only store (tests); a
@@ -121,13 +96,14 @@ func New(dir string, reg *telemetry.Registry) (*Store, error) {
 		if !e.IsDir() {
 			continue
 		}
-		c, err := newCampaignFromDisk(filepath.Join(dir, e.Name()))
+		c, err := recoverCampaign(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("corpusd: recover campaign %s: %w", e.Name(), err)
 		}
-		s.campaigns[c.name] = c
+		s.campaigns[e.Name()] = c
+		st, _ := c.hub.Stats() //bigmap:err-ok Hub.Stats cannot fail
 		reg.Event("campaign_recovered", fmt.Sprintf("%s: %d inputs, %d ledger records, union %d",
-			c.name, len(c.inputs), c.records, c.discovered))
+			e.Name(), st.Inputs, st.Batches, st.UnionDiscovered))
 	}
 	return s, nil
 }
@@ -136,18 +112,13 @@ func New(dir string, reg *telemetry.Registry) (*Store, error) {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
+	var errs []error
 	for _, c := range s.campaigns {
-		c.mu.Lock()
-		if c.ledgerF != nil {
-			if err := c.ledgerF.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			c.ledgerF = nil
+		if c.journal != nil {
+			errs = append(errs, c.journal.close())
 		}
-		c.mu.Unlock()
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Telemetry returns the store's registry (nil when telemetry is off).
@@ -179,6 +150,9 @@ func validCampaignName(name string) error {
 // with a different map size.
 var ErrCampaignMismatch = errors.New("corpusd: campaign exists with different map size")
 
+// ErrNotFound is returned for operations on unknown campaigns.
+var ErrNotFound = errors.New("corpusd: campaign not found")
+
 // CreateCampaign creates a campaign, idempotently: re-creating an existing
 // name with the same map size succeeds (created=false); a size mismatch is
 // ErrCampaignMismatch.
@@ -192,43 +166,24 @@ func (s *Store) CreateCampaign(name string, mapSize int) (created bool, err erro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c := s.campaigns[name]; c != nil {
-		if c.size != mapSize {
-			return false, fmt.Errorf("%w: %s has %d, requested %d", ErrCampaignMismatch, name, c.size, mapSize)
+		if size := c.hub.MapSize(); size != mapSize {
+			return false, fmt.Errorf("%w: %s has %d, requested %d", ErrCampaignMismatch, name, size, mapSize)
 		}
 		return false, nil
 	}
-	c := newCampaignState(name, mapSize, s.campaignDir(name))
-	if c.dir != "" {
-		if err := persistNewCampaign(c); err != nil {
+	var j *journal
+	if s.dir != "" {
+		if j, err = createJournal(filepath.Join(s.dir, name), name, mapSize); err != nil {
 			return false, err
 		}
+	}
+	c, err := newCampaign(mapSize, j)
+	if err != nil {
+		return false, err
 	}
 	s.campaigns[name] = c
 	s.reg.Event("campaign_created", fmt.Sprintf("%s: map size %d", name, mapSize))
 	return true, nil
-}
-
-func (s *Store) campaignDir(name string) string {
-	if s.dir == "" {
-		return ""
-	}
-	return filepath.Join(s.dir, name)
-}
-
-func newCampaignState(name string, mapSize int, dir string) *campaign {
-	union := make([]byte, mapSize)
-	for i := range union {
-		union[i] = 0xFF
-	}
-	return &campaign{
-		name:    name,
-		size:    mapSize,
-		dir:     dir,
-		inputs:  make(map[string][]byte),
-		crashes: make(map[uint64]dist.Crash),
-		union:   union,
-		workers: make(map[string]*workerCursor),
-	}
 }
 
 func (s *Store) campaign(name string) (*campaign, error) {
@@ -240,9 +195,6 @@ func (s *Store) campaign(name string) (*campaign, error) {
 	}
 	return c, nil
 }
-
-// ErrNotFound is returned for operations on unknown campaigns.
-var ErrNotFound = errors.New("corpusd: campaign not found")
 
 // Campaigns lists campaign names, sorted.
 func (s *Store) Campaigns() []string {
@@ -266,136 +218,29 @@ func (s *Store) Join(campaignName, worker string) (dist.JoinInfo, error) {
 	if err != nil {
 		return dist.JoinInfo{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.workers[worker]
-	if w == nil {
-		w = &workerCursor{}
-		c.workers[worker] = w
-		if err := c.saveWorkersLocked(); err != nil {
-			delete(c.workers, worker)
-			return dist.JoinInfo{}, err
-		}
-	}
-	return dist.JoinInfo{LastSeq: w.LastSeq, Cursor: w.Cursor}, nil
+	return c.hub.Join(worker)
 }
 
-// Push accepts one batch into the named campaign: dedups inputs and
-// crashes, merges the virgin delta, persists content files then the ledger
-// record, and returns the receipt. Replaying the last accepted sequence
-// returns its stored receipt without re-applying anything.
+// Push accepts one batch into the named campaign (dist.Hub.Push: the
+// journal persists content files then the ledger record before the Hub
+// commits). Replaying the last accepted sequence returns its stored receipt
+// without re-applying anything.
 func (s *Store) Push(campaignName, worker string, b dist.Batch) (dist.Receipt, error) {
 	start := s.telSyncNS.Start()
 	c, err := s.campaign(campaignName)
 	if err != nil {
 		return dist.Receipt{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.workers[worker]
-	if w == nil {
-		return dist.Receipt{}, fmt.Errorf("%w: %q", dist.ErrUnknownWorker, worker)
-	}
-	if b.Seq == w.LastSeq && b.Seq != 0 {
-		return w.lastReceipt, nil
-	}
-	if b.Seq != w.LastSeq+1 {
-		return dist.Receipt{}, fmt.Errorf("%w: worker %q pushed seq %d, want %d",
-			dist.ErrSeqGap, worker, b.Seq, w.LastSeq+1)
-	}
-	rcpt, err := c.applyLocked(worker, b)
+	rcpt, err := c.hub.Push(worker, b)
 	if err != nil {
 		return dist.Receipt{}, err
 	}
-	w.LastSeq = b.Seq
-	w.lastReceipt = rcpt
-	if c.dir != "" {
-		if err := c.saveWorkersLocked(); err != nil {
-			return dist.Receipt{}, err
-		}
-	}
+	st, _ := c.hub.Stats() //bigmap:err-ok Hub.Stats cannot fail
 	s.telBatches.Inc()
 	s.telDedup.Add(uint64(rcpt.DupInputs))
 	s.telWords.Add(uint64(rcpt.DeltaWords))
-	s.telInputs.Set(int64(len(c.inputs)))
+	s.telInputs.Set(int64(st.Inputs))
 	s.telSyncNS.Done(start)
-	return rcpt, nil
-}
-
-// applyLocked folds a sequence-validated batch into the campaign,
-// persisting content files before the ledger record that references them.
-func (c *campaign) applyLocked(worker string, b dist.Batch) (dist.Receipt, error) {
-	rcpt := dist.Receipt{Seq: b.Seq}
-	var d core.VirginDelta
-	if len(b.Delta) > 0 {
-		var err error
-		d, err = core.DecodeVirginDelta(b.Delta)
-		if err != nil {
-			return dist.Receipt{}, fmt.Errorf("corpusd: worker %q delta: %w", worker, err)
-		}
-		if d.Size != c.size {
-			return dist.Receipt{}, fmt.Errorf("%w: delta for %d-key map, campaign has %d",
-				dist.ErrSizeMismatch, d.Size, c.size)
-		}
-	}
-	rec := Record{Seq: c.records + 1, Worker: worker, WorkerSeq: b.Seq, Delta: b.Delta}
-	var newInputs []orderEntry
-	for _, in := range b.Inputs {
-		hash := dist.HashInput(in)
-		if _, ok := c.inputs[hash]; ok {
-			rcpt.DupInputs++
-			continue
-		}
-		if c.dir != "" {
-			if err := checkpoint.Save(filepath.Join(c.dir, "inputs", hash), in); err != nil {
-				return dist.Receipt{}, fmt.Errorf("corpusd: store input: %w", err)
-			}
-		}
-		c.inputs[hash] = append([]byte(nil), in...)
-		newInputs = append(newInputs, orderEntry{hash: hash, src: worker})
-		rec.Inputs = append(rec.Inputs, hash)
-		rcpt.NewInputs++
-	}
-	for _, cr := range b.Crashes {
-		if _, ok := c.crashes[cr.Key]; ok {
-			continue
-		}
-		cr.Input = append([]byte(nil), cr.Input...)
-		if c.dir != "" {
-			if err := saveCrash(c.dir, cr); err != nil {
-				return dist.Receipt{}, err
-			}
-		}
-		c.crashes[cr.Key] = cr
-		rec.Crashes = append(rec.Crashes, crashKeyHex(cr.Key))
-		rcpt.NewCrashes++
-	}
-	rec.Dups = rcpt.DupInputs
-	rec = sealRecord(rec, c.prevHash)
-	if c.dir != "" {
-		if err := c.appendLedgerLocked(rec); err != nil {
-			return dist.Receipt{}, err
-		}
-	}
-	// Past the ledger append (the durability point) nothing may fail: the
-	// in-memory merge below mirrors what replay reconstructs.
-	c.order = append(c.order, newInputs...)
-	if len(d.Words) > 0 {
-		disc, err := d.Apply(c.union)
-		if err != nil {
-			// Decoded deltas of the right size cannot fail to apply.
-			panic(fmt.Sprintf("corpusd: apply delta: %v", err))
-		}
-		c.discovered += disc
-		c.deltaWords += uint64(len(d.Words))
-		rcpt.DeltaWords = len(d.Words)
-	}
-	c.prevHash = rec.Hash
-	c.records++
-	if rcpt.DupInputs > 0 {
-		c.dedupHits += uint64(rcpt.DupInputs)
-	}
-	rcpt.UnionDiscovered = c.discovered
 	return rcpt, nil
 }
 
@@ -407,30 +252,7 @@ func (s *Store) Pull(campaignName, worker string) ([]dist.Pulled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.workers[worker]
-	if w == nil {
-		return nil, fmt.Errorf("%w: %q", dist.ErrUnknownWorker, worker)
-	}
-	var out []dist.Pulled
-	for _, p := range c.order[w.Cursor:] {
-		if p.src == worker {
-			continue
-		}
-		out = append(out, dist.Pulled{
-			Hash:  p.hash,
-			Input: append([]byte(nil), c.inputs[p.hash]...),
-		})
-	}
-	prev := w.Cursor
-	w.Cursor = len(c.order)
-	if c.dir != "" && w.Cursor != prev {
-		if err := c.saveWorkersLocked(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return c.hub.Pull(worker)
 }
 
 // Stats snapshots the named campaign.
@@ -439,18 +261,7 @@ func (s *Store) Stats(campaignName string) (dist.Stats, error) {
 	if err != nil {
 		return dist.Stats{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return dist.Stats{
-		MapSize:         c.size,
-		Inputs:          len(c.inputs),
-		Crashes:         len(c.crashes),
-		Workers:         len(c.workers),
-		Batches:         c.records,
-		DedupHits:       c.dedupHits,
-		DeltaWords:      c.deltaWords,
-		UnionDiscovered: c.discovered,
-	}, nil
+	return c.hub.Stats()
 }
 
 // Input returns one stored input by content hash.
@@ -459,13 +270,11 @@ func (s *Store) Input(campaignName, hash string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	in, ok := c.inputs[hash]
+	in, ok := c.hub.Input(hash)
 	if !ok {
 		return nil, fmt.Errorf("%w: input %s", ErrNotFound, hash)
 	}
-	return append([]byte(nil), in...), nil
+	return in, nil
 }
 
 // Crashes returns the campaign's deduplicated crash buckets sorted by key.
@@ -474,15 +283,7 @@ func (s *Store) Crashes(campaignName string) ([]dist.Crash, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]dist.Crash, 0, len(c.crashes))
-	//bigmap:nondeterministic-ok iteration feeds the sort below
-	for _, cr := range c.crashes {
-		out = append(out, cr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return c.hub.Crashes(), nil
 }
 
 // Ledger re-reads the named campaign's ledger records from disk (memory-only
@@ -492,22 +293,10 @@ func (s *Store) Ledger(campaignName string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	dir := c.dir
-	c.mu.Unlock()
-	if dir == "" {
+	if c.journal == nil {
 		return nil, nil
 	}
-	f, err := os.Open(filepath.Join(dir, "ledger.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("corpusd: open ledger: %w", err)
-	}
-	defer f.Close() //bigmap:err-ok read-only handle; close failure cannot lose data
-	records, _, err := readLedger(f)
-	return records, err
+	return c.journal.records()
 }
 
 // MapSize returns the named campaign's coverage key space.
@@ -516,7 +305,7 @@ func (s *Store) MapSize(campaignName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.size, nil
+	return c.hub.MapSize(), nil
 }
 
 // UnionSnapshot copies out the campaign union's virgin bytes.
@@ -525,252 +314,5 @@ func (s *Store) UnionSnapshot(campaignName string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.union...), nil
+	return c.hub.UnionSnapshot(), nil
 }
-
-func crashKeyHex(key uint64) string {
-	return fmt.Sprintf("%016x", key)
-}
-
-func parseCrashKey(s string) (uint64, error) {
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("corpusd: crash key %q: %w", s, err)
-	}
-	return v, nil
-}
-
-// --- persistence ---
-
-type campaignMeta struct {
-	Name    string `json:"name"`
-	MapSize int    `json:"map_size"`
-}
-
-func persistNewCampaign(c *campaign) error {
-	for _, sub := range []string{"", "inputs", "crashes"} {
-		if err := os.MkdirAll(filepath.Join(c.dir, sub), 0o755); err != nil {
-			return fmt.Errorf("corpusd: create campaign dir: %w", err)
-		}
-	}
-	data, err := json.MarshalIndent(campaignMeta{Name: c.name, MapSize: c.size}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("corpusd: encode campaign meta: %w", err)
-	}
-	if err := checkpoint.Save(filepath.Join(c.dir, "campaign.json"), data); err != nil {
-		return fmt.Errorf("corpusd: save campaign meta: %w", err)
-	}
-	return nil
-}
-
-// appendLedgerLocked appends one sealed record and fsyncs — the batch's
-// durability point.
-func (c *campaign) appendLedgerLocked(rec Record) error {
-	if c.ledgerF == nil {
-		f, err := os.OpenFile(filepath.Join(c.dir, "ledger.jsonl"),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("corpusd: open ledger: %w", err)
-		}
-		c.ledgerF = f
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("corpusd: encode ledger record: %w", err)
-	}
-	if _, err := c.ledgerF.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("corpusd: append ledger: %w", err)
-	}
-	if err := c.ledgerF.Sync(); err != nil {
-		return fmt.Errorf("corpusd: sync ledger: %w", err)
-	}
-	return nil
-}
-
-// saveWorkersLocked atomically rewrites the cursor file. Losing it is
-// recoverable (workers re-pull and re-push; dedup absorbs both), so it is
-// persisted after the ledger, never as part of the chain.
-func (c *campaign) saveWorkersLocked() error {
-	if c.dir == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(c.workers, "", "  ")
-	if err != nil {
-		return fmt.Errorf("corpusd: encode workers: %w", err)
-	}
-	if err := checkpoint.Save(filepath.Join(c.dir, "workers.json"), data); err != nil {
-		return fmt.Errorf("corpusd: save workers: %w", err)
-	}
-	return nil
-}
-
-type crashFile struct {
-	Key        string `json:"key"`
-	Site       uint32 `json:"site"`
-	StackDepth int    `json:"stack_depth"`
-	Input      []byte `json:"input"`
-}
-
-func saveCrash(dir string, cr dist.Crash) error {
-	data, err := json.MarshalIndent(crashFile{
-		Key:        crashKeyHex(cr.Key),
-		Site:       cr.Site,
-		StackDepth: cr.StackDepth,
-		Input:      cr.Input,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("corpusd: encode crash: %w", err)
-	}
-	path := filepath.Join(dir, "crashes", crashKeyHex(cr.Key)+".json")
-	if err := checkpoint.Save(path, data); err != nil {
-		return fmt.Errorf("corpusd: save crash: %w", err)
-	}
-	return nil
-}
-
-// newCampaignFromDisk reconstructs a campaign from its directory by replaying the
-// ledger: the chain is verified, every referenced input is re-read and its
-// content hash re-checked, deltas are re-applied to rebuild the union, and
-// per-worker sequence tails are recovered from the records themselves.
-// Cursors come from workers.json when present; a missing or stale cursor
-// file only causes harmless re-pulls.
-func newCampaignFromDisk(dir string) (*campaign, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "campaign.json"))
-	if err != nil {
-		return nil, fmt.Errorf("read campaign.json: %w", err)
-	}
-	var meta campaignMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, fmt.Errorf("decode campaign.json: %w", err)
-	}
-	if meta.Name != filepath.Base(dir) {
-		return nil, fmt.Errorf("campaign.json names %q, directory is %q", meta.Name, filepath.Base(dir))
-	}
-	if _, err := core.NewLockedVirginUnion(meta.MapSize); err != nil {
-		return nil, fmt.Errorf("campaign.json map size %d: %w", meta.MapSize, err)
-	}
-	c := newCampaignState(meta.Name, meta.MapSize, dir)
-
-	var records []Record
-	lf, err := os.Open(filepath.Join(dir, "ledger.jsonl"))
-	switch {
-	case err == nil:
-		var truncated bool
-		records, truncated, err = readLedger(lf)
-		lf.Close() //bigmap:err-ok read-only handle; close failure cannot lose data
-		if err != nil {
-			return nil, err
-		}
-		if truncated {
-			// A crash mid-append left a torn tail line. The verified prefix
-			// is the campaign; rewrite the file to exactly that prefix so
-			// the next append continues a clean chain.
-			if err := rewriteLedger(dir, records); err != nil {
-				return nil, err
-			}
-		}
-	case os.IsNotExist(err):
-		// Campaign created but nothing pushed yet.
-	default:
-		return nil, fmt.Errorf("open ledger: %w", err)
-	}
-
-	for _, rec := range records {
-		for _, hash := range rec.Inputs {
-			in, err := os.ReadFile(filepath.Join(dir, "inputs", hash))
-			if err != nil {
-				return nil, fmt.Errorf("%w: ledger record %d references unreadable input %s: %v",
-					ErrLedgerCorrupt, rec.Seq, hash, err)
-			}
-			if dist.HashInput(in) != hash {
-				return nil, fmt.Errorf("%w: input %s content does not match its hash", ErrLedgerCorrupt, hash)
-			}
-			c.inputs[hash] = in
-			c.order = append(c.order, orderEntry{hash: hash, src: rec.Worker})
-		}
-		for _, keyHex := range rec.Crashes {
-			key, err := parseCrashKey(keyHex)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrLedgerCorrupt, rec.Seq, err)
-			}
-			cdata, err := os.ReadFile(filepath.Join(dir, "crashes", keyHex+".json"))
-			if err != nil {
-				return nil, fmt.Errorf("%w: ledger record %d references unreadable crash %s: %v",
-					ErrLedgerCorrupt, rec.Seq, keyHex, err)
-			}
-			var cf crashFile
-			if err := json.Unmarshal(cdata, &cf); err != nil {
-				return nil, fmt.Errorf("%w: crash %s: %v", ErrLedgerCorrupt, keyHex, err)
-			}
-			c.crashes[key] = dist.Crash{Key: key, Site: cf.Site, StackDepth: cf.StackDepth, Input: cf.Input}
-		}
-		if len(rec.Delta) > 0 {
-			d, err := core.DecodeVirginDelta(rec.Delta)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d delta: %v", ErrLedgerCorrupt, rec.Seq, err)
-			}
-			if d.Size != c.size {
-				return nil, fmt.Errorf("%w: record %d delta sized %d, campaign %d",
-					ErrLedgerCorrupt, rec.Seq, d.Size, c.size)
-			}
-			disc, err := d.Apply(c.union)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d delta: %v", ErrLedgerCorrupt, rec.Seq, err)
-			}
-			c.discovered += disc
-			c.deltaWords += uint64(len(d.Words))
-		}
-		c.dedupHits += uint64(rec.Dups)
-		if w := c.workers[rec.Worker]; w == nil {
-			c.workers[rec.Worker] = &workerCursor{LastSeq: rec.WorkerSeq}
-		} else if rec.WorkerSeq > w.LastSeq {
-			w.LastSeq = rec.WorkerSeq
-		}
-		c.prevHash = rec.Hash
-		c.records++
-	}
-
-	if wdata, err := os.ReadFile(filepath.Join(dir, "workers.json")); err == nil {
-		var cursors map[string]*workerCursor
-		if err := json.Unmarshal(wdata, &cursors); err == nil {
-			for name, wc := range cursors {
-				if wc == nil {
-					continue
-				}
-				if wc.Cursor > len(c.order) {
-					wc.Cursor = len(c.order)
-				}
-				if existing := c.workers[name]; existing != nil {
-					// The ledger's sequence tail wins: workers.json may lag
-					// (it is written after the ledger record).
-					if wc.LastSeq < existing.LastSeq {
-						wc.LastSeq = existing.LastSeq
-					}
-				}
-				c.workers[name] = wc
-			}
-		}
-	}
-	return c, nil
-}
-
-// rewriteLedger replaces ledger.jsonl with exactly the verified records,
-// atomically, after recovery tolerated a torn tail line.
-func rewriteLedger(dir string, records []Record) error {
-	var buf []byte
-	for _, rec := range records {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("corpusd: encode ledger record: %w", err)
-		}
-		buf = append(buf, data...)
-		buf = append(buf, '\n')
-	}
-	if err := checkpoint.Save(filepath.Join(dir, "ledger.jsonl"), buf); err != nil {
-		return fmt.Errorf("corpusd: rewrite ledger: %w", err)
-	}
-	return nil
-}
-

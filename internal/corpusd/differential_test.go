@@ -18,10 +18,10 @@ import (
 // only through a corpusd store over real HTTP — must reach the exact same
 // campaign-wide union coverage, per-instance queues and crash buckets as the
 // in-process parallel campaign running the same round schedule from the same
-// seeds. Worker trajectories are identical because a pull delivers the same
-// peer inputs in the same order as the legacy pairwise exchange, duplicate
-// imports are coverage- and RNG-neutral, and the store's dedup only removes
-// re-executions (so exec counts may shrink, never anything else).
+// seeds. The in-process campaign syncs through its private dist.Hub, and a
+// corpusd campaign is a dist.Hub plus a journal, so both sides run one state
+// machine and a pull delivers the same peer inputs in the same order on
+// both sides, so worker trajectories are identical.
 func TestWireSyncMatchesParallelCampaign(t *testing.T) {
 	prog, err := target.Generate(target.GenSpec{
 		Name:              "wire-diff",
@@ -49,23 +49,22 @@ func TestWireSyncMatchesParallelCampaign(t *testing.T) {
 		size      = 64 << 10
 	)
 	base := parallel.Config{
-		Instances:    instances,
-		SyncEvery:    3000,
-		Fuzzer:       fuzzer.Config{Seed: 11, Scheme: fuzzer.SchemeBigMap},
-		VirginShards: 1,
+		Instances: instances,
+		SyncEvery: 3000,
+		Fuzzer:    fuzzer.Config{Seed: 11, Scheme: fuzzer.SchemeBigMap},
 	}
 
-	// Reference: the in-process campaign with the legacy pairwise sync.
-	legacy, err := parallel.NewCampaign(prog, base, seeds)
+	// Reference: the in-process campaign, synced through its private hub.
+	ref, err := parallel.NewCampaign(prog, base, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.RunRounds(rounds); err != nil {
+	if err := ref.RunRounds(rounds); err != nil {
 		t.Fatal(err)
 	}
-	lrep := legacy.Report()
+	lrep := ref.Report()
 	if lrep.UnionEdges == 0 {
-		t.Fatal("legacy campaign discovered no union coverage")
+		t.Fatal("in-process campaign discovered no union coverage")
 	}
 
 	// Wire side: a persistent store behind real HTTP, one standalone fuzzer
@@ -108,8 +107,8 @@ func TestWireSyncMatchesParallelCampaign(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// All pushes land before any pull — the wire image of the legacy
-		// snapshot-queues-then-import barrier.
+		// All pushes land before any pull, as in the campaign's round
+		// boundary.
 		for _, w := range workers {
 			if _, err := w.Push(); err != nil {
 				t.Fatal(err)
@@ -121,8 +120,8 @@ func TestWireSyncMatchesParallelCampaign(t *testing.T) {
 			}
 		}
 	}
-	// Publish coverage found by the final pull's imports, mirroring
-	// Report()'s bring-the-union-current merge.
+	// Publish coverage found by the final pull's imports. Imports only
+	// re-find edges a peer already published, so the union does not move.
 	for _, w := range workers {
 		if _, err := w.Push(); err != nil {
 			t.Fatal(err)

@@ -1,13 +1,14 @@
-// Package dist generalizes the campaign sync boundary across process and
-// machine lines. internal/parallel synchronizes goroutines by cross-polling
-// queues in memory; this package abstracts that exchange behind a Syncer —
-// a content-addressed rendezvous every worker pushes its discoveries into
-// and pulls its peers' discoveries out of — with two implementations:
+// Package dist is the campaign sync boundary, in one process or across
+// machines: a Syncer is a content-addressed rendezvous every worker pushes
+// its discoveries into and pulls its peers' discoveries out of. There is
+// one state machine behind it and one wire form:
 //
-//   - Hub: in memory, for single-process campaigns (and as the reference
-//     semantics the wire implementation is differentially tested against).
-//   - Client: HTTP/JSON against a bigmap-corpusd daemon (internal/corpusd),
-//     so N bigmap-fuzz processes on M machines drive one campaign.
+//   - Hub: the state machine. Every multi-instance internal/parallel
+//     campaign syncs through one (a private Hub unless configured
+//     otherwise), and every campaign a bigmap-corpusd daemon hosts is one
+//     plus a Journal that makes it durable (internal/corpusd).
+//   - Client: HTTP/JSON against a bigmap-corpusd daemon, so N bigmap-fuzz
+//     processes on M machines drive one campaign.
 //
 // The unit of exchange is a Batch: the worker's new queue entries, its new
 // crash buckets, and a virgin-map delta (core.VirginDelta — only the 8-byte

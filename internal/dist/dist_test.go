@@ -329,3 +329,49 @@ func TestHubUnionMatchesDirectMerge(t *testing.T) {
 		t.Fatalf("union count %d != direct %d", st.UnionDiscovered, direct.CountDiscovered())
 	}
 }
+
+// cursorJournal is a Journal whose cursor saves fail while fail is set.
+type cursorJournal struct{ fail bool }
+
+func (j *cursorJournal) Commit(Commit) error { return nil }
+
+func (j *cursorJournal) SaveCursors(map[string]JoinInfo) error {
+	if j.fail {
+		return errors.New("disk full")
+	}
+	return nil
+}
+
+// TestHubCursorSaveFailureChangesNothing: a Join or Pull whose cursor save
+// fails is undone — the worker is not registered, the pull cursor does not
+// move — so the retry delivers exactly what the failed call would have.
+func TestHubCursorSaveFailureChangesNothing(t *testing.T) {
+	j := &cursorJournal{}
+	h, err := NewJournaledHub(64, nil, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"a", "b"} {
+		if _, err := h.Join(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.Push("a", Batch{Seq: 1, Inputs: [][]byte{[]byte("x")}}); err != nil {
+		t.Fatal(err)
+	}
+	j.fail = true
+	if _, err := h.Pull("b"); err == nil {
+		t.Fatal("pull succeeded without saving its cursor")
+	}
+	if _, err := h.Join("c"); err == nil {
+		t.Fatal("join succeeded without saving the cursors")
+	}
+	j.fail = false
+	got, err := h.Pull("b")
+	if err != nil || len(got) != 1 || string(got[0].Input) != "x" {
+		t.Fatalf("pull after a failed save: %+v, %v", got, err)
+	}
+	if st, _ := h.Stats(); st.Workers != 2 {
+		t.Fatalf("workers = %d after a failed join, want 2", st.Workers)
+	}
+}

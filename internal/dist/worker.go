@@ -31,6 +31,7 @@ type Worker struct {
 	pushedInputs  int    // queue entries already pushed
 	pushedCrashes map[uint64]bool
 	last          []byte // virgin state as of the last successful push
+	union         int    // campaign union discovered keys, per the last receipt
 
 	// pending is a built-but-unacknowledged batch. A failed Push leaves it
 	// in place and the next Push retries it verbatim under the same
@@ -86,6 +87,10 @@ func (w *Worker) Name() string { return w.name }
 // stats queries).
 func (w *Worker) Syncer() Syncer { return w.s }
 
+// UnionDiscovered returns the campaign union's discovered-key count as of
+// this worker's last accepted push (0 before the first).
+func (w *Worker) UnionDiscovered() int { return w.union }
+
 // Push publishes everything new since the last successful push: unseen
 // queue entries, unseen crash buckets, and the virgin-delta of coverage
 // words that changed. On error nothing is committed locally, so the next
@@ -136,6 +141,7 @@ func (w *Worker) Push() (Receipt, error) {
 		w.pushedCrashes[cr.Key] = true
 	}
 	w.last = w.pendingSnap
+	w.union = rcpt.UnionDiscovered
 	w.telPushed.Add(uint64(len(w.pending.Inputs)))
 	w.telDups.Add(uint64(rcpt.DupInputs))
 	w.telWords.Add(uint64(rcpt.DeltaWords))
@@ -174,9 +180,8 @@ func (w *Worker) Sync() error {
 }
 
 // virginSnapshot renders the fuzzer's current coverage as campaign-geometry
-// virgin bytes, by folding its map into a fresh single-lock union (the
-// CoverageMerger translation from per-instance dense slots to raw keys —
-// the same path parallel campaigns use for their local union).
+// virgin bytes, by folding its map into a fresh union (the CoverageMerger
+// translation from per-instance dense slots to raw keys).
 func (w *Worker) virginSnapshot() []byte {
 	u, err := core.NewLockedVirginUnion(w.size)
 	if err != nil {

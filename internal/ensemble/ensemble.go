@@ -10,6 +10,10 @@
 // Ensembles keep each map small but split the exec budget and rely on
 // syncing; stacking concentrates the budget but multiplies map pressure —
 // which is exactly the trade BigMap was built to unlock.
+//
+// Members sync through a private dist.Hub, the same exchange parallel
+// campaigns use. Members count coverage in different key spaces, so the
+// hub's union means nothing here and is not reported.
 package ensemble
 
 import (
@@ -21,6 +25,7 @@ import (
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/covreport"
 	"github.com/bigmap/bigmap/internal/crash"
+	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/target"
 )
@@ -60,10 +65,10 @@ type Config struct {
 
 // Ensemble is a running heterogeneous campaign.
 type Ensemble struct {
-	members  []Member
-	fuzzers  []*fuzzer.Fuzzer
-	cfg      Config
-	seenUpTo [][]int
+	members []Member
+	fuzzers []*fuzzer.Fuzzer
+	cfg     Config
+	peers   []*dist.Worker // nil for a single member: nothing to sync
 }
 
 // New builds the member instances and dry-runs the shared seeds on each.
@@ -94,14 +99,26 @@ func New(prog *target.Program, cfg Config, seeds [][]byte) (*Ensemble, error) {
 		}
 		fuzzers[i] = f
 	}
-	seen := make([][]int, len(fuzzers))
-	for i := range seen {
-		seen[i] = make([]int, len(fuzzers))
-		for j := range seen[i] {
-			seen[i][j] = fuzzers[j].Queue().Len()
-		}
+	e := &Ensemble{members: cfg.Members, fuzzers: fuzzers, cfg: cfg}
+	if len(fuzzers) < 2 {
+		return e, nil
 	}
-	return &Ensemble{members: cfg.Members, fuzzers: fuzzers, cfg: cfg, seenUpTo: seen}, nil
+	size := cfg.Fuzzer.MapSize
+	if size == 0 {
+		size = core.MapSize64K
+	}
+	hub, err := dist.NewHub(size, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range fuzzers {
+		w, err := dist.NewWorker(f, fmt.Sprintf("member-%d", i), hub, size)
+		if err != nil {
+			return nil, fmt.Errorf("member %s: %w", cfg.Members[i].Name, err)
+		}
+		e.peers = append(e.peers, w)
+	}
+	return e, nil
 }
 
 // RunExecs fuzzes until every member has executed at least perMember test
@@ -112,7 +129,9 @@ func (e *Ensemble) RunExecs(perMember uint64) error {
 		if err := e.round(); err != nil {
 			return err
 		}
-		e.sync()
+		if err := e.sync(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -124,7 +143,9 @@ func (e *Ensemble) RunFor(d time.Duration) error {
 		if err := e.round(); err != nil {
 			return err
 		}
-		e.sync()
+		if err := e.sync(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -143,34 +164,22 @@ func (e *Ensemble) round() error {
 	return errors.Join(errs...)
 }
 
-// sync cross-pollinates new finds between members. A find interesting under
-// one metric is re-judged under each peer's own metric, as ensemble fuzzers
-// do when importing from a shared corpus.
-func (e *Ensemble) sync() {
-	if len(e.fuzzers) < 2 {
-		return
-	}
-	snapshots := make([][][]byte, len(e.fuzzers))
-	for j, f := range e.fuzzers {
-		entries := f.Queue().Entries()
-		inputs := make([][]byte, len(entries))
-		for k, entry := range entries {
-			inputs[k] = entry.Input
-		}
-		snapshots[j] = inputs
-	}
-	for i, f := range e.fuzzers {
-		for j := range e.fuzzers {
-			if i == j {
-				continue
-			}
-			inputs := snapshots[j]
-			for k := e.seenUpTo[i][j]; k < len(inputs); k++ {
-				f.ImportInput(inputs[k])
-			}
-			e.seenUpTo[i][j] = len(inputs)
+// sync cross-pollinates new finds between members: every member pushes,
+// then every member pulls. A find interesting under one metric is re-judged
+// under each peer's own metric, as ensemble fuzzers do when importing from a
+// shared corpus.
+func (e *Ensemble) sync() error {
+	for _, w := range e.peers {
+		if _, err := w.Push(); err != nil {
+			return err
 		}
 	}
+	for _, w := range e.peers {
+		if _, err := w.Pull(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (e *Ensemble) allReached(perMember uint64) bool {

@@ -738,14 +738,11 @@ func (f *Fuzzer) ImportInput(input []byte) bool {
 }
 
 // MergeVirginInto folds this instance's clean-run virgin map into a
-// campaign-level union (package parallel's cross-instance coverage view).
-// The map adapter translates BigMap's per-instance dense slots to raw
-// coverage keys, so instances with different discovery orders land shared
-// edges on the same union keys. Safe to call from the instance's own
-// goroutine at a round boundary: the union handles cross-instance
-// synchronization (atomically or under its lock), and the virgin map is only
-// read.
-func (f *Fuzzer) MergeVirginInto(u core.VirginUnion) {
+// campaign-level union (the coverage a dist.Worker publishes). The map
+// adapter translates BigMap's per-instance dense slots to raw coverage keys,
+// so instances with different discovery orders land shared edges on the
+// same union keys. The virgin map is only read.
+func (f *Fuzzer) MergeVirginInto(u *core.LockedVirginUnion) {
 	if m, ok := f.cov.(core.CoverageMerger); ok {
 		m.MergeVirginInto(u, f.virginAll)
 	}

@@ -26,7 +26,6 @@ type telemetryHooks struct {
 
 	queuePaths *telemetry.Gauge
 	edges      *telemetry.Gauge
-	skipRatio  *telemetry.Gauge
 
 	execNs         *telemetry.Histogram
 	stageDet       *telemetry.Histogram
@@ -60,7 +59,6 @@ func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
 
 		queuePaths: r.Gauge("fuzzer_queue_paths"),
 		edges:      r.Gauge("fuzzer_edges_discovered"),
-		skipRatio:  r.Gauge("fuzzer_filter_skip_permille"),
 
 		execNs:         r.Histogram("fuzzer_exec_ns"),
 		stageDet:       r.Histogram("fuzzer_stage_det_ns"),
@@ -86,7 +84,6 @@ func (f *Fuzzer) noteEnqueue() {
 func (f *Fuzzer) noteFilterSkip() {
 	f.filterSkips++
 	f.tel.filterSkips.Inc()
-	f.noteSkipRatio()
 }
 
 // noteFilterFull records a filter miss: the prefilter reported possibly-new
@@ -94,17 +91,4 @@ func (f *Fuzzer) noteFilterSkip() {
 func (f *Fuzzer) noteFilterFull() {
 	f.filterFulls++
 	f.tel.filterReruns.Inc()
-	f.noteSkipRatio()
-}
-
-// noteSkipRatio refreshes the skip-ratio gauge (permille of filtered
-// executions the prefilter skipped). Counters are per-instance but the gauge
-// is shared in parallel campaigns; last writer wins, which is fine for a
-// liveness indicator.
-func (f *Fuzzer) noteSkipRatio() {
-	if f.tel.skipRatio == nil {
-		return
-	}
-	total := f.filterSkips + f.filterFulls
-	f.tel.skipRatio.Set(int64(f.filterSkips * 1000 / total))
 }

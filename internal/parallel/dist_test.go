@@ -8,117 +8,8 @@ import (
 
 	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/fuzzer"
-	"github.com/bigmap/bigmap/internal/rng"
-	"github.com/bigmap/bigmap/internal/target"
 	"github.com/bigmap/bigmap/internal/telemetry"
 )
-
-// distTarget mirrors TestCampaignSyncSharesCorpus's target: big and gated
-// enough that instances genuinely diverge, so the sync path carries real
-// traffic instead of all-duplicate imports.
-func distTarget(t *testing.T) (*target.Program, [][]byte) {
-	t.Helper()
-	prog, err := target.Generate(target.GenSpec{
-		Name:              "par-dist",
-		Seed:              29,
-		NumFuncs:          40,
-		BlocksPerFunc:     24,
-		InputLen:          128,
-		BranchFraction:    0.7,
-		MagicCompares:     10,
-		MagicWidth:        2,
-		BonusBlocks:       8,
-		GatedCallFraction: 0.3,
-		Switches:          6,
-		SwitchFanout:      8,
-		CrashSites:        2,
-		CrashDepth:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, prog.SampleSeeds(rng.New(57), 4)
-}
-
-// TestSyncerMatchesLegacySync pins the equivalence the Config.Syncer doc
-// promises: a hub-synced campaign walks the exact same trajectory as the
-// legacy in-memory pairwise exchange. Both run the same round schedule from
-// the same seeds; every per-instance stat and the campaign union must agree
-// bit for bit, because the hub's push-all-then-pull-all boundary delivers
-// the same inputs in the same per-instance order as snapshot-then-import.
-// The one permitted difference is exec counts: the hub deduplicates by
-// content hash, so an input found by several peers is re-executed once per
-// importer instead of once per peer copy — strictly fewer imports, and a
-// duplicate import is coverage- and RNG-neutral, so nothing else moves.
-func TestSyncerMatchesLegacySync(t *testing.T) {
-	prog, seeds := distTarget(t)
-	base := Config{
-		Instances:    3,
-		SyncEvery:    3000,
-		Fuzzer:       fuzzer.Config{Seed: 7, Scheme: fuzzer.SchemeBigMap},
-		VirginShards: 1,
-	}
-
-	legacy, err := NewCampaign(prog, base, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.RunRounds(4); err != nil {
-		t.Fatal(err)
-	}
-	lrep := legacy.Report()
-
-	hub, err := dist.NewHub(64<<10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Syncer = hub
-	distc, err := NewCampaign(prog, cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := distc.RunRounds(4); err != nil {
-		t.Fatal(err)
-	}
-	drep := distc.Report()
-
-	if lrep.UnionEdges == 0 {
-		t.Fatal("legacy campaign discovered no union coverage")
-	}
-	if drep.UnionEdges != lrep.UnionEdges {
-		t.Errorf("UnionEdges = %d, legacy %d", drep.UnionEdges, lrep.UnionEdges)
-	}
-	if drep.TotalExecs > lrep.TotalExecs {
-		t.Errorf("TotalExecs = %d, want <= legacy %d (dedup only removes imports)",
-			drep.TotalExecs, lrep.TotalExecs)
-	}
-	if drep.UniqueCrashes != lrep.UniqueCrashes {
-		t.Errorf("UniqueCrashes = %d, legacy %d", drep.UniqueCrashes, lrep.UniqueCrashes)
-	}
-	for i := range lrep.PerInstance {
-		ds, ls := drep.PerInstance[i], lrep.PerInstance[i]
-		if ds.Execs > ls.Execs {
-			t.Errorf("instance %d execs = %d, want <= legacy %d", i, ds.Execs, ls.Execs)
-		}
-		ds.Execs, ls.Execs = 0, 0
-		if ds != ls {
-			t.Errorf("instance %d stats diverge:\n dist   %+v\n legacy %+v", i, ds, ls)
-		}
-	}
-
-	// The hub's union must agree with the campaign's own virgin union.
-	st, err := hub.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.UnionDiscovered != lrep.UnionEdges {
-		t.Errorf("hub union = %d, campaign union %d", st.UnionDiscovered, lrep.UnionEdges)
-	}
-	if st.Workers != base.Instances {
-		t.Errorf("hub workers = %d, want %d", st.Workers, base.Instances)
-	}
-}
 
 // errSyncer fails every call after Join, exercising the degraded mode: sync
 // errors must never fail the campaign, only log events.

@@ -8,7 +8,10 @@
 // measurements capture the real scaling behaviour (shared last-level cache
 // and memory-bandwidth pressure included — the effect Figure 9 plots).
 // Synchronization happens at round boundaries with no instance running,
-// which keeps every Fuzzer single-threaded, like AFL's on-disk sync.
+// which keeps every Fuzzer single-threaded, like AFL's on-disk sync. Every
+// multi-instance campaign syncs through a dist.Syncer — a private in-memory
+// dist.Hub unless Config.Syncer names a shared one — so there is exactly one
+// exchange rule: merge peers' new inputs, dedup them, AND-merge coverage.
 //
 // The campaign is supervised: an instance that panics or errors mid-round is
 // revived from its last sync-boundary checkpoint with exponential backoff,
@@ -65,17 +68,15 @@ type Config struct {
 	// doubles on every subsequent revival of the same instance. 0 means
 	// 10ms.
 	RestartBackoff time.Duration
-	// Syncer, when set, replaces the in-memory pairwise corpus exchange
-	// with the distributed sync boundary (internal/dist): at every round
-	// boundary each instance pushes its new queue entries, crash buckets
-	// and virgin-map delta to the syncer, then imports what its peers —
-	// in this process or on other machines — published. A dist.Hub keeps
-	// the campaign in-process with identical union coverage to the legacy
-	// exchange (pinned by TestSyncerMatchesLegacySync); a dist.Client
-	// shares the campaign through a bigmap-corpusd service. Sync failures
-	// degrade the campaign to independent instances (logged as sync_error
-	// events) instead of failing it; unacknowledged batches are retried at
-	// the next boundary.
+	// Syncer is the campaign's sync boundary (internal/dist): at every
+	// round boundary each instance pushes its new queue entries, crash
+	// buckets and virgin-map delta to it, then imports what its peers — in
+	// this process or on other machines — published. nil means a private
+	// dist.Hub when Instances >= 2 and no sync for a single instance; a
+	// dist.Client shares the campaign through a bigmap-corpusd service.
+	// Sync failures degrade the campaign to independent instances (logged
+	// as sync_error events) instead of failing it; unacknowledged batches
+	// are retried at the next boundary.
 	Syncer dist.Syncer
 	// Worker prefixes the per-instance worker names registered with
 	// Syncer ("<Worker>-<instance>"). Prefixes must be unique among the
@@ -83,29 +84,18 @@ type Config struct {
 	// server-side cursors, which is correct after a restart and wrong for
 	// a concurrent duplicate. Empty means "local".
 	Worker string
-	// VirginShards configures the campaign-level virgin union — the
-	// cross-instance coverage view merged at round boundaries. 0 disables
-	// it (Report.UnionEdges stays 0); 1 uses the single-lock reference
-	// implementation; >= 2 uses the sharded lock-free union, letting every
-	// instance goroutine fold its virgin map in concurrently at the end of
-	// its round slice instead of serializing on one mutex. Both
-	// implementations produce identical union state (AND-merges commute),
-	// pinned by TestVirginUnionEquivalence and the campaign-level test.
-	VirginShards int
 }
 
 // Campaign is a running multi-instance fuzzing session.
 type Campaign struct {
-	prog     *target.Program
-	fuzzers  []*fuzzer.Fuzzer
-	cfg      Config
-	seenUpTo [][]int // seenUpTo[i][j]: how many of j's queue entries i has imported
+	prog    *target.Program
+	fuzzers []*fuzzer.Fuzzer
+	cfg     Config
 
-	// Supervisor state: the last sync-boundary checkpoint per instance
-	// (with the matching seenUpTo row), restart counters, and the terminal
-	// error of each abandoned instance (nil while alive).
+	// Supervisor state: the last sync-boundary checkpoint per instance,
+	// restart counters, and the terminal error of each abandoned instance
+	// (nil while alive).
 	snaps    []*checkpoint.FuzzerState
-	seenSnap [][]int
 	restarts []int
 	failed   []error
 
@@ -132,16 +122,16 @@ type Campaign struct {
 	// bookkeeping and event-log entries. nil when telemetry is off.
 	tel *telemetry.Registry
 
-	// peers are the instances' dist workers when Config.Syncer is set
-	// (nil otherwise); peers[i] is recreated alongside fuzzers[i] on
-	// revival and resume, since a dist.Worker holds only soft state.
-	peers []*dist.Worker
+	// hub is the private hub a campaign without Config.Syncer syncs
+	// through (nil when Config.Syncer is set or there is one instance):
+	// soft state, rebuilt on Resume.
+	hub *dist.Hub
 
-	// union is the campaign-level virgin union (Config.VirginShards);
-	// nil when disabled. Instance goroutines merge into it concurrently at
-	// the end of their round slice — the union's own synchronization
-	// (sharded atomics or the reference lock) is the only coordination.
-	union    core.VirginUnion
+	// peers are the instances' dist workers, exchanging through
+	// Config.Syncer or the private hub (nil without either); peers[i] is
+	// recreated alongside fuzzers[i] on revival and resume, since a
+	// dist.Worker holds only soft state.
+	peers    []*dist.Worker
 	telUnion *telemetry.Gauge
 }
 
@@ -257,47 +247,18 @@ func (c *Campaign) instanceCfg(i int) fuzzer.Config {
 	return InstanceConfig(c.cfg, i)
 }
 
-// newUnion builds the campaign virgin union for the configured shard count,
-// sized to the fuzzer template's (defaulted) map size. Returns nil when the
-// union is disabled or the size is invalid (fuzzer construction will surface
-// the size error with proper context).
-func newUnion(cfg Config) core.VirginUnion {
-	if cfg.VirginShards <= 0 {
-		return nil
-	}
-	size := cfg.Fuzzer.MapSize
-	if size == 0 {
-		size = core.MapSize64K
-	}
-	if cfg.VirginShards == 1 {
-		u, err := core.NewLockedVirginUnion(size)
-		if err != nil {
-			return nil
-		}
-		return u
-	}
-	u, err := core.NewAtomicVirginUnion(size, cfg.VirginShards)
-	if err != nil {
-		return nil
-	}
-	return u
-}
-
 func newShell(prog *target.Program, cfg Config) *Campaign {
 	n := cfg.Instances
 	c := &Campaign{
 		prog:     prog,
 		fuzzers:  make([]*fuzzer.Fuzzer, n),
 		cfg:      cfg,
-		seenUpTo: make([][]int, n),
 		snaps:    make([]*checkpoint.FuzzerState, n),
-		seenSnap: make([][]int, n),
 		restarts: make([]int, n),
 		failed:   make([]error, n),
 		sleep:    time.Sleep,
 		jrng:     rng.New(cfg.Fuzzer.Seed ^ 0x6a17_7e5b_ac0f_5eed),
 		tel:      cfg.Fuzzer.Telemetry,
-		union:    newUnion(cfg),
 	}
 	c.progress.execs = make([]uint64, n)
 	if r := c.tel; r != nil {
@@ -309,13 +270,6 @@ func newShell(prog *target.Program, cfg Config) *Campaign {
 		c.progress.telRevivals = r.Counter("campaign_revivals_total")
 		c.progress.telFailed = r.Counter("campaign_failed_instances_total")
 		r.Gauge("campaign_instances").Set(int64(n))
-		if c.union != nil {
-			c.telUnion = r.Gauge("campaign_union_edges")
-		}
-	}
-	for i := 0; i < n; i++ {
-		c.seenUpTo[i] = make([]int, n)
-		c.seenSnap[i] = make([]int, n)
 	}
 	return c
 }
@@ -343,12 +297,6 @@ func NewCampaign(prog *target.Program, cfg Config, seeds [][]byte) (*Campaign, e
 		}
 		c.fuzzers[i] = f
 	}
-	for i := range c.seenUpTo {
-		for j := range c.seenUpTo[i] {
-			// Seed entries are already present everywhere.
-			c.seenUpTo[i][j] = c.fuzzers[j].Queue().Len()
-		}
-	}
 	if err := c.attachPeers(); err != nil {
 		return nil, err
 	}
@@ -357,7 +305,7 @@ func NewCampaign(prog *target.Program, cfg Config, seeds [][]byte) (*Campaign, e
 }
 
 // unionSize is the campaign's coverage key space: the fuzzer template's
-// defaulted map size, shared by the virgin union and the dist workers.
+// defaulted map size, the geometry of the syncer's union.
 func (c *Campaign) unionSize() int {
 	size := c.cfg.Fuzzer.MapSize
 	if size == 0 {
@@ -375,22 +323,49 @@ func (c *Campaign) peerName(i int) string {
 	return fmt.Sprintf("%s-%d", prefix, i)
 }
 
-// attachPeers creates the per-instance dist workers in syncer mode; no-op
-// otherwise. Called once the fuzzers exist (construction and resume).
+// attachPeers creates the per-instance dist workers, building the private
+// hub first when the campaign has several instances and no Config.Syncer.
+// Called once the fuzzers exist (construction and resume).
 func (c *Campaign) attachPeers() error {
-	if c.cfg.Syncer == nil {
+	syncer := c.cfg.Syncer
+	if syncer == nil && len(c.fuzzers) >= 2 {
+		hub, err := dist.NewHub(c.unionSize(), c.tel)
+		if err != nil {
+			return err
+		}
+		c.hub, syncer = hub, hub
+	}
+	if syncer == nil {
 		return nil
 	}
+	c.telUnion = c.tel.Gauge("campaign_union_edges")
 	c.peers = make([]*dist.Worker, len(c.fuzzers))
 	for i, f := range c.fuzzers {
-		if c.failed[i] != nil {
-			continue
-		}
-		w, err := dist.NewWorker(f, c.peerName(i), c.cfg.Syncer, c.unionSize())
+		w, err := dist.NewWorker(f, c.peerName(i), syncer, c.unionSize())
 		if err != nil {
 			return fmt.Errorf("instance %d: %w", i, err)
 		}
 		c.peers[i] = w
+	}
+	return nil
+}
+
+// rebuildHub restores a resumed campaign's private hub, which is soft state:
+// every instance pushes its full queue, crashes and coverage, then every
+// pull cursor is drained without importing anything. The hub ends up
+// holding what the checkpointed campaign had exchanged, with every instance
+// caught up, and no instance executes anything, so the campaign is still
+// exactly its checkpoint.
+func (c *Campaign) rebuildHub() error {
+	for i, w := range c.peers {
+		if _, err := w.Push(); err != nil {
+			return fmt.Errorf("instance %d: rebuild hub: %w", i, err)
+		}
+	}
+	for i, w := range c.peers {
+		if _, err := c.hub.Pull(w.Name()); err != nil {
+			return fmt.Errorf("instance %d: rebuild hub: %w", i, err)
+		}
 	}
 	return nil
 }
@@ -493,13 +468,6 @@ func (c *Campaign) round(fn func(*fuzzer.Fuzzer) error) error {
 				c.testFaultHook(i, f)
 			}
 			errs[i] = fn(f)
-			if errs[i] == nil && c.union != nil {
-				// Fold this instance's coverage into the campaign union
-				// while the other instances are still finishing their
-				// slices — with the sharded union the merges proceed
-				// lock-free instead of serializing on a mutex.
-				f.MergeVirginInto(c.union)
-			}
 			c.progress.noteExecs(i, f.Execs())
 		}(i, f)
 	}
@@ -513,9 +481,6 @@ func (c *Campaign) round(fn func(*fuzzer.Fuzzer) error) error {
 		return err
 	}
 	c.progress.noteRound()
-	if c.union != nil {
-		c.telUnion.Set(int64(c.union.CountDiscovered()))
-	}
 	return nil
 }
 
@@ -537,13 +502,12 @@ func (c *Campaign) reviveOrFail(i int, cause error) {
 			// cursor and sequence chain. Failure here is a failed revival
 			// attempt like any other.
 			var w *dist.Worker
-			if w, err = dist.NewWorker(f, c.peerName(i), c.cfg.Syncer, c.unionSize()); err == nil {
+			if w, err = dist.NewWorker(f, c.peerName(i), c.peers[i].Syncer(), c.unionSize()); err == nil {
 				c.peers[i] = w
 			}
 		}
 		if err == nil {
 			c.fuzzers[i] = f
-			copy(c.seenUpTo[i], c.seenSnap[i])
 			c.progress.noteRevival()
 			c.progress.noteExecs(i, f.Execs())
 			c.tel.Event("instance_revived",
@@ -576,75 +540,27 @@ func (c *Campaign) allFailedErr() error {
 	return fmt.Errorf("parallel: all instances failed: %w", errors.Join(c.failed...))
 }
 
-// markBoundary records every live instance's state (and import bookkeeping)
-// as the revival point for the next round. Called with no instance running.
+// markBoundary records every live instance's state as the revival point for
+// the next round. Called with no instance running.
 func (c *Campaign) markBoundary() {
 	for i, f := range c.fuzzers {
 		if c.failed[i] != nil {
 			continue
 		}
 		c.snaps[i] = f.Snapshot()
-		copy(c.seenSnap[i], c.seenUpTo[i])
 	}
 }
 
-// sync cross-pollinates: every live instance re-executes the queue entries
-// its live peers found since the last exchange and keeps the ones that add
-// local coverage, like AFL's sync_fuzzers. In syncer mode the exchange goes
-// through Config.Syncer instead — even with a single instance, since its
-// peers may live in other processes.
+// sync runs the round boundary: every live instance pushes its new queue
+// entries, crash buckets and virgin delta, then pulls and imports what its
+// peers published, keeping the inputs that add local coverage (like AFL's
+// sync_fuzzers). All pushes land before any pull, so within one process
+// every instance sees every peer's finds of the round, in instance order.
+// Failures never kill the campaign: the instance fuzzes on independently
+// and the worker's pending batch is retried at the next boundary.
 func (c *Campaign) sync() {
-	if c.peers != nil {
-		c.syncDist()
-		return
-	}
-	if len(c.fuzzers) < 2 {
-		return
-	}
-	// Snapshot peer queues first so imports during this exchange don't
-	// cascade within a single round.
-	snapshots := make([][][]byte, len(c.fuzzers))
-	for j, f := range c.fuzzers {
-		if c.failed[j] != nil {
-			continue
-		}
-		entries := f.Queue().Entries()
-		inputs := make([][]byte, len(entries))
-		for k, e := range entries {
-			inputs[k] = e.Input
-		}
-		snapshots[j] = inputs
-	}
-	for i, f := range c.fuzzers {
-		if c.failed[i] != nil {
-			continue
-		}
-		for j := range c.fuzzers {
-			if i == j || c.failed[j] != nil {
-				continue
-			}
-			inputs := snapshots[j]
-			for k := c.seenUpTo[i][j]; k < len(inputs); k++ {
-				f.ImportInput(inputs[k])
-			}
-			c.seenUpTo[i][j] = len(inputs)
-		}
-		// Imports above count as executions; refresh the per-instance gauge
-		// so telemetry agrees with Report() at every sync boundary.
-		c.progress.noteExecs(i, f.Execs())
-	}
-}
-
-// syncDist runs the distributed sync boundary: every live instance pushes
-// its new queue entries, crash buckets and virgin delta, then pulls and
-// imports what its peers published. All pushes land before any pull, so
-// within one process the exchange delivers exactly what the legacy pairwise
-// sync would (TestSyncerMatchesLegacySync). Failures never kill the
-// campaign: the instance fuzzes on independently and the worker's pending
-// batch is retried at the next boundary.
-func (c *Campaign) syncDist() {
 	for i, w := range c.peers {
-		if c.failed[i] != nil || w == nil {
+		if c.failed[i] != nil {
 			continue
 		}
 		if _, err := w.Push(); err != nil {
@@ -652,7 +568,7 @@ func (c *Campaign) syncDist() {
 		}
 	}
 	for i, w := range c.peers {
-		if c.failed[i] != nil || w == nil {
+		if c.failed[i] != nil {
 			continue
 		}
 		if _, err := w.Pull(); err != nil {
@@ -662,6 +578,18 @@ func (c *Campaign) syncDist() {
 		// telemetry agrees with Report() at every sync boundary.
 		c.progress.noteExecs(i, c.fuzzers[i].Execs())
 	}
+	c.telUnion.Set(int64(c.unionEdges()))
+}
+
+// unionEdges is the syncer's union coverage as of the latest accepted push
+// any instance made: the union only grows, so the largest receipt is the
+// newest, and reading it costs no round trip to the syncer.
+func (c *Campaign) unionEdges() int {
+	n := 0
+	for _, w := range c.peers {
+		n = max(n, w.UnionDiscovered())
+	}
+	return n
 }
 
 func (c *Campaign) noteSyncError(msg string) {
@@ -686,25 +614,16 @@ func (c *Campaign) allReached(perInstance uint64) bool {
 // their last good checkpoint, so resuming the campaign revives them with a
 // fresh restart budget.
 func (c *Campaign) Snapshot() *checkpoint.CampaignState {
-	n := len(c.fuzzers)
 	st := &checkpoint.CampaignState{
 		SyncEvery: c.cfg.SyncEvery,
-		SeenUpTo:  make([][]uint64, n),
-		Instances: make([]checkpoint.FuzzerState, n),
+		Instances: make([]checkpoint.FuzzerState, len(c.fuzzers)),
 	}
-	for i := range c.fuzzers {
-		var fs *checkpoint.FuzzerState
-		var seen []int
-		if c.failed[i] != nil {
-			fs, seen = c.snaps[i], c.seenSnap[i]
-		} else {
-			fs, seen = c.fuzzers[i].Snapshot(), c.seenUpTo[i]
+	for i, f := range c.fuzzers {
+		fs := c.snaps[i]
+		if c.failed[i] == nil {
+			fs = f.Snapshot()
 		}
 		st.Instances[i] = *fs
-		st.SeenUpTo[i] = make([]uint64, n)
-		for j, v := range seen {
-			st.SeenUpTo[i][j] = uint64(v)
-		}
 	}
 	return st
 }
@@ -738,17 +657,13 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.CampaignState) (*Ca
 		}
 		c.fuzzers[i] = f
 	}
-	for i := range c.seenUpTo {
-		if len(st.SeenUpTo[i]) != n {
-			return nil, fmt.Errorf("parallel: malformed checkpoint: seenUpTo[%d] has %d columns, want %d",
-				i, len(st.SeenUpTo[i]), n)
-		}
-		for j, v := range st.SeenUpTo[i] {
-			c.seenUpTo[i][j] = int(v)
-		}
-	}
 	if err := c.attachPeers(); err != nil {
 		return nil, err
+	}
+	if c.hub != nil {
+		if err := c.rebuildHub(); err != nil {
+			return nil, err
+		}
 	}
 	c.markBoundary()
 	return c, nil
@@ -766,8 +681,8 @@ type Report struct {
 	// MaxEdges is the best single-instance edge coverage.
 	MaxEdges int
 	// UnionEdges is the campaign-level union coverage — edges discovered by
-	// any instance, computed from the virgin union (Config.VirginShards).
-	// Always >= MaxEdges when the union is enabled; 0 when it is off.
+	// any instance — as the syncer's union recorded it at the last round
+	// boundary. 0 for a single-instance campaign without a syncer.
 	UnionEdges int
 	// Restarts sums instance revivals over the campaign's lifetime.
 	Restarts int
@@ -821,16 +736,8 @@ func (c *Campaign) Report() Report {
 				Err:      c.failed[i],
 			})
 		}
-		if c.union != nil && c.failed[i] == nil {
-			// Bring the union current with any coverage found since the
-			// last round boundary (imports during sync can discover edges).
-			f.MergeVirginInto(c.union)
-		}
 	}
 	rep.UniqueCrashes = union.Unique()
-	if c.union != nil {
-		rep.UnionEdges = c.union.CountDiscovered()
-		c.telUnion.Set(int64(rep.UnionEdges))
-	}
+	rep.UnionEdges = c.unionEdges()
 	return rep
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bigmap/bigmap/internal/core"
+	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/rng"
 	"github.com/bigmap/bigmap/internal/target"
@@ -112,6 +114,18 @@ func TestCampaignSyncSharesCorpus(t *testing.T) {
 	if syncs == 0 {
 		t.Error("no cross-pollinated entries after sync rounds")
 	}
+	// The exchange ran through the campaign's private hub: one worker per
+	// instance, and the hub's union is the campaign's.
+	st, err := c.hub.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 2 || st.Inputs == 0 {
+		t.Errorf("hub holds %d workers and %d inputs, want 2 workers and some inputs", st.Workers, st.Inputs)
+	}
+	if rep := c.Report(); st.UnionDiscovered != rep.UnionEdges || rep.UnionEdges < rep.MaxEdges {
+		t.Errorf("hub union = %d, campaign union %d, best instance %d", st.UnionDiscovered, rep.UnionEdges, rep.MaxEdges)
+	}
 }
 
 func TestCampaignSingleInstanceNoSync(t *testing.T) {
@@ -129,6 +143,9 @@ func TestCampaignSingleInstanceNoSync(t *testing.T) {
 	}
 	if got := c.Report().TotalExecs; got < 2000 {
 		t.Errorf("TotalExecs = %d", got)
+	}
+	if c.hub != nil || c.peers != nil {
+		t.Error("a single instance without a syncer built a sync hub")
 	}
 }
 
@@ -203,20 +220,22 @@ func TestCampaignRunFor(t *testing.T) {
 	}
 }
 
-// TestCampaignVirginUnion pins the campaign-level union coverage: the sharded
-// lock-free union and the single-lock reference must land on identical union
-// state for the same campaign, the union must dominate every instance's own
-// coverage, and both schemes' maps must route through the slot translation
-// correctly (BigMap instances discover edges in different orders).
+// TestCampaignVirginUnion pins the campaign-level union coverage for both
+// map schemes: Report.UnionEdges is the private hub's union, one hub worker
+// per instance, and it equals the AND of every instance's own coverage —
+// each instance's virgin map routed through the slot translation (BigMap
+// instances discover edges in different orders) into a fresh union. A
+// campaign syncing through an external hub runs the same exchange and
+// reaches the same union.
 func TestCampaignVirginUnion(t *testing.T) {
 	prog, seeds := campaignTarget(t)
 	for _, scheme := range []fuzzer.Scheme{fuzzer.SchemeAFL, fuzzer.SchemeBigMap} {
-		run := func(shards int) Report {
+		run := func(syncer dist.Syncer) *Campaign {
 			c, err := NewCampaign(prog, Config{
-				Instances:    3,
-				SyncEvery:    2000,
-				VirginShards: shards,
-				Fuzzer:       fuzzer.Config{Seed: 7, Scheme: scheme},
+				Instances: 3,
+				SyncEvery: 2000,
+				Syncer:    syncer,
+				Fuzzer:    fuzzer.Config{Seed: 7, Scheme: scheme},
 			}, seeds)
 			if err != nil {
 				t.Fatal(err)
@@ -224,23 +243,43 @@ func TestCampaignVirginUnion(t *testing.T) {
 			if err := c.RunExecs(4000); err != nil {
 				t.Fatal(err)
 			}
-			return c.Report()
+			return c
 		}
-		locked := run(1)
-		sharded := run(8)
-		if locked.UnionEdges == 0 {
+		c := run(nil)
+		rep := c.Report()
+		if rep.UnionEdges == 0 {
 			t.Fatalf("%s: union recorded no coverage", scheme)
 		}
-		if locked.UnionEdges != sharded.UnionEdges {
-			t.Fatalf("%s: locked union %d edges, sharded %d — implementations diverged",
-				scheme, locked.UnionEdges, sharded.UnionEdges)
+		if rep.UnionEdges < rep.MaxEdges {
+			t.Fatalf("%s: union %d < best instance %d", scheme, rep.UnionEdges, rep.MaxEdges)
 		}
-		if locked.UnionEdges < locked.MaxEdges {
-			t.Fatalf("%s: union %d < best instance %d", scheme, locked.UnionEdges, locked.MaxEdges)
+		st, err := c.hub.Stats()
+		if err != nil {
+			t.Fatal(err)
 		}
-		off := run(0)
-		if off.UnionEdges != 0 {
-			t.Fatalf("%s: union disabled but UnionEdges = %d", scheme, off.UnionEdges)
+		if st.UnionDiscovered != rep.UnionEdges {
+			t.Errorf("%s: hub union = %d, campaign union %d", scheme, st.UnionDiscovered, rep.UnionEdges)
+		}
+		if st.Workers != 3 {
+			t.Errorf("%s: hub workers = %d, want 3", scheme, st.Workers)
+		}
+		direct, err := core.NewLockedVirginUnion(core.MapSize64K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.Instances() {
+			f.MergeVirginInto(direct)
+		}
+		if got := direct.CountDiscovered(); got != rep.UnionEdges {
+			t.Errorf("%s: instances' merged coverage = %d edges, campaign union %d", scheme, got, rep.UnionEdges)
+		}
+
+		hub, err := dist.NewHub(core.MapSize64K, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run(hub).Report().UnionEdges; got != rep.UnionEdges {
+			t.Errorf("%s: external-hub union = %d, private-hub union %d", scheme, got, rep.UnionEdges)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -310,11 +311,19 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rebuilding the private hub executes nothing: the resumed campaign is
+	// still exactly its checkpoint.
+	if got := checkpoint.EncodeCampaign(b.Snapshot()); !bytes.Equal(got, data) {
+		t.Error("campaign right after Resume does not encode to its checkpoint's bytes")
+	}
 	if err := b.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := take(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed campaign diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := b.Report().UnionEdges, ref.Report().UnionEdges; got != want || got == 0 {
+		t.Errorf("resumed UnionEdges = %d, uninterrupted %d", got, want)
 	}
 
 	// Master forcing survives resume: deterministic stages on instance 0

@@ -443,7 +443,8 @@ func (d *Daemon) List(tenant string) []*Info {
 	return out
 }
 
-// Stats returns the latest cached progress snapshot.
+// Stats returns the latest cached progress snapshot; all zero before the
+// first one is taken, so a snapshot never counts rounds without their execs.
 func (d *Daemon) Stats(id string) (*CampaignStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -452,7 +453,7 @@ func (d *Daemon) Stats(id string) (*CampaignStats, error) {
 		return nil, ErrNotFound
 	}
 	if c.stats == nil {
-		return &CampaignStats{Rounds: c.rounds}, nil
+		return &CampaignStats{}, nil
 	}
 	s := *c.stats
 	return &s, nil
