@@ -16,17 +16,6 @@
 // Everything else is reported. False positives at audited call sites carry
 // //bigmap:lock-ok. Test files are skipped: tests routinely poke fields
 // single-threaded.
-//
-// The guard name "atomics" selects a second protocol for lock-free code: a
-// field whose comment says "guarded by atomics" may only be touched inside a
-// sync/atomic operation — positionally contained in a call whose callee
-// resolves to the sync/atomic package (atomic.LoadUint64(&s.words[i]),
-// s.disc[i].Add(1), ...). Two shapes are exempt because they read only the
-// slice header, which is immutable after construction, never the elements
-// the atomics protect: len/cap calls and the expression of a range clause
-// (the loop body still needs atomics for element access). Constructors are
-// exempt as with mutexes; the *Locked naming convention is not, since there
-// is no lock to hold.
 package lockcheck
 
 import (
@@ -42,13 +31,10 @@ import (
 // Analyzer is the lock-protocol checker.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockcheck",
-	Doc:       "fields documented as 'guarded by <mu>' must only be accessed with the lock held ('guarded by atomics': only through sync/atomic)",
+	Doc:       "fields documented as 'guarded by <mu>' must only be accessed with the lock held",
 	Directive: "lock-ok",
 	Run:       run,
 }
-
-// atomicsGuard is the reserved guard name selecting the lock-free protocol.
-const atomicsGuard = "atomics"
 
 var guardedBy = regexp.MustCompile(`guarded by (\w+)`)
 
@@ -73,12 +59,11 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			name := fn.Name.Name
-			if strings.HasPrefix(name, "new") || strings.HasPrefix(name, "New") {
+			if strings.HasPrefix(name, "new") || strings.HasPrefix(name, "New") ||
+				strings.HasSuffix(name, "Locked") {
 				continue
 			}
-			// The *Locked convention exempts mutex guards (the caller holds
-			// the lock) but not atomics guards — there is no lock to hold.
-			checkFunc(pass, fn, guards, strings.HasSuffix(name, "Locked"))
+			checkFunc(pass, fn, guards)
 		}
 	}
 	return nil
@@ -122,34 +107,20 @@ func guardName(field *ast.Field) string {
 	return ""
 }
 
-// span is a half-open source region within which an atomics-guarded access
-// is sanctioned.
-type span struct{ lo, hi token.Pos }
-
-func (s span) contains(p token.Pos) bool { return s.lo <= p && p < s.hi }
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, guards map[types.Object]string, lockedExempt bool) {
+func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, guards map[types.Object]string) {
 	// Positions where each mutex name is acquired in this function.
 	acquires := make(map[string][]token.Pos)
-	// Regions where atomics-guarded accesses are sanctioned: sync/atomic
-	// call extents (the full call, so method receivers like s.ctr.Add(1)
-	// count), len/cap argument lists, and range-clause expressions.
-	var atomicSpans []span
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			atomicSpans = append(atomicSpans, span{n.X.Pos(), n.X.End()})
-		case *ast.CallExpr:
-			if isAtomicCall(pass, n) || isLenOrCap(pass, n) {
-				atomicSpans = append(atomicSpans, span{n.Pos(), n.End()})
-			}
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-				return true
-			}
-			if mu := lastSelectorName(sel.X); mu != "" {
-				acquires[mu] = append(acquires[mu], n.Pos())
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+			return true
+		}
+		if mu := lastSelectorName(sel.X); mu != "" {
+			acquires[mu] = append(acquires[mu], call.Pos())
 		}
 		return true
 	})
@@ -167,20 +138,6 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, guards map[types.Object]st
 		if !guarded {
 			return true
 		}
-		if mu == atomicsGuard {
-			for _, s := range atomicSpans {
-				if s.contains(sel.Pos()) {
-					return true
-				}
-			}
-			pass.Reportf(sel.Pos(),
-				"%s.%s is documented as guarded by atomics, but %s accesses it outside a sync/atomic operation",
-				exprString(sel.X), sel.Sel.Name, fn.Name.Name)
-			return true
-		}
-		if lockedExempt {
-			return true
-		}
 		for _, pos := range acquires[mu] {
 			if pos < sel.Pos() {
 				return true
@@ -191,34 +148,6 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, guards map[types.Object]st
 			exprString(sel.X), sel.Sel.Name, mu, fn.Name.Name)
 		return true
 	})
-}
-
-// isAtomicCall reports whether the callee resolves to the sync/atomic
-// package — a package-level function (atomic.LoadUint64) or a method on one
-// of its types (atomic.Int64.Add).
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
-		return false
-	}
-	obj, ok := pass.Info.Uses[id].(*types.Func)
-	return ok && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// isLenOrCap reports whether the call is the len or cap builtin: on a slice
-// field these read only the immutable header, never the guarded elements.
-func isLenOrCap(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := pass.Info.Uses[id].(*types.Builtin)
-	return ok && (b.Name() == "len" || b.Name() == "cap")
 }
 
 // lastSelectorName returns the final identifier of a selector chain

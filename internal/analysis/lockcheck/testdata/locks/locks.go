@@ -1,14 +1,9 @@
 // Package locks exercises the lockcheck analyzer: guarded fields accessed
 // with and without the documented mutex, the *Locked naming convention,
-// constructor exemption, an audited (suppressed) access, and the lock-free
-// "guarded by atomics" protocol (sync/atomic call containment, len/cap and
-// range-header exemptions, no *Locked exemption).
+// constructor exemption, and an audited (suppressed) access.
 package locks
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 type counter struct {
 	mu sync.Mutex
@@ -51,62 +46,4 @@ func (c *counter) rename(s string) {
 // reset is an audited single-threaded phase.
 func (c *counter) reset() {
 	c.n = 0 //bigmap:lock-ok setup phase runs before any goroutine starts
-}
-
-type sharded struct {
-	// words packs the shared state 8 bytes per word. guarded by atomics:
-	// every access outside construction goes through sync/atomic.
-	words []uint64
-	// disc counts discoveries per shard. guarded by atomics.
-	disc []atomic.Int64
-}
-
-// newSharded initializes guarded words before the value is shared.
-func newSharded(n int) *sharded {
-	s := &sharded{words: make([]uint64, n), disc: make([]atomic.Int64, 4)}
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	return s
-}
-
-// merge stays inside sync/atomic calls: fine, including the CAS loop and the
-// method-form counter whose receiver is the guarded slice's element.
-func (s *sharded) merge(i int, mask uint64) {
-	for {
-		old := atomic.LoadUint64(&s.words[i])
-		if old&mask == old {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&s.words[i], old, old&mask) {
-			s.disc[0].Add(1)
-			return
-		}
-	}
-}
-
-// size reads only the immutable slice headers: len/cap and range-clause
-// expressions are exempt, element access inside the loop body is not.
-func (s *sharded) size() int {
-	total := cap(s.words) - len(s.words)
-	for range s.disc {
-		total++
-	}
-	return total
-}
-
-// peek reads a guarded word without going through sync/atomic.
-func (s *sharded) peek(i int) uint64 {
-	return s.words[i] // want "guarded by atomics, but peek accesses it outside a sync/atomic operation"
-}
-
-// drainLocked shows the *Locked convention does not exempt atomics guards:
-// there is no lock a caller could hold.
-func (s *sharded) drainLocked() uint64 {
-	return s.words[0] // want "guarded by atomics, but drainLocked accesses it"
-}
-
-// snapshot is an audited single-threaded read (campaign teardown).
-func (s *sharded) snapshot() uint64 {
-	return s.words[0] //bigmap:lock-ok teardown runs after every merger has quiesced
 }

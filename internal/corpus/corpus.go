@@ -7,7 +7,7 @@ package corpus
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Entry is one queue item. Fields mirror AFL's queue_entry.
@@ -49,14 +49,20 @@ func favFactor(e *Entry) uint64 {
 
 // Queue is the seed pool. Not safe for concurrent use.
 type Queue struct {
-	entries  []*Entry
-	topRated map[uint32]*Entry
-	dirty    bool
+	entries []*Entry
+	// slots lists every coverage slot with a champion, strictly ascending;
+	// champs[i] is the champion of slots[i] (AFL's top_rated).
+	slots  []uint32
+	champs []*Entry
+	// covered is Cull's scratch bitset, indexed by slot. It is all zero
+	// between calls.
+	covered []uint64
+	dirty   bool
 }
 
 // NewQueue creates an empty queue.
 func NewQueue() *Queue {
-	return &Queue{topRated: make(map[uint32]*Entry)}
+	return &Queue{}
 }
 
 // Len returns the number of entries.
@@ -68,14 +74,45 @@ func (q *Queue) Get(i int) *Entry { return q.entries[i] }
 // Add appends an entry and updates the top-rated table: for every coverage
 // slot the entry touches, it becomes the slot's champion if it has a better
 // (smaller) fav factor than the current one — AFL's update_bitmap_score.
+// The current champion's fav factor is read live, because trim changes it
+// after Add.
 func (q *Queue) Add(e *Entry) {
 	q.entries = append(q.entries, e) //bigmap:alloc-ok discovery-only: runs once per new corpus entry, not per execution
 	f := favFactor(e)
+	fresh, i := 0, 0
 	for _, slot := range e.Touched {
-		cur, ok := q.topRated[slot]
-		if !ok || f < favFactor(cur) || (f == favFactor(cur) && e.EdgeCount > cur.EdgeCount) {
-			q.topRated[slot] = e
+		j, found := slices.BinarySearch(q.slots[i:], slot)
+		i += j
+		if !found {
+			fresh++
+			continue
 		}
+		cur := q.champs[i]
+		if g := favFactor(cur); f < g || (f == g && e.EdgeCount > cur.EdgeCount) {
+			q.champs[i] = e
+			q.dirty = true
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	// Merge the fresh slots in from the back, so every existing pair moves
+	// at most once.
+	n := len(q.slots)
+	q.slots = slices.Grow(q.slots, fresh)[:n+fresh]
+	q.champs = slices.Grow(q.champs, fresh)[:n+fresh]
+	i, w := n-1, n+fresh-1
+	for t := len(e.Touched) - 1; fresh > 0; t-- {
+		slot := e.Touched[t]
+		for i >= 0 && q.slots[i] > slot {
+			q.slots[w], q.champs[w] = q.slots[i], q.champs[i]
+			i, w = i-1, w-1
+		}
+		if i >= 0 && q.slots[i] == slot {
+			continue
+		}
+		q.slots[w], q.champs[w] = slot, e
+		w, fresh = w-1, fresh-1
 	}
 	q.dirty = true
 }
@@ -83,7 +120,7 @@ func (q *Queue) Add(e *Entry) {
 // Cull recomputes the favored set with AFL's cull_queue algorithm: walk the
 // coverage slots in ascending order; for each slot not yet covered, favor
 // its top-rated champion and mark everything the champion touches as
-// covered. Cull is a no-op when nothing changed since the last call.
+// covered. Cull is a no-op when no champion changed since the last call.
 func (q *Queue) Cull() {
 	if !q.dirty {
 		return
@@ -92,23 +129,27 @@ func (q *Queue) Cull() {
 	for _, e := range q.entries {
 		e.Favored = false
 	}
-	slots := make([]uint32, 0, len(q.topRated))
-	for slot := range q.topRated {
-		slots = append(slots, slot)
+	if len(q.slots) == 0 {
+		return
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-
-	covered := make(map[uint32]bool, len(slots))
-	for _, slot := range slots {
-		if covered[slot] {
+	if need := int(q.slots[len(q.slots)-1]>>6) + 1; len(q.covered) < need {
+		q.covered = make([]uint64, need)
+	}
+	covered := q.covered
+	for i, slot := range q.slots {
+		if covered[slot>>6]&(1<<(slot&63)) != 0 {
 			continue
 		}
-		champ := q.topRated[slot]
+		champ := q.champs[i]
 		champ.Favored = true
 		for _, s := range champ.Touched {
-			covered[s] = true
+			// A slot above the last table slot is never looked up.
+			if w := int(s >> 6); w < len(covered) {
+				covered[w] |= 1 << (s & 63)
+			}
 		}
 	}
+	clear(covered)
 }
 
 // FavoredCount returns the number of favored entries (after Cull).
@@ -160,34 +201,33 @@ func (q *Queue) TopRated() (slots []uint32, entryIdx []int) {
 	for i, e := range q.entries {
 		index[e] = i
 	}
-	slots = make([]uint32, 0, len(q.topRated))
-	for slot := range q.topRated {
-		slots = append(slots, slot)
+	entryIdx = make([]int, len(q.champs))
+	for i, e := range q.champs {
+		entryIdx[i] = index[e]
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	entryIdx = make([]int, len(slots))
-	for i, slot := range slots {
-		entryIdx[i] = index[q.topRated[slot]]
-	}
-	return slots, entryIdx
+	return slices.Clone(q.slots), entryIdx
 }
 
 // RestoreTopRated installs a checkpointed slot-champion table. Entries are
-// referenced by index into the current entry list; out-of-range indexes are
-// rejected.
+// referenced by index into the current entry list; out-of-range indexes and
+// slots that are not strictly ascending are rejected.
 func (q *Queue) RestoreTopRated(slots []uint32, entryIdx []int) error {
 	if len(slots) != len(entryIdx) {
 		return errors.New("corpus: top-rated slots and entries differ in length")
 	}
-	table := make(map[uint32]*Entry, len(slots))
+	champs := make([]*Entry, len(slots))
 	for i, slot := range slots {
+		if i > 0 && slot <= slots[i-1] {
+			return fmt.Errorf("corpus: top-rated slot %d follows slot %d (want strictly ascending)",
+				slot, slots[i-1])
+		}
 		if entryIdx[i] < 0 || entryIdx[i] >= len(q.entries) {
 			return fmt.Errorf("corpus: top-rated entry index %d out of range (%d entries)",
 				entryIdx[i], len(q.entries))
 		}
-		table[slot] = q.entries[entryIdx[i]]
+		champs[i] = q.entries[entryIdx[i]]
 	}
-	q.topRated = table
+	q.slots, q.champs = slices.Clone(slots), champs
 	q.dirty = true
 	return nil
 }

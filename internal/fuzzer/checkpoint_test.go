@@ -273,3 +273,29 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		t.Error("map size mismatch accepted")
 	}
 }
+
+// TestResumeRejectsDuplicateTopSlot: a checkpoint whose top-rated table lists
+// a slot twice passes the codec but must not resume, since a later duplicate
+// would silently overwrite the first champion.
+func TestResumeRejectsDuplicateTopSlot(t *testing.T) {
+	prog := fuzzTarget(t)
+	cfg := Config{Scheme: SchemeBigMap, MapSize: core.MapSize2M, Seed: 1}
+	f, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCorpus(t, f, prog, 2)
+	st := f.Snapshot()
+	if len(st.TopSlots) == 0 {
+		t.Fatal("seeded campaign has an empty top-rated table")
+	}
+	st.TopSlots = append([]uint32{st.TopSlots[0]}, st.TopSlots...)
+	st.TopEntries = append([]uint64{st.TopEntries[0]}, st.TopEntries...)
+	decoded, err := checkpoint.DecodeFuzzer(checkpoint.EncodeFuzzer(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(prog, cfg, decoded); err == nil {
+		t.Error("duplicate top-rated slot accepted")
+	}
+}
