@@ -36,10 +36,10 @@ race:
 	go test -race -short -timeout 15m ./...
 
 # Runtime invariant assertions (internal/core/dbg_assert.go) compiled in:
-# every core test runs with used_key / high-water-mark / bijection checks
-# live.
+# the core, fuzzer, dist, checkpoint and parallel tests run with used_key /
+# high-water-mark / bijection / virgin-coverage checks live.
 dbg:
-	go test -tags bigmapdbg ./internal/core/
+	go test -tags bigmapdbg ./internal/core/ ./internal/fuzzer/ ./internal/dist/ ./internal/checkpoint/ ./internal/parallel/
 
 # Telemetry compiled out (telemetry.New returns nil): the whole tree must
 # still build, and the suite must pass with every instrument on the nil

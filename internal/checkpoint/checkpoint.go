@@ -46,6 +46,24 @@ type PathFreq struct {
 	Count uint64
 }
 
+// Virgin is one virgin map in sparse form: its logical length in slots and
+// the 8-byte words holding at least one discovered (non-0xFF) byte. Every
+// byte outside Words is 0xFF, so the size follows the coverage found, not
+// the map size. The form is canonical — Words strictly ascending by Index,
+// no all-0xFF word, the last word's bytes past Len all 0xFF — so equal
+// virgin states encode to equal bytes.
+type Virgin struct {
+	Len   uint64
+	Words []VirginWord
+}
+
+// VirginWord is one stored word of a Virgin: the word index (slot / 8) and
+// the eight slot bytes packed little-endian, the core.DeltaWord layout.
+type VirginWord struct {
+	Index uint32
+	Word  uint64
+}
+
 // FuzzerState is the complete serialized state of one fuzzing instance.
 type FuzzerState struct {
 	// Scheme and MapSize identify the coverage map configuration the state
@@ -83,10 +101,10 @@ type FuzzerState struct {
 	FilterSkips uint64
 	FilterFulls uint64
 
-	// Virgin maps (raw bits, one byte per slot).
-	VirginAll   []byte
-	VirginCrash []byte
-	VirginHang  []byte
+	// Virgin maps in sparse form (format v4).
+	VirginAll   Virgin
+	VirginCrash Virgin
+	VirginHang  Virgin
 
 	// SlotKeys is the BigMap dense-slot assignment in discovery order; nil
 	// for the flat AFL scheme.

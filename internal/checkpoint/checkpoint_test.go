@@ -32,11 +32,14 @@ func sampleFuzzer() *FuzzerState {
 		SpuriousHangs:   6,
 		FaultExecs:      123460,
 		DroppedKeys:     77,
-		VirginAll:       []byte{0xFF, 0x00, 0x7F, 0xFF},
-		VirginCrash:     []byte{0xFF, 0xFF, 0xFF, 0xFF},
-		VirginHang:      []byte{0xFF, 0xFF, 0xFF, 0xFE},
-		SlotKeys:        []uint32{10, 20, 4_000_000_000},
-		VarSlots:        []uint32{1, 3},
+		VirginAll: Virgin{Len: 20, Words: []VirginWord{
+			{Index: 0, Word: 0xFFFFFFFF_FF7F00FF},
+			{Index: 2, Word: 0xFFFFFFFF_FFFF00FF},
+		}},
+		VirginCrash: Virgin{Len: 4},
+		VirginHang:  Virgin{Len: 4, Words: []VirginWord{{Index: 0, Word: 0xFFFFFFFF_FEFFFFFF}}},
+		SlotKeys:    []uint32{10, 20, 4_000_000_000},
+		VarSlots:    []uint32{1, 3},
 		Entries: []Entry{
 			{
 				Input: []byte("seed-one"), Cycles: 100,
@@ -104,7 +107,22 @@ func TestCampaignRoundTrip(t *testing.T) {
 // with ErrVersion instead of being misread. The fixture is the v2 seed kept
 // in the round-trip fuzz corpus.
 func TestV2CampaignRejected(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointRoundTrip", "seed-v2-campaign"))
+	requireOldCampaignRejected(t, "seed-v2-campaign", 2)
+}
+
+// TestV3CampaignRejected pins the v4 bump: a campaign checkpoint written by
+// the v3 codec, which stored every virgin map raw, is refused with
+// ErrVersion. The fixture is the v3 seed kept in the round-trip fuzz corpus.
+func TestV3CampaignRejected(t *testing.T) {
+	requireOldCampaignRejected(t, "seed-v3-campaign", 3)
+}
+
+// requireOldCampaignRejected loads the named corpus fixture, checks that it
+// is a campaign checkpoint of the given retired version, and requires both
+// DecodeCampaign and LoadCampaign to refuse it with ErrVersion.
+func requireOldCampaignRejected(t *testing.T, fixture string, version byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointRoundTrip", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +135,35 @@ func TestV2CampaignRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(data, magic+"\x02\x02") {
-		t.Fatalf("fixture is not a v2 campaign checkpoint: % x", data[:6])
+	if !strings.HasPrefix(data, magic+string([]byte{version, KindCampaign})) {
+		t.Fatalf("fixture is not a v%d campaign checkpoint: % x", version, data[:6])
 	}
 	if _, err := DecodeCampaign([]byte(data)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("DecodeCampaign(v2) = %v, want ErrVersion", err)
+		t.Fatalf("DecodeCampaign(v%d) = %v, want ErrVersion", version, err)
 	}
-	path := filepath.Join(t.TempDir(), "v2.bm")
+	path := filepath.Join(t.TempDir(), "old.bm")
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadCampaign(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("LoadCampaign(v2) = %v, want ErrVersion", err)
+		t.Fatalf("LoadCampaign(v%d) = %v, want ErrVersion", version, err)
+	}
+}
+
+// TestDecodeRejectsNonCanonicalVirgin encodes states whose sparse virgins
+// break the canonical form — the property that makes equal states encode to
+// equal bytes — and requires the decoder to refuse each one.
+func TestDecodeRejectsNonCanonicalVirgin(t *testing.T) {
+	for name, v := range map[string]Virgin{
+		"beyond-length":  {Len: 16, Words: []VirginWord{{Index: 2, Word: 0}}},
+		"all-0xFF-word":  {Len: 16, Words: []VirginWord{{Index: 1, Word: ^uint64(0)}}},
+		"duplicate-word": {Len: 16, Words: []VirginWord{{Index: 1, Word: 0}, {Index: 1, Word: 0}}},
+		"set-padding":    {Len: 12, Words: []VirginWord{{Index: 1, Word: 0xFFFFFF00_00000000}}},
+	} {
+		_, err := DecodeFuzzer(EncodeFuzzer(&FuzzerState{VirginHang: v}))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "virgin word") {
+			t.Errorf("%s: got %v, want a non-canonical virgin ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -13,9 +13,10 @@ const (
 	// Version is the current checkpoint format version. v2 appended the
 	// selective-tracing counters (FilterSkips/FilterFulls) to the fuzzer
 	// payload tail; v3 dropped the campaign payload's pairwise import
-	// matrix, since campaigns sync through a dist.Hub rebuilt on resume.
+	// matrix, since campaigns sync through a dist.Hub rebuilt on resume;
+	// v4 stores each virgin map sparsely (see Virgin) instead of raw.
 	// Older files are rejected rather than misread.
-	Version = 3
+	Version = 4
 
 	// KindFuzzer frames a single-instance FuzzerState payload.
 	KindFuzzer byte = 1
@@ -58,6 +59,21 @@ func (w *writer) str(s string) { w.u64(uint64(len(s))); w.buf = append(w.buf, s.
 func (w *writer) bytes(b []byte) {
 	w.u64(uint64(len(b)))
 	w.buf = append(w.buf, b...)
+}
+
+// virgin writes a sparse virgin map in the BMVD word encoding of
+// core.EncodeVirginDelta: the logical length, the word count, then per word
+// the index gap (index - previous index - 1, the first word's gap being its
+// index) as a uvarint and the word as uint64 LE.
+func (w *writer) virgin(v Virgin) {
+	w.u64(v.Len)
+	w.u64(uint64(len(v.Words)))
+	prev := -1
+	for _, vw := range v.Words {
+		w.u64(uint64(int(vw.Index) - prev - 1))
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, vw.Word)
+		prev = int(vw.Index)
+	}
 }
 
 func (w *writer) u32s(v []uint32) {
@@ -165,6 +181,44 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) str() string { return string(r.bytes()) }
+
+// virgin reads a sparse virgin map, rejecting any non-canonical form: word
+// indexes past the logical length, all-0xFF words, and set padding bytes
+// past the length in the last word. Ascending order is structural (gaps
+// are unsigned).
+func (r *reader) virgin() Virgin {
+	v := Virgin{Len: r.u64()}
+	n := r.length(9)
+	if r.err != nil || n == 0 {
+		return v
+	}
+	nwords := (v.Len + 7) / 8
+	v.Words = make([]VirginWord, n)
+	next := uint64(0)
+	for i := range v.Words {
+		idx := next + r.u64()
+		if r.err != nil {
+			return Virgin{}
+		}
+		if len(r.buf) < 8 {
+			r.fail()
+			return Virgin{}
+		}
+		word := binary.LittleEndian.Uint64(r.buf)
+		r.buf = r.buf[8:]
+		if idx >= nwords || idx < next || idx > 0xFFFFFFFF || word == ^uint64(0) {
+			r.err = fmt.Errorf("%w: virgin word %d (index %d) is not canonical", ErrCorrupt, i, idx)
+			return Virgin{}
+		}
+		if tail := v.Len - 8*idx; tail < 8 && word>>(8*tail) != ^uint64(0)>>(8*tail) {
+			r.err = fmt.Errorf("%w: virgin word %d sets bytes past length %d", ErrCorrupt, i, v.Len)
+			return Virgin{}
+		}
+		v.Words[i] = VirginWord{Index: uint32(idx), Word: word}
+		next = idx + 1
+	}
+	return v
+}
 
 func (r *reader) u32s() []uint32 {
 	n := r.length(1)
@@ -303,9 +357,9 @@ func encodeFuzzerPayload(w *writer, st *FuzzerState) {
 	w.u64(st.SpuriousHangs)
 	w.u64(st.FaultExecs)
 	w.u64(st.DroppedKeys)
-	w.bytes(st.VirginAll)
-	w.bytes(st.VirginCrash)
-	w.bytes(st.VirginHang)
+	w.virgin(st.VirginAll)
+	w.virgin(st.VirginCrash)
+	w.virgin(st.VirginHang)
 	w.u32s(st.SlotKeys)
 	w.u32s(st.VarSlots)
 	w.u32s(st.TopSlots)
@@ -351,9 +405,9 @@ func decodeFuzzerPayload(r *reader) FuzzerState {
 		SpuriousHangs:   r.u64(),
 		FaultExecs:      r.u64(),
 		DroppedKeys:     r.u64(),
-		VirginAll:       r.bytes(),
-		VirginCrash:     r.bytes(),
-		VirginHang:      r.bytes(),
+		VirginAll:       r.virgin(),
+		VirginCrash:     r.virgin(),
+		VirginHang:      r.virgin(),
 		SlotKeys:        r.u32s(),
 		VarSlots:        r.u32s(),
 		TopSlots:        r.u32s(),

@@ -18,9 +18,8 @@ type AFLMap struct {
 }
 
 var (
-	_ Map            = (*AFLMap)(nil)
-	_ Instrumented   = (*AFLMap)(nil)
-	_ CoverageMerger = (*AFLMap)(nil)
+	_ Map          = (*AFLMap)(nil)
+	_ Instrumented = (*AFLMap)(nil)
 )
 
 // Instrument installs telemetry histograms for the per-testcase operations.
@@ -152,14 +151,14 @@ func (m *AFLMap) AppendTouched(dst []uint32) []uint32 {
 
 // NewVirgin allocates a full-size virgin map.
 func (m *AFLMap) NewVirgin() *Virgin {
-	return newVirgin(len(m.bits))
+	return newVirgin(len(m.bits), len(m.bits))
 }
 
-// MergeVirginInto folds an instance virgin map into a campaign-level union.
-// The flat scheme's virgin is already indexed by raw key, so no translation
-// table is needed.
-func (m *AFLMap) MergeVirginInto(u *LockedVirginUnion, v *Virgin) {
-	u.MergeVirgin(v, nil)
+// DiffVirgin diffs the full-size virgin against last directly: the flat
+// scheme's virgin is already indexed by raw key.
+func (m *AFLMap) DiffVirgin(last []byte, virgin *Virgin) (VirginDelta, []byte) {
+	cur := append([]byte(nil), virgin.bits...)
+	return DiffVirginBytes(last, cur), cur
 }
 
 // Snapshot returns a copy of the raw bitmap, for tests and debugging.

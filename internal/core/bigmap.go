@@ -3,14 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
-// initialSlotCap is the dense-slot capacity preallocated at construction.
-// Table II targets discover thousands of keys, so one up-front allocation
-// covers a whole campaign's discovery bursts; maps smaller than this cap at
-// their own size. Growth beyond the preallocation doubles (see growSlotKey).
+// initialSlotCap is the dense-slot capacity preallocated at construction
+// for the slot table, the coverage bitmap and each virgin map. Table II
+// targets discover thousands of keys, so one up-front allocation covers a
+// whole campaign's discovery bursts; maps smaller than this cap at their own
+// size. Growth beyond the preallocation doubles (see growSlots).
 const initialSlotCap = 4096
 
 // BigMap is the paper's adaptive two-level coverage bitmap (§IV). An index
@@ -29,12 +31,17 @@ const initialSlotCap = 4096
 // follows the current trace's footprint, which is never larger than (and
 // after the discovery phase typically equal to) the used region.
 //
-// The only full-map work is the one-time initialization of the index bitmap
-// to "unassigned" when the map is created.
+// No operation does full-map work, construction included. The index stores
+// slot+1 so that zero means "unassigned" and make's zeroed memory is a ready
+// index; the operating system supplies those pages lazily, so an 8M map's
+// 32 MB index costs resident memory only where keys land. Everything else —
+// the coverage bitmap, the slot table and the virgin maps — is sized by
+// used_key and grows by amortized doubling toward the slot capacity.
 type BigMap struct {
-	index    []int32  // key -> dense slot, -1 when unassigned
-	coverage []byte   // dense hit counters, valid in [0..used)
+	index    []uint32 // key -> dense slot + 1, 0 when unassigned
+	coverage []byte   // dense hit counters, valid in [0..used); grows toward slotCap
 	slotKey  []uint32 // dense slot -> key (diagnostic reverse mapping)
+	slotCap  int      // dense slot capacity: the saturation point
 	used     int
 	hw       int    // highest slot touched since Reset, -1 when trace is clean
 	dropped  uint64 // first-sight keys seen after the slot space filled
@@ -46,10 +53,9 @@ type BigMap struct {
 }
 
 var (
-	_ Map            = (*BigMap)(nil)
-	_ Saturable      = (*BigMap)(nil)
-	_ Instrumented   = (*BigMap)(nil)
-	_ CoverageMerger = (*BigMap)(nil)
+	_ Map          = (*BigMap)(nil)
+	_ Saturable    = (*BigMap)(nil)
+	_ Instrumented = (*BigMap)(nil)
 )
 
 // NewBigMap creates a two-level coverage map with the given hash-space size,
@@ -74,20 +80,14 @@ func NewBigMapSlots(size, slotCap int) (*BigMap, error) {
 	if slotCap <= 0 || slotCap > size {
 		slotCap = size
 	}
-	reserve := initialSlotCap
-	if slotCap < reserve {
-		reserve = slotCap
-	}
-	m := &BigMap{
-		index:    make([]int32, size),
-		coverage: make([]byte, slotCap),
+	reserve := min(initialSlotCap, slotCap)
+	return &BigMap{
+		index:    make([]uint32, size),
+		coverage: make([]byte, reserve),
 		slotKey:  make([]uint32, 0, reserve),
+		slotCap:  slotCap,
 		hw:       -1,
-	}
-	for i := range m.index {
-		m.index[i] = -1
-	}
-	return m, nil
+	}, nil
 }
 
 // Instrument installs telemetry histograms for the per-testcase operations.
@@ -119,25 +119,26 @@ func (m *BigMap) trace() []byte {
 //bigmap:hotpath per-visit map update
 func (m *BigMap) Add(key uint32) {
 	k := m.index[key]
-	if k < 0 {
-		if m.used == len(m.coverage) {
+	if k == 0 {
+		if m.used == m.slotCap {
 			// Slot space saturated: drop the key explicitly rather than
 			// aliasing it onto an existing slot.
 			m.dropped++
 			return
 		}
-		k = int32(m.used)
-		m.index[key] = k
-		m.growSlotKey()
-		m.slotKey = append(m.slotKey, key) //bigmap:alloc-ok never reallocates: growSlotKey on the line above guarantees spare capacity
+		m.growSlots()
+		m.slotKey = append(m.slotKey, key) //bigmap:alloc-ok never reallocates: growSlots on the line above guarantees spare capacity
 		m.used++
+		k = uint32(m.used)
+		m.index[key] = k
 	}
-	if int(k) > m.hw {
-		m.hw = int(k)
+	slot := int(k) - 1
+	if slot > m.hw {
+		m.hw = slot
 	}
-	b := m.coverage[k]
+	b := m.coverage[slot]
 	if b < 255 {
-		m.coverage[k] = b + 1
+		m.coverage[slot] = b + 1
 	}
 	m.debugCheckCounters()
 }
@@ -155,40 +156,47 @@ func (m *BigMap) AddBatch(keys []uint32) {
 	hw := m.hw
 	for _, key := range keys {
 		k := m.index[key]
-		if k < 0 {
-			if m.used == len(m.coverage) {
+		if k == 0 {
+			if m.used == m.slotCap {
 				m.dropped++
 				continue
 			}
-			k = int32(m.used)
-			m.index[key] = k
-			m.growSlotKey()
-			m.slotKey = append(m.slotKey, key) //bigmap:alloc-ok never reallocates: growSlotKey on the line above guarantees spare capacity
+			m.growSlots()
+			m.slotKey = append(m.slotKey, key) //bigmap:alloc-ok never reallocates: growSlots on the line above guarantees spare capacity
 			m.used++
+			k = uint32(m.used)
+			m.index[key] = k
 		}
-		if int(k) > hw {
-			hw = int(k)
+		slot := int(k) - 1
+		if slot > hw {
+			hw = slot
 		}
-		b := m.coverage[k]
+		b := m.coverage[slot]
 		if b < 255 {
-			m.coverage[k] = b + 1
+			m.coverage[slot] = b + 1
 		}
 	}
 	m.hw = hw
 	m.debugCheckCounters()
 }
 
-// growSlotKey doubles slotKey's capacity when it is full, keeping slot
-// assignment allocation-free during discovery bursts: for n discoveries past
-// the preallocation the map performs O(log n) allocations, and none at all
-// while used_key stays within initialSlotCap (see the regression test).
-func (m *BigMap) growSlotKey() {
-	if len(m.slotKey) < cap(m.slotKey) {
-		return
+// growSlots makes room for one more slot: the coverage bitmap and the slot
+// table each double when full (the bitmap capped at the slot capacity),
+// keeping slot assignment allocation-free during discovery bursts: for n
+// discoveries past the preallocation the map performs O(log n) allocations,
+// and none at all while used_key stays within initialSlotCap (see the
+// regression test). Called only below the slot capacity.
+func (m *BigMap) growSlots() {
+	if m.used == len(m.coverage) {
+		grown := make([]byte, min(2*len(m.coverage), m.slotCap)) //bigmap:alloc-ok amortized doubling: O(log used_key) allocations per campaign, none within initialSlotCap
+		copy(grown, m.coverage)
+		m.coverage = grown
 	}
-	grown := make([]uint32, len(m.slotKey), 2*cap(m.slotKey)) //bigmap:alloc-ok amortized doubling: O(log used_key) allocations per campaign, none within initialSlotCap
-	copy(grown, m.slotKey)
-	m.slotKey = grown
+	if len(m.slotKey) == cap(m.slotKey) {
+		grown := make([]uint32, len(m.slotKey), 2*cap(m.slotKey)) //bigmap:alloc-ok amortized doubling: O(log used_key) allocations per campaign, none within initialSlotCap
+		copy(grown, m.slotKey)
+		m.slotKey = grown
+	}
 }
 
 // Reset wipes the touched region of the coverage bitmap — everything past
@@ -215,6 +223,14 @@ func (m *BigMap) Classify() {
 	m.tel.Classify.Done(t0)
 }
 
+// virginTrace returns the touched region after growing virgin to cover
+// it: one length check per exec, and a cold doubling while used_key climbs.
+func (m *BigMap) virginTrace(virgin *Virgin) []byte {
+	virgin.cover(m.hw + 1)
+	m.debugCheckVirginCovers(virgin)
+	return m.trace()
+}
+
 // CompareWith implements has_new_bits over the touched region. The virgin
 // map shares the dense slot space (slot assignments are stable and
 // monotonic), so comparing the region the current trace touched observes
@@ -224,7 +240,7 @@ func (m *BigMap) Classify() {
 //bigmap:hotpath per-exec virgin comparison
 func (m *BigMap) CompareWith(virgin *Virgin) Verdict {
 	t0 := m.tel.Compare.Start()
-	verdict, newEdges := compareRegion(m.trace(), virgin.bits)
+	verdict, newEdges := compareRegion(m.virginTrace(virgin), virgin.bits)
 	virgin.discovered += newEdges
 	m.tel.Compare.Done(t0)
 	return verdict
@@ -236,7 +252,7 @@ func (m *BigMap) CompareWith(virgin *Virgin) Verdict {
 //bigmap:hotpath per-exec merged classify+compare
 func (m *BigMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 	t0 := m.tel.ClassifyCompare.Start()
-	verdict, newEdges := classifyCompareRegion(m.trace(), virgin.bits)
+	verdict, newEdges := classifyCompareRegion(m.virginTrace(virgin), virgin.bits)
 	virgin.discovered += newEdges
 	m.tel.ClassifyCompare.Done(t0)
 	return verdict
@@ -251,7 +267,7 @@ func (m *BigMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 //bigmap:hotpath per-exec selective-trace prefilter
 func (m *BigMap) MaybeNew(virgin *Virgin) bool {
 	t0 := m.tel.MaybeNew.Start()
-	hit := maybeNewRegion(m.trace(), virgin.bits)
+	hit := maybeNewRegion(m.virginTrace(virgin), virgin.bits)
 	m.tel.MaybeNew.Done(t0)
 	return hit
 }
@@ -284,9 +300,60 @@ func (m *BigMap) AppendTouched(dst []uint32) []uint32 {
 	return appendTouchedRegion(dst, m.trace())
 }
 
-// NewVirgin allocates a virgin map with one slot per possible dense slot.
+// NewVirgin creates a virgin map with one logical slot per possible dense
+// slot. Only a preallocated prefix is stored; the compare entry points grow
+// it to cover the touched region, so its memory follows used_key.
 func (m *BigMap) NewVirgin() *Virgin {
-	return newVirgin(len(m.coverage))
+	return newVirgin(m.slotCap, initialSlotCap)
+}
+
+// DiffVirgin computes the raw-key delta in O(used_key) time and memory:
+// the dense bytes are diffed against last (the dense bytes of the previous
+// call; nil is all-0xFF), each changed slot is mapped to its raw key
+// through the slot table, and every 8-key word holding one is composed from
+// the current dense bytes through the index. The result equals
+// DiffVirginBytes over the raw-key renderings of the two states.
+func (m *BigMap) DiffVirgin(last []byte, virgin *Virgin) (VirginDelta, []byte) {
+	cur := make([]byte, min(m.used, len(virgin.bits)))
+	copy(cur, virgin.bits)
+	var words []uint32
+	for i := 0; i < len(cur); i += 8 {
+		if wordAt(cur, i) == wordAt(last, i) {
+			continue
+		}
+		for s := i; s < min(i+8, len(cur)); s++ {
+			if cur[s] != byteAt(last, s) {
+				words = append(words, m.slotKey[s]>>3)
+			}
+		}
+	}
+	slices.Sort(words)
+	words = slices.Compact(words)
+	d := VirginDelta{Size: len(m.index)}
+	if len(words) > 0 {
+		d.Words = make([]DeltaWord, len(words))
+	}
+	for i, w := range words {
+		d.Words[i] = DeltaWord{Index: w, Word: m.keyWord(w, cur)}
+	}
+	return d, cur
+}
+
+// keyWord composes raw-key virgin word w (keys 8w..8w+7) from dense virgin
+// bytes through the index. Unassigned keys, slots past dense and keys past
+// the hash space read as 0xFF.
+func (m *BigMap) keyWord(w uint32, dense []byte) uint64 {
+	word := ^uint64(0)
+	for j := 0; j < 8; j++ {
+		key := int(w)*8 + j
+		if key >= len(m.index) {
+			break
+		}
+		if slot := int(m.index[key]) - 1; slot >= 0 && slot < len(dense) {
+			word &^= uint64(^dense[slot]) << (8 * j)
+		}
+	}
+	return word
 }
 
 // KeyForSlot returns the coverage key that was assigned the given dense slot.
@@ -302,7 +369,7 @@ func (m *BigMap) KeyForSlot(slot int) (uint32, bool) {
 // SlotForKey returns the dense slot assigned to key, or -1 if the key has
 // never been observed.
 func (m *BigMap) SlotForKey(key uint32) int {
-	return int(m.index[key])
+	return int(m.index[key]) - 1
 }
 
 // Snapshot returns a copy of the used region of the coverage bitmap.
@@ -314,24 +381,17 @@ func (m *BigMap) Snapshot() []byte {
 
 // SlotCap returns the dense slot capacity: how many distinct coverage keys
 // the map can track before saturating.
-func (m *BigMap) SlotCap() int { return len(m.coverage) }
+func (m *BigMap) SlotCap() int { return m.slotCap }
 
 // Saturated reports whether every dense slot has been assigned. A saturated
 // map keeps working — established slots record coverage normally — but keys
 // never seen before are dropped (and counted) instead of assigned.
-func (m *BigMap) Saturated() bool { return m.used == len(m.coverage) }
+func (m *BigMap) Saturated() bool { return m.used == m.slotCap }
 
 // DroppedKeys counts the first-sight keys observed after saturation. Non-zero
 // means coverage feedback is incomplete and the campaign should be re-run
 // with a larger slot region.
 func (m *BigMap) DroppedKeys() uint64 { return m.dropped }
-
-// MergeVirginInto folds an instance virgin map into a campaign-level union,
-// translating each dense slot to its raw coverage key through the live
-// slot-to-key table (no copy; the union reads it during the call only).
-func (m *BigMap) MergeVirginInto(u *LockedVirginUnion, v *Virgin) {
-	u.MergeVirgin(v, m.slotKey[:m.used])
-}
 
 // SlotKeys returns a copy of the dense-slot-to-key assignment table, in slot
 // order. Together with the drop counter this is the map's entire persistent
@@ -351,18 +411,21 @@ func (m *BigMap) RestoreAssignments(slotKeys []uint32, dropped uint64) error {
 	if m.used != 0 {
 		return errors.New("core: RestoreAssignments on a used map")
 	}
-	if len(slotKeys) > len(m.coverage) {
+	if len(slotKeys) > m.slotCap {
 		return fmt.Errorf("core: checkpoint has %d slots, map capacity is %d",
-			len(slotKeys), len(m.coverage))
+			len(slotKeys), m.slotCap)
 	}
 	for slot, key := range slotKeys {
 		if int(key) >= len(m.index) {
 			return fmt.Errorf("core: checkpoint key %d out of range (map size %d)", key, len(m.index))
 		}
-		if m.index[key] >= 0 {
+		if m.index[key] != 0 {
 			return fmt.Errorf("core: checkpoint assigns key %d twice", key)
 		}
-		m.index[key] = int32(slot)
+		m.index[key] = uint32(slot) + 1
+	}
+	if len(slotKeys) > len(m.coverage) {
+		m.coverage = make([]byte, len(slotKeys))
 	}
 	m.slotKey = append(m.slotKey[:0], slotKeys...)
 	m.used = len(slotKeys)

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
+
+	"github.com/bigmap/bigmap/internal/rng"
 )
 
 func mustBig(t *testing.T, size int) *BigMap {
@@ -196,5 +199,62 @@ func TestBigMapAppendTouchedReturnsDenseSlots(t *testing.T) {
 	got := m.AppendTouched(nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("AppendTouched = %v, want [0 1]", got)
+	}
+}
+
+// TestBigMapVirginGrowsWithUsedKeys drives a BigMap past its preallocated
+// slot capacity next to a flat map. The virgin's stored prefix must grow,
+// with undiscovered fill, to cover every touched slot: verdicts and
+// discovered counts must match the flat scheme's full-size virgin, while the
+// prefix stays far below the logical length. A sparse snapshot of the grown
+// virgin must restore onto a fresh one, and Suppress past the prefix grows
+// it too.
+func TestBigMapVirginGrowsWithUsedKeys(t *testing.T) {
+	const size = MapSize64K
+	big := mustBig(t, size)
+	afl, err := NewAFLMap(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, va := big.NewVirgin(), afl.NewVirgin()
+	src := rng.New(11)
+	for exec := 0; exec < 12; exec++ {
+		for i := 0; i < 1000; i++ {
+			k := uint32(src.Intn(size))
+			big.Add(k)
+			afl.Add(k)
+		}
+		if gb, ga := big.ClassifyAndCompare(vb), afl.ClassifyAndCompare(va); gb != ga {
+			t.Fatalf("exec %d: bigmap verdict %v, flat %v", exec, gb, ga)
+		}
+		if db, da := vb.CountDiscovered(), va.CountDiscovered(); db != da {
+			t.Fatalf("exec %d: bigmap discovered %d, flat %d", exec, db, da)
+		}
+		big.Reset()
+		afl.Reset()
+	}
+	if big.UsedKeys() <= 2*initialSlotCap {
+		t.Fatalf("used_key %d never passed two doublings of the preallocation", big.UsedKeys())
+	}
+	if n := len(vb.bits); n < big.UsedKeys() || n >= vb.Len() {
+		t.Fatalf("virgin stores %d slots for used_key %d and length %d", n, big.UsedKeys(), vb.Len())
+	}
+
+	fresh := big.NewVirgin()
+	if err := fresh.SetWords(vb.Words()); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fresh.Words(), vb.Words()) || fresh.CountDiscovered() != vb.CountDiscovered() {
+		t.Fatal("sparse snapshot of a grown virgin did not restore")
+	}
+
+	v := big.NewVirgin()
+	slot := uint32(3*initialSlotCap + 5)
+	v.Suppress(slot)
+	if len(v.bits) <= int(slot) || v.CountDiscovered() != 1 {
+		t.Fatalf("Suppress(%d): %d slots stored, %d discovered", slot, len(v.bits), v.CountDiscovered())
+	}
+	if w := v.Words(); len(w) != 1 || w[0].Index != slot/8 {
+		t.Fatalf("Suppress(%d): sparse form %+v", slot, w)
 	}
 }

@@ -84,6 +84,28 @@ func TestDebugAssertBijection(t *testing.T) {
 	if err := fresh.RestoreAssignments(keys, 0); err != nil {
 		t.Fatal(err)
 	}
-	fresh.index[keys[0]] = 1 // corrupt: two keys claim slot 1
+	fresh.index[keys[0]] = 2 // corrupt: two keys claim slot 1 (stored as slot+1)
 	mustPanic(t, "slotKey assigns", fresh.debugCheckBijection)
+}
+
+func TestDebugAssertNewestSlotPointsBack(t *testing.T) {
+	m := debugMap(t)
+	m.Add(3)
+	m.index[3] = 2 // corrupt: the newest slot's key claims slot 1 (stored as slot+1)
+	mustPanic(t, "slotKey assigns", func() { m.Add(3) })
+}
+
+// TestDebugAssertVirginCoversTrace compares a trace against a virgin whose
+// logical length is too short for it — a virgin made by a map with a
+// smaller slot region — so growth cannot cover the touched slots.
+func TestDebugAssertVirginCoversTrace(t *testing.T) {
+	small, err := NewBigMapSlots(1<<10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := debugMap(t)
+	for k := uint32(0); k < 16; k++ {
+		m.Add(k)
+	}
+	mustPanic(t, "virgin stores", func() { m.ClassifyAndCompare(small.NewVirgin()) })
 }

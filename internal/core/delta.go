@@ -96,7 +96,7 @@ func DiffVirginBytes(prev, cur []byte) VirginDelta {
 	return d
 }
 
-// padWord loads up to 7 trailing bytes as a word padded with 0xFF, so tail
+// padWord loads up to 8 bytes as a word padded with 0xFF, so tail
 // comparisons and merges leave the padding untouched under AND.
 func padWord(p []byte) uint64 {
 	w := ^uint64(0)
@@ -107,11 +107,28 @@ func padWord(p []byte) uint64 {
 	return w
 }
 
+// wordAt loads the word at byte offset i of p, reading bytes past the end
+// of p as 0xFF.
+func wordAt(p []byte, i int) uint64 {
+	if i >= len(p) {
+		return ^uint64(0)
+	}
+	return padWord(p[i:min(i+8, len(p))])
+}
+
+// byteAt returns p[i], reading bytes past the end of p as 0xFF.
+func byteAt(p []byte, i int) byte {
+	if i < len(p) {
+		return p[i]
+	}
+	return 0xFF
+}
+
 // Apply AND-merges the delta into dst, a virgin byte map of exactly
 // d.Size bytes, and returns how many bytes transitioned from 0xFF
-// (undiscovered) to below it — the newly discovered key count, matching the
-// accounting of LockedVirginUnion. Applying the same delta
-// twice is a no-op the second time.
+// (undiscovered) to below it — the newly discovered key count, matching
+// Virgin's discovered accounting. Applying the same delta twice is a no-op
+// the second time.
 func (d VirginDelta) Apply(dst []byte) (discovered int, err error) {
 	if len(dst) != d.Size {
 		return 0, fmt.Errorf("core: virgin delta for size %d applied to %d bytes", d.Size, len(dst))

@@ -179,6 +179,76 @@ func TestDeltaCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDeltaApplyMergeOrderIrrelevant publishes the virgin state of several
+// flat and two-level instances (random slot assignments, random discovered
+// bytes) as raw-key deltas and AND-merges them into a union forward, and
+// again reversed with every delta applied twice. AND-merges are
+// commutative and idempotent, so both unions, and their discovered counts,
+// must equal a plain per-raw-key AND of the instances' bytes.
+func TestDeltaApplyMergeOrderIrrelevant(t *testing.T) {
+	src := rng.New(0x5eed)
+	const size = 256
+	model := make([]byte, size)
+	FillVirgin(model)
+	var deltas []VirginDelta
+	for i := 0; i < 6; i++ {
+		var m Map
+		var keyOf func(slot int) int
+		if i%2 == 0 {
+			m, _ = NewAFLMap(size)
+			keyOf = func(slot int) int { return slot }
+		} else {
+			bm, _ := NewBigMap(size)
+			for n := 1 + src.Intn(size/2); bm.UsedKeys() < n; {
+				bm.Add(uint32(src.Intn(size)))
+			}
+			bm.Reset()
+			m = bm
+			keyOf = func(slot int) int { k, _ := bm.KeyForSlot(slot); return int(k) }
+		}
+		v := m.NewVirgin()
+		density := 1 + src.Intn(60)
+		for slot := 0; slot < m.UsedKeys(); slot++ {
+			if src.Intn(100) >= density {
+				continue
+			}
+			b := byte(src.Uint32()) &^ 1 // any value below full-virgin
+			v.cover(slot + 1)
+			v.bits[slot] = b
+			model[keyOf(slot)] &= b
+		}
+		d, _ := m.DiffVirgin(nil, v)
+		deltas = append(deltas, d)
+	}
+	wantDisc := 0
+	for _, b := range model {
+		if b != 0xFF {
+			wantDisc++
+		}
+	}
+	merge := func(order []int) ([]byte, int) {
+		union := make([]byte, size)
+		FillVirgin(union)
+		total := 0
+		for _, i := range order {
+			n, err := deltas[i].Apply(union)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += n
+		}
+		return union, total
+	}
+	forward, fwdDisc := merge([]int{0, 1, 2, 3, 4, 5})
+	backward, bwdDisc := merge([]int{5, 5, 4, 3, 3, 2, 1, 0, 0})
+	if !bytes.Equal(forward, model) || fwdDisc != wantDisc {
+		t.Fatalf("forward union diverged from the per-key AND model (discovered %d, want %d)", fwdDisc, wantDisc)
+	}
+	if !bytes.Equal(backward, forward) || bwdDisc != fwdDisc {
+		t.Fatalf("merge order changed the union (discovered %d vs %d)", bwdDisc, fwdDisc)
+	}
+}
+
 func TestDeltaApplySizeMismatch(t *testing.T) {
 	d := VirginDelta{Size: 64}
 	if _, err := d.Apply(make([]byte, 32)); err == nil {

@@ -114,6 +114,14 @@ type Map interface {
 	// this map's scheme and size.
 	NewVirgin() *Virgin
 
+	// DiffVirgin returns the delta, indexed by raw coverage key over Size()
+	// keys, that carries virgin's state relative to last, together with
+	// virgin's current bytes in this map's own layout to pass as last on
+	// the next call. A nil last is the all-0xFF baseline. The delta equals
+	// DiffVirginBytes over the raw-key renderings of the two states, so
+	// instances whose dense slots differ publish comparable deltas.
+	DiffVirgin(last []byte, virgin *Virgin) (VirginDelta, []byte)
+
 	// UsedKeys reports how many distinct slots the map has ever assigned:
 	// Size() for the flat scheme, used_key for the two-level scheme.
 	UsedKeys() int
@@ -149,17 +157,55 @@ type Saturable interface {
 // coverage. Bytes start at 0xFF (every bucket bit still undiscovered) and
 // discovered bucket bits are cleared by Map.CompareWith, which also keeps the
 // discovered-slot count current so stats polling never re-walks the map.
+//
+// A virgin has a logical length (Len: one byte per slot the map can assign)
+// and a physical prefix of it that is actually stored. Slots past the
+// physical prefix are 0xFF. The flat scheme stores the whole map; the
+// two-level scheme stores a prefix that grows with used_key (see cover), so
+// its memory follows the coverage found rather than the map size.
 type Virgin struct {
-	bits       []byte
+	bits       []byte // physical prefix; slots at and past len(bits) are 0xFF
+	n          int    // logical length in slots
 	discovered int
 }
 
-func newVirgin(n int) *Virgin {
-	v := &Virgin{bits: make([]byte, n)}
-	for i := range v.bits {
-		v.bits[i] = 0xFF
-	}
+// newVirgin creates an all-0xFF virgin of n slots with the first reserve
+// of them stored.
+func newVirgin(n, reserve int) *Virgin {
+	v := &Virgin{bits: make([]byte, min(reserve, n)), n: n}
+	FillVirgin(v.bits)
 	return v
+}
+
+// FillVirgin sets every byte of p to 0xFF, the undiscovered state, by copy
+// doubling: one store, then memmoves of 1, 2, 4, ... bytes. It is several
+// times faster than a byte loop on multi-megabyte maps.
+func FillVirgin(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	p[0] = 0xFF
+	for n := 1; n < len(p); n *= 2 {
+		copy(p[n:], p[:n])
+	}
+}
+
+// cover makes the physical prefix span at least the first n slots (n must
+// not exceed Len). The check is the only per-exec cost of a growable
+// virgin; growth itself runs O(log used_key) times per campaign.
+func (v *Virgin) cover(n int) {
+	if n > len(v.bits) {
+		v.grow(n)
+	}
+}
+
+// grow extends the physical prefix to at least n slots, doubling to keep
+// growth amortized and capping at the logical length.
+func (v *Virgin) grow(n int) {
+	grown := make([]byte, min(max(n, 2*len(v.bits)), v.n)) //bigmap:alloc-ok amortized doubling: O(log used_key) allocations per campaign
+	copy(grown, v.bits)
+	FillVirgin(grown[len(v.bits):])
+	v.bits = grown
 }
 
 // CountDiscovered returns the number of slots with at least one discovered
@@ -168,34 +214,8 @@ func newVirgin(n int) *Virgin {
 // safe to poll every stats or checkpoint tick.
 func (v *Virgin) CountDiscovered() int { return v.discovered }
 
-// recountDiscovered re-derives the discovered count from the raw bits — the
-// walk CountDiscovered used to perform. It runs only when the bits are
-// replaced wholesale (SetBits) and in tests cross-checking the incremental
-// counter. Undiscovered regions are all-0xFF words, skipped 8 at a time.
-func (v *Virgin) recountDiscovered() int {
-	bits := v.bits
-	n := 0
-	i := 0
-	for ; i+8 <= len(bits); i += 8 {
-		if loadWord(bits[i:]) == ^uint64(0) {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if bits[j] != 0xFF {
-				n++
-			}
-		}
-	}
-	for ; i < len(bits); i++ {
-		if bits[i] != 0xFF {
-			n++
-		}
-	}
-	return n
-}
-
-// Len returns the virgin map's capacity in slots.
-func (v *Virgin) Len() int { return len(v.bits) }
+// Len returns the virgin map's logical capacity in slots.
+func (v *Virgin) Len() int { return v.n }
 
 // Suppress marks a slot as fully discovered (all bucket bits cleared), so it
 // can never again contribute to a has_new_bits verdict. The calibration stage
@@ -203,30 +223,57 @@ func (v *Virgin) Len() int { return len(v.bits) }
 // appears only on some executions of the same input would otherwise keep
 // producing spurious "new coverage" and flood the queue.
 func (v *Virgin) Suppress(slot uint32) {
-	if int(slot) >= len(v.bits) {
+	if int(slot) >= v.n {
 		return
 	}
+	v.cover(int(slot) + 1)
 	if v.bits[slot] == 0xFF {
 		v.discovered++
 	}
 	v.bits[slot] = 0
 }
 
-// Bits returns a copy of the raw virgin bytes, for checkpointing.
-func (v *Virgin) Bits() []byte {
-	out := make([]byte, len(v.bits))
-	copy(out, v.bits)
-	return out
+// Words returns the virgin state in sparse form: every 8-byte word holding
+// a discovered (non-0xFF) byte, ascending by index, in the DeltaWord layout;
+// all other bytes are 0xFF. The form depends only on the logical state, not
+// on how far the physical prefix has grown, so it is what checkpoints store
+// and its size follows the coverage found.
+func (v *Virgin) Words() []DeltaWord {
+	return DiffVirginBytes(nil, v.bits).Words
 }
 
-// SetBits replaces the virgin state with a checkpointed snapshot. The length
-// must match the map geometry the virgin was created for.
-func (v *Virgin) SetBits(bits []byte) error {
-	if len(bits) != len(v.bits) {
-		return fmt.Errorf("core: virgin snapshot is %d slots, map has %d", len(bits), len(v.bits))
+// SetWords replaces the virgin state with a sparse snapshot taken by Words.
+// Word indexes must ascend strictly and lie within Len; bytes of the last
+// word past Len are ignored.
+func (v *Virgin) SetWords(words []DeltaWord) error {
+	prev := -1
+	for _, w := range words {
+		if int(w.Index) <= prev || int(w.Index) >= (v.n+7)/8 {
+			return fmt.Errorf("core: virgin word %d out of order or beyond %d slots", w.Index, v.n)
+		}
+		prev = int(w.Index)
 	}
-	copy(v.bits, bits)
-	v.discovered = v.recountDiscovered()
+	FillVirgin(v.bits)
+	v.cover(min(8*(prev+1), v.n))
+	v.discovered = 0
+	for _, w := range words {
+		for j, base := 0, 8*int(w.Index); j < 8 && base+j < v.n; j++ {
+			b := byte(w.Word >> (8 * j))
+			v.bits[base+j] = b
+			if b != 0xFF {
+				v.discovered++
+			}
+		}
+	}
+	return nil
+}
+
+// CheckMapSize reports whether size is a valid coverage key space: a
+// positive power of two. It returns ErrBadMapSize otherwise.
+func CheckMapSize(size int) error {
+	if !validSize(size) {
+		return ErrBadMapSize
+	}
 	return nil
 }
 

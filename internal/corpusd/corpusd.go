@@ -160,7 +160,7 @@ func (s *Store) CreateCampaign(name string, mapSize int) (created bool, err erro
 	if err := validCampaignName(name); err != nil {
 		return false, err
 	}
-	if _, err := core.NewLockedVirginUnion(mapSize); err != nil {
+	if err := core.CheckMapSize(mapSize); err != nil {
 		return false, fmt.Errorf("corpusd: campaign %s map size %d: %w", name, mapSize, err)
 	}
 	s.mu.Lock()

@@ -199,7 +199,7 @@ func recoverCampaign(dir string) (*campaign, error) {
 	if meta.Name != filepath.Base(dir) {
 		return nil, fmt.Errorf("campaign.json names %q, directory is %q", meta.Name, filepath.Base(dir))
 	}
-	if _, err := core.NewLockedVirginUnion(meta.MapSize); err != nil {
+	if err := core.CheckMapSize(meta.MapSize); err != nil {
 		return nil, fmt.Errorf("campaign.json map size %d: %w", meta.MapSize, err)
 	}
 	var records []Record

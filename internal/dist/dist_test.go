@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/core"
@@ -87,6 +89,70 @@ func TestHubDedupAndUnion(t *testing.T) {
 		Batches: 2, DedupHits: 1, DeltaWords: 3, UnionDiscovered: 3}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestHubConcurrentPushesMatchSequential: workers pushing their delta
+// chains concurrently must land the same union bytes and discovered count
+// as pushing them one worker after another. Under -race this also checks
+// the Hub's locking around the union.
+func TestHubConcurrentPushesMatchSequential(t *testing.T) {
+	const size, workers, pushes = 1 << 12, 4, 8
+	src := rng.New(3)
+	chains := make([][]Batch, workers)
+	for w := range chains {
+		cur := make([]byte, size)
+		core.FillVirgin(cur)
+		var prev []byte
+		for i := 0; i < pushes; i++ {
+			for n := 0; n < 40; n++ {
+				cur[src.Intn(size)] &= byte(src.Uint32())
+			}
+			b := Batch{Seq: uint64(i + 1)}
+			if d := core.DiffVirginBytes(prev, cur); len(d.Words) > 0 {
+				b.Delta = core.EncodeVirginDelta(d)
+			}
+			chains[w] = append(chains[w], b)
+			prev = append([]byte(nil), cur...)
+		}
+	}
+	run := func(concurrent bool) *Hub {
+		h, err := NewHub(size, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w, chain := range chains {
+			name := fmt.Sprintf("w%d", w)
+			if _, err := h.Join(name); err != nil {
+				t.Fatal(err)
+			}
+			push := func() {
+				defer wg.Done()
+				for _, b := range chain {
+					if _, err := h.Push(name, b); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			wg.Add(1)
+			if concurrent {
+				go push()
+			} else {
+				push()
+			}
+		}
+		wg.Wait()
+		return h
+	}
+	seq, conc := run(false), run(true)
+	if !bytes.Equal(seq.UnionSnapshot(), conc.UnionSnapshot()) {
+		t.Fatal("concurrent pushes changed the union bytes")
+	}
+	ss, _ := seq.Stats()
+	cs, _ := conc.Stats()
+	if ss.UnionDiscovered != cs.UnionDiscovered || ss.UnionDiscovered == 0 {
+		t.Fatalf("discovered: sequential %d, concurrent %d", ss.UnionDiscovered, cs.UnionDiscovered)
 	}
 }
 
@@ -295,6 +361,28 @@ func TestWorkerPushRetryIsLossless(t *testing.T) {
 	}
 }
 
+// TestNewWorkerRejectsSizeMismatch: a worker publishing in a geometry other
+// than its fuzzer's map would misstate the fuzzer's coverage, so NewWorker
+// refuses it (and an invalid size) before joining.
+func TestNewWorkerRejectsSizeMismatch(t *testing.T) {
+	h, err := NewHub(core.MapSize64K*2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := workerFuzzer(t, 1) // 64K map
+	for _, size := range []int{core.MapSize64K * 2, core.MapSize64K / 2, 3} {
+		if _, err := NewWorker(f, "w", h, size); err == nil {
+			t.Errorf("NewWorker accepted size %d for a %d-key map", size, f.Map().Size())
+		}
+	}
+	if st, _ := h.Stats(); st.Workers != 0 {
+		t.Fatalf("a refused worker joined the hub: %d workers", st.Workers)
+	}
+	if _, err := NewWorker(f, "w", h, core.MapSize64K); err != nil {
+		t.Fatalf("NewWorker with the fuzzer's own size: %v", err)
+	}
+}
+
 func TestHubUnionMatchesDirectMerge(t *testing.T) {
 	// Pushing deltas through the hub must land the same union state as
 	// merging the workers' virgin maps directly.
@@ -315,19 +403,49 @@ func TestHubUnionMatchesDirectMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct, err := core.NewLockedVirginUnion(core.MapSize64K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa.MergeVirginInto(direct)
-	fb.MergeVirginInto(direct)
-	if !bytes.Equal(h.UnionSnapshot(), direct.Snapshot()) {
+	direct, discovered := rawKeyUnion(core.MapSize64K, fa, fb)
+	if !bytes.Equal(h.UnionSnapshot(), direct) {
 		t.Fatal("hub union diverged from direct merge")
 	}
 	st, _ := h.Stats()
-	if st.UnionDiscovered != direct.CountDiscovered() {
-		t.Fatalf("union count %d != direct %d", st.UnionDiscovered, direct.CountDiscovered())
+	if st.UnionDiscovered != discovered {
+		t.Fatalf("union count %d != direct %d", st.UnionDiscovered, discovered)
 	}
+}
+
+// rawKeyUnion is the reference campaign union: each instance's clean-run
+// virgin bytes ANDed into a map-size byte map by raw coverage key, with
+// BigMap dense slots translated through the slot table. It returns the
+// union and its discovered-key count.
+func rawKeyUnion(size int, fs ...*fuzzer.Fuzzer) ([]byte, int) {
+	union := make([]byte, size)
+	core.FillVirgin(union)
+	for _, f := range fs {
+		bm, _ := f.Map().(*core.BigMap)
+		for _, w := range f.Snapshot().VirginAll.Words {
+			for j := 0; j < 8; j++ {
+				key, b := int(w.Index)*8+j, byte(w.Word>>(8*j))
+				if b == 0xFF {
+					continue
+				}
+				if bm != nil {
+					k, ok := bm.KeyForSlot(key)
+					if !ok {
+						continue
+					}
+					key = int(k)
+				}
+				union[key] &= b
+			}
+		}
+	}
+	discovered := 0
+	for _, b := range union {
+		if b != 0xFF {
+			discovered++
+		}
+	}
+	return union, discovered
 }
 
 // cursorJournal is a Journal whose cursor saves fail while fail is set.

@@ -101,16 +101,17 @@ func NewHub(size int, reg *telemetry.Registry) (*Hub, error) {
 // NewHub. State recovered from the journal is loaded with Replay and
 // RestoreCursors before the Hub is shared.
 func NewJournaledHub(size int, reg *telemetry.Registry, j Journal) (*Hub, error) {
-	empty, err := core.NewLockedVirginUnion(size)
-	if err != nil {
+	if err := core.CheckMapSize(size); err != nil {
 		return nil, fmt.Errorf("dist: hub map size %d: %w", size, err)
 	}
+	union := make([]byte, size)
+	core.FillVirgin(union)
 	return &Hub{
 		size:       size,
 		journal:    j,
 		inputs:     make(map[string][]byte),
 		crashes:    make(map[uint64]Crash),
-		union:      empty.Snapshot(),
+		union:      union,
 		workers:    make(map[string]*workerState),
 		telBatches: reg.Counter("dist_hub_batches_total"),
 		telDedup:   reg.Counter("dist_hub_dedup_hits_total"),

@@ -25,12 +25,11 @@ type Worker struct {
 	f    *fuzzer.Fuzzer
 	name string
 	s    Syncer
-	size int
 
 	seq           uint64 // next push uses seq+1; advanced only on success
 	pushedInputs  int    // queue entries already pushed
 	pushedCrashes map[uint64]bool
-	last          []byte // virgin state as of the last successful push
+	last          []byte // virgin bytes as of the last successful push (fuzzer.VirginDelta)
 	union         int    // campaign union discovered keys, per the last receipt
 
 	// pending is a built-but-unacknowledged batch. A failed Push leaves it
@@ -41,7 +40,7 @@ type Worker struct {
 	// pushed without ever reaching the store.
 	pending        *Batch
 	pendingEntries int    // queue length the pending batch covers
-	pendingSnap    []byte // virgin snapshot the pending delta publishes
+	pendingSnap    []byte // virgin bytes the pending delta publishes
 
 	telSync    *telemetry.Histogram
 	telPushed  *telemetry.Counter
@@ -53,11 +52,12 @@ type Worker struct {
 
 // NewWorker joins the syncer under name and wraps f for sync-boundary
 // exchange. size is the campaign's coverage key space (the fuzzer
-// template's defaulted map size) — the geometry deltas are published in.
+// template's defaulted map size) — the geometry deltas are published in —
+// and must equal f's map size, or the deltas would misstate f's coverage.
 // Telemetry handles come from f's registry and are nil-safe.
 func NewWorker(f *fuzzer.Fuzzer, name string, s Syncer, size int) (*Worker, error) {
-	if _, err := core.NewLockedVirginUnion(size); err != nil {
-		return nil, fmt.Errorf("dist: worker map size %d: %w", size, err)
+	if got := f.Map().Size(); got != size {
+		return nil, fmt.Errorf("dist: worker map size %d, but the fuzzer's map has %d keys", size, got)
 	}
 	info, err := s.Join(name)
 	if err != nil {
@@ -68,7 +68,6 @@ func NewWorker(f *fuzzer.Fuzzer, name string, s Syncer, size int) (*Worker, erro
 		f:             f,
 		name:          name,
 		s:             s,
-		size:          size,
 		seq:           info.LastSeq,
 		pushedCrashes: make(map[uint64]bool),
 		telSync:       reg.Histogram("dist_sync_ns"),
@@ -116,8 +115,7 @@ func (w *Worker) Push() (Receipt, error) {
 				Input:      rec.Input,
 			})
 		}
-		snap := w.virginSnapshot()
-		d := core.DiffVirginBytes(w.last, snap)
+		d, snap := w.f.VirginDelta(w.last)
 		var delta []byte
 		if len(d.Words) > 0 {
 			delta = core.EncodeVirginDelta(d)
@@ -177,17 +175,4 @@ func (w *Worker) Sync() error {
 	}
 	_, err := w.Pull()
 	return err
-}
-
-// virginSnapshot renders the fuzzer's current coverage as campaign-geometry
-// virgin bytes, by folding its map into a fresh union (the CoverageMerger
-// translation from per-instance dense slots to raw keys).
-func (w *Worker) virginSnapshot() []byte {
-	u, err := core.NewLockedVirginUnion(w.size)
-	if err != nil {
-		// Size was validated in NewWorker; an error here is unreachable.
-		panic(fmt.Sprintf("dist: virgin snapshot: %v", err))
-	}
-	w.f.MergeVirginInto(u)
-	return u.Snapshot()
 }

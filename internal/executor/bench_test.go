@@ -1,8 +1,8 @@
 package executor
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/core"
@@ -405,7 +405,7 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 		if skips == 0 {
 			t.Fatalf("%s: no executions were skipped; the steady state never arrived", scheme)
 		}
-		if !bytes.Equal(vt.Bits(), vs.Bits()) {
+		if !slices.Equal(vt.Words(), vs.Words()) {
 			t.Fatalf("%s: virgin state diverged between traced and selective batch", scheme)
 		}
 		if vt.CountDiscovered() != vs.CountDiscovered() {

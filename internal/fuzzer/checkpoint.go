@@ -37,9 +37,9 @@ func (f *Fuzzer) Snapshot() *checkpoint.FuzzerState {
 		SpuriousHangs:   f.spuriousHangs,
 		FilterSkips:     f.filterSkips,
 		FilterFulls:     f.filterFulls,
-		VirginAll:       f.virginAll.Bits(),
-		VirginCrash:     f.virginCrash.Bits(),
-		VirginHang:      f.virginHang.Bits(),
+		VirginAll:       sparseVirgin(f.virginAll),
+		VirginCrash:     sparseVirgin(f.virginCrash),
+		VirginHang:      sparseVirgin(f.virginHang),
 	}
 	if fa, ok := f.exec.Runner().(*target.Faulty); ok {
 		st.FaultExecs = fa.ExecCount()
@@ -137,13 +137,13 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.FuzzerState) (*Fuzz
 		return nil, fmt.Errorf("fuzzer: checkpoint carries %d slot assignments for a flat map",
 			len(st.SlotKeys))
 	}
-	if err := f.virginAll.SetBits(st.VirginAll); err != nil {
+	if err := restoreVirgin(f.virginAll, st.VirginAll); err != nil {
 		return nil, fmt.Errorf("fuzzer: resume virgin map: %w", err)
 	}
-	if err := f.virginCrash.SetBits(st.VirginCrash); err != nil {
+	if err := restoreVirgin(f.virginCrash, st.VirginCrash); err != nil {
 		return nil, fmt.Errorf("fuzzer: resume crash virgin map: %w", err)
 	}
-	if err := f.virginHang.SetBits(st.VirginHang); err != nil {
+	if err := restoreVirgin(f.virginHang, st.VirginHang); err != nil {
 		return nil, fmt.Errorf("fuzzer: resume hang virgin map: %w", err)
 	}
 	for _, s := range st.VarSlots {
@@ -231,4 +231,31 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.FuzzerState) (*Fuzz
 	f.filterSkips = st.FilterSkips
 	f.filterFulls = st.FilterFulls
 	return f, nil
+}
+
+// sparseVirgin renders a virgin map in the checkpoint's sparse form, whose
+// size follows the coverage found rather than the map size.
+func sparseVirgin(v *core.Virgin) checkpoint.Virgin {
+	words := v.Words()
+	out := checkpoint.Virgin{Len: uint64(v.Len())}
+	if len(words) > 0 {
+		out.Words = make([]checkpoint.VirginWord, len(words))
+	}
+	for i, w := range words {
+		out.Words[i] = checkpoint.VirginWord{Index: w.Index, Word: w.Word}
+	}
+	return out
+}
+
+// restoreVirgin loads a checkpointed sparse virgin into v, which must have
+// the logical length the checkpoint was taken with.
+func restoreVirgin(v *core.Virgin, st checkpoint.Virgin) error {
+	if st.Len != uint64(v.Len()) {
+		return fmt.Errorf("virgin snapshot is %d slots, map has %d", st.Len, v.Len())
+	}
+	words := make([]core.DeltaWord, len(st.Words))
+	for i, w := range st.Words {
+		words[i] = core.DeltaWord{Index: w.Index, Word: w.Word}
+	}
+	return v.SetWords(words)
 }

@@ -1,8 +1,8 @@
 package fuzzer
 
 import (
-	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/checkpoint"
@@ -16,8 +16,8 @@ import (
 // buckets and both RNG streams.
 type fingerprint struct {
 	Stats      Stats
-	VirginAll  []byte
-	VirginHang []byte
+	VirginAll  []core.DeltaWord
+	VirginHang []core.DeltaWord
 	SlotKeys   []uint32
 	RNG        [4]uint64
 	MutRNG     [4]uint64
@@ -40,8 +40,8 @@ func takeFingerprint(f *Fuzzer) fingerprint {
 	st.Timings = Timings{}
 	fp := fingerprint{
 		Stats:      st,
-		VirginAll:  f.virginAll.Bits(),
-		VirginHang: f.virginHang.Bits(),
+		VirginAll:  f.virginAll.Words(),
+		VirginHang: f.virginHang.Words(),
 		RNG:        f.src.State(),
 		MutRNG:     f.mut.Source().State(),
 	}
@@ -140,7 +140,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 			}
 			stepN(t, b, total-cut)
 			got := takeFingerprint(b)
-			if !bytes.Equal(got.VirginAll, want.VirginAll) {
+			if !slices.Equal(got.VirginAll, want.VirginAll) {
 				t.Error("coverage (virgin) map diverged after resume")
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -192,8 +192,10 @@ func TestStabilityFaultyTarget(t *testing.T) {
 	if st.Stability >= 100 {
 		t.Errorf("stability %.2f%% despite %d variable edges", st.Stability, st.VariableEdges)
 	}
+	words := f.virginAll.Words()
 	for s := range f.varSlots {
-		if f.virginAll.Bits()[s] != 0 {
+		i, ok := slices.BinarySearchFunc(words, s/8, func(w core.DeltaWord, idx uint32) int { return int(w.Index) - int(idx) })
+		if !ok || byte(words[i].Word>>(8*(s%8))) != 0 {
 			t.Fatalf("variable slot %d not suppressed in virgin map", s)
 		}
 	}

@@ -737,15 +737,14 @@ func (f *Fuzzer) ImportInput(input []byte) bool {
 	return true
 }
 
-// MergeVirginInto folds this instance's clean-run virgin map into a
-// campaign-level union (the coverage a dist.Worker publishes). The map
-// adapter translates BigMap's per-instance dense slots to raw coverage keys,
-// so instances with different discovery orders land shared edges on the
-// same union keys. The virgin map is only read.
-func (f *Fuzzer) MergeVirginInto(u *core.LockedVirginUnion) {
-	if m, ok := f.cov.(core.CoverageMerger); ok {
-		m.MergeVirginInto(u, f.virginAll)
-	}
+// VirginDelta returns the raw-key delta of this instance's clean-run
+// coverage relative to last, and the bytes to pass as last next time: the
+// coverage a dist.Worker publishes (core.Map.DiffVirgin). A nil last is the
+// all-0xFF baseline. Raw keys make instances with different BigMap slot
+// orders land shared edges on the same union keys. The virgin map is only
+// read.
+func (f *Fuzzer) VirginDelta(last []byte) (core.VirginDelta, []byte) {
+	return f.cov.DiffVirgin(last, f.virginAll)
 }
 
 // Stats snapshots the instance's progress. Every field is maintained

@@ -263,14 +263,7 @@ func TestCampaignVirginUnion(t *testing.T) {
 		if st.Workers != 3 {
 			t.Errorf("%s: hub workers = %d, want 3", scheme, st.Workers)
 		}
-		direct, err := core.NewLockedVirginUnion(core.MapSize64K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range c.Instances() {
-			f.MergeVirginInto(direct)
-		}
-		if got := direct.CountDiscovered(); got != rep.UnionEdges {
+		if _, got := rawKeyUnion(core.MapSize64K, c.Instances()...); got != rep.UnionEdges {
 			t.Errorf("%s: instances' merged coverage = %d edges, campaign union %d", scheme, got, rep.UnionEdges)
 		}
 
@@ -282,4 +275,39 @@ func TestCampaignVirginUnion(t *testing.T) {
 			t.Errorf("%s: external-hub union = %d, private-hub union %d", scheme, got, rep.UnionEdges)
 		}
 	}
+}
+
+// rawKeyUnion is the reference campaign union: each instance's clean-run
+// virgin bytes ANDed into a map-size byte map by raw coverage key, with
+// BigMap dense slots translated through the slot table. It returns the
+// union and its discovered-key count.
+func rawKeyUnion(size int, fs ...*fuzzer.Fuzzer) ([]byte, int) {
+	union := make([]byte, size)
+	core.FillVirgin(union)
+	for _, f := range fs {
+		bm, _ := f.Map().(*core.BigMap)
+		for _, w := range f.Snapshot().VirginAll.Words {
+			for j := 0; j < 8; j++ {
+				key, b := int(w.Index)*8+j, byte(w.Word>>(8*j))
+				if b == 0xFF {
+					continue
+				}
+				if bm != nil {
+					k, ok := bm.KeyForSlot(key)
+					if !ok {
+						continue
+					}
+					key = int(k)
+				}
+				union[key] &= b
+			}
+		}
+	}
+	discovered := 0
+	for _, b := range union {
+		if b != 0xFF {
+			discovered++
+		}
+	}
+	return union, discovered
 }

@@ -67,6 +67,21 @@ func sampleState(seed uint64) *checkpoint.FuzzerState {
 		}
 		return out
 	}
+	// nv is a canonical sparse virgin of n slots: random words, bytes past
+	// n kept at 0xFF, all-0xFF words left out.
+	nv := func(n int) checkpoint.Virgin {
+		v := checkpoint.Virgin{Len: uint64(n)}
+		for i := 0; 8*i < n; i++ {
+			w := next()
+			if tail := n - 8*i; tail < 8 {
+				w |= ^uint64(0) << (8 * tail)
+			}
+			if w != ^uint64(0) {
+				v.Words = append(v.Words, checkpoint.VirginWord{Index: uint32(i), Word: w})
+			}
+		}
+		return v
+	}
 	st := &checkpoint.FuzzerState{
 		Scheme:      "bigmap",
 		MapSize:     1 << (10 + seed%8),
@@ -75,9 +90,9 @@ func sampleState(seed uint64) *checkpoint.FuzzerState {
 		Execs:       next(),
 		CyclesDone:  next() % (1 << 40),
 		QueuePos:    next() % 64,
-		VirginAll:   nb(int(16 + seed%64)),
-		VirginCrash: nb(8),
-		VirginHang:  nb(8),
+		VirginAll:   nv(int(16 + seed%64)),
+		VirginCrash: nv(8),
+		VirginHang:  nv(8),
 		SlotKeys:    []uint32{uint32(next()), uint32(next()), uint32(next())},
 		TopSlots:    []uint32{1, 2, 3},
 		TopEntries:  []uint64{0, 1, next() % 8},

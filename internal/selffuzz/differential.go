@@ -28,8 +28,8 @@ type schemePair struct {
 }
 
 type pairSnapshot struct {
-	virginA  []byte
-	virginB  []byte
+	virginA  []core.DeltaWord
+	virginB  []core.DeltaWord
 	slotKeys []uint32
 	dropped  uint64
 	seen     map[uint32]bool
@@ -114,8 +114,8 @@ func (p *schemePair) apply(op Op) error {
 			seen[k] = true
 		}
 		p.snap = &pairSnapshot{
-			virginA:  p.va.Bits(),
-			virginB:  p.vb.Bits(),
+			virginA:  p.va.Words(),
+			virginB:  p.vb.Words(),
 			slotKeys: p.big.SlotKeys(),
 			dropped:  p.big.DroppedKeys(),
 			seen:     seen,
@@ -179,7 +179,7 @@ func (p *schemePair) flush(merged bool) error {
 
 // restore rebuilds both schemes from the last snapshot (or pristine state),
 // the way a campaign resume rebuilds its maps from a checkpoint: fresh maps,
-// virgin bits replayed via SetBits, and the BigMap slot table re-established
+// virgin state replayed via SetWords, and the BigMap slot table re-established
 // through RestoreAssignments.
 func (p *schemePair) restore() error {
 	fresh, err := newSchemePair(p.size)
@@ -187,10 +187,10 @@ func (p *schemePair) restore() error {
 		return err
 	}
 	if s := p.snap; s != nil {
-		if err := fresh.va.SetBits(s.virginA); err != nil {
+		if err := fresh.va.SetWords(s.virginA); err != nil {
 			return fmt.Errorf("restore afl virgin: %w", err)
 		}
-		if err := fresh.vb.SetBits(s.virginB); err != nil {
+		if err := fresh.vb.SetWords(s.virginB); err != nil {
 			return fmt.Errorf("restore bigmap virgin: %w", err)
 		}
 		if err := fresh.big.RestoreAssignments(s.slotKeys, s.dropped); err != nil {
