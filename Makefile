@@ -98,10 +98,8 @@ bench:
 	go run ./cmd/bigmap-bench benchjson -o BENCH_2.json < bench.out
 	@rm -f bench.out
 
-# Same sweep emitted as BENCH_3.json — the selective-tracing/batched-exec
-# generation. The filter already matches BenchmarkExecLoopSelective/Batched,
-# so the new fast paths land in the artifact alongside the shared baselines;
-# `make benchcmp` then gates the shared names against BENCH_2.json.
+# Same sweep emitted as BENCH_3.json, a second generation of the shared
+# baselines; `make benchcmp` then gates the shared names against BENCH_2.json.
 bench3:
 	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=$(BENCH_TIME) $(BENCH_PKGS) | tee bench.out
 	go run ./cmd/bigmap-bench benchjson -o BENCH_3.json < bench.out

@@ -281,27 +281,6 @@ func WithSlotCap(n int) Option {
 	return func(c *fuzzer.Config) { c.SlotCap = n }
 }
 
-// WithSelectiveTracing enables the coverage-preserving untraced fast path:
-// after each execution a read-only prefilter (Map.MaybeNew) inspects the raw
-// trace, and the full classify-and-compare traversal runs only when the
-// filter reports possibly-new coverage. The filter is exact, so campaign
-// state — queue, crashes, virgin maps, RNG streams — is bitwise-identical to
-// the always-traced pipeline; only throughput changes. Incompatible with
-// power schedules and calibration (NewFuzzer returns an error).
-func WithSelectiveTracing() Option {
-	return func(c *fuzzer.Config) { c.Selective = true }
-}
-
-// WithBatchSize batches the havoc stage: n mutants are pre-generated and
-// executed back-to-back, amortizing per-execution pipeline overhead (BigMap's
-// high-water-marked reset folds into the loop). Campaign state is
-// bitwise-identical to the sequential stage. n <= 1 disables batching;
-// incompatible with adaptive havoc, power schedules, calibration and the
-// Figure-3 timing modes (NewFuzzer returns an error).
-func WithBatchSize(n int) Option {
-	return func(c *fuzzer.Config) { c.BatchSize = n }
-}
-
 // NewFuzzer creates a fuzzing instance for prog.
 func NewFuzzer(prog *Program, opts ...Option) (*Fuzzer, error) {
 	var cfg fuzzer.Config

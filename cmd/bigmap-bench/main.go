@@ -59,7 +59,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (fig2, fig3, table2, fig6, fig7, fig7t, fig8, table3, fig9, fig10, ablation, dedup, roadblocks, collafl, metrics, ensemble, schedules, selective, all)")
+		return fmt.Errorf("missing subcommand (fig2, fig3, table2, fig6, fig7, fig7t, fig8, table3, fig9, fig10, ablation, dedup, roadblocks, collafl, metrics, ensemble, schedules, all)")
 	}
 	sub, rest := args[0], args[1:]
 

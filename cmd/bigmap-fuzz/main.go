@@ -79,8 +79,6 @@ func run(args []string) error {
 	schedule := fs.String("schedule", "", "power schedule: exploit|fast|explore|coe|lin|quad")
 	calibrate := fs.Int("calibrate", 0, "re-execute new queue entries this many times to measure stability")
 	slotCap := fs.Int("slot-cap", 0, "bound the BigMap dense-slot region (0 = full map)")
-	selective := fs.Bool("selective", false, "skip classify-and-compare when a cheap prefilter proves no new coverage")
-	batch := fs.Int("batch", 0, "run havoc mutants in batches of this size (amortizes per-exec overhead)")
 	chkPath := fs.String("checkpoint", "", "checkpoint file (atomic snapshots; last-gasp on error/signal)")
 	chkEvery := fs.Uint64("checkpoint-every", 0, "execs between periodic checkpoints (0 = final/last-gasp only)")
 	resume := fs.Bool("resume", false, "resume the campaign from -checkpoint (same target flags required)")
@@ -172,12 +170,6 @@ func run(args []string) error {
 	}
 	if *slotCap > 0 {
 		opts = append(opts, bigmap.WithSlotCap(*slotCap))
-	}
-	if *selective {
-		opts = append(opts, bigmap.WithSelectiveTracing())
-	}
-	if *batch > 1 {
-		opts = append(opts, bigmap.WithBatchSize(*batch))
 	}
 	if *flakyEdges > 0 || *spuriousCrash > 0 || *spuriousHang > 0 || *cycleJitter > 0 {
 		fp := bigmap.FaultProfile{

@@ -302,7 +302,7 @@ func (b *builder) addSource(obj types.Object, n *Node) {
 }
 
 // flowCompositeLit binds composite-literal elements to struct fields, so
-// Fuzzer{batchVisit: f.visitBatched}-style construction is tracked.
+// Fuzzer{now: time.Now}-style construction is tracked.
 func (b *builder) flowCompositeLit(pkg *analysis.Package, lit *ast.CompositeLit) {
 	tv, ok := pkg.Info.Types[lit]
 	if !ok {
@@ -330,8 +330,8 @@ func (b *builder) flowCompositeLit(pkg *analysis.Package, lit *ast.CompositeLit)
 }
 
 // flowCallArgs binds call arguments to the parameters of statically known
-// callees, which is how a callback passed into ExecuteBatch reaches the
-// dynamic call inside it.
+// callees, which is how a callback passed into Mutator.Deterministic reaches
+// the dynamic call inside it.
 func (b *builder) flowCallArgs(pkg *analysis.Package, call *ast.CallExpr) {
 	sig := b.staticCalleeSig(pkg, call)
 	if sig == nil {

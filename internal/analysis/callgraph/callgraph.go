@@ -8,11 +8,11 @@
 //     i.M() call adds one edge per named type in the analyzed packages
 //     whose method set satisfies the interface.
 //   - Calls through function values (fields, variables, parameters) — the
-//     shape the executor's devirtualized hot loop uses for callbacks like
-//     the ExecuteBatch visit function. A flow-insensitive, field-sensitive
-//     propagation tracks which functions are assigned into each object
-//     (direct assignment, composite-literal field, argument-to-parameter
-//     binding) to a fixpoint.
+//     shape of the fuzzer's swappable clock (the Fuzzer.now field) and of
+//     the candidate callback Mutator.Deterministic invokes. A
+//     flow-insensitive, field-sensitive propagation tracks which functions
+//     are assigned into each object (direct assignment, composite-literal
+//     field, argument-to-parameter binding) to a fixpoint.
 //   - Function literals, which are first-class nodes: a closure passed into
 //     a hot function is reachable even when its enclosing function is not.
 //

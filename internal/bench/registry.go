@@ -108,7 +108,6 @@ func Registry() []Experiment {
 		{Name: "metrics", Title: "metric map-pressure sweep", Run: tables(Metrics)},
 		{Name: "roadblocks", Title: "dict vs laf vs cmplog", Run: tables(Roadblocks)},
 		{Name: "schedules", Title: "AFLFast power schedules on BigMap", Run: tables(Schedules)},
-		{Name: "selective", Title: "selective tracing + batched execution equivalence", Run: tables(Selective)},
 		{Name: "ensemble", Title: "ensemble vs stacking", Run: tables(EnsembleVsStacking)},
 	}
 }

@@ -94,13 +94,6 @@ type FuzzerState struct {
 	FaultExecs      uint64
 	DroppedKeys     uint64
 
-	// Selective-tracing observability counters (Config.Selective): prefilter
-	// skips versus full traversals. Pure bookkeeping — they never influence
-	// campaign decisions — but a resumed instance must report the same totals
-	// the uninterrupted one would.
-	FilterSkips uint64
-	FilterFulls uint64
-
 	// Virgin maps in sparse form (format v4).
 	VirginAll   Virgin
 	VirginCrash Virgin

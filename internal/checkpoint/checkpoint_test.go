@@ -117,6 +117,14 @@ func TestV3CampaignRejected(t *testing.T) {
 	requireOldCampaignRejected(t, "seed-v3-campaign", 3)
 }
 
+// TestV4CampaignRejected pins the v5 bump: a campaign checkpoint written by
+// the v4 codec, whose fuzzer payloads still ended in the two selective-tracing
+// counters, is refused with ErrVersion. The fixture is the v4 seed kept in
+// the round-trip fuzz corpus.
+func TestV4CampaignRejected(t *testing.T) {
+	requireOldCampaignRejected(t, "seed-v4-campaign", 4)
+}
+
 // requireOldCampaignRejected loads the named corpus fixture, checks that it
 // is a campaign checkpoint of the given retired version, and requires both
 // DecodeCampaign and LoadCampaign to refuse it with ErrVersion.

@@ -14,9 +14,10 @@ const (
 	// selective-tracing counters (FilterSkips/FilterFulls) to the fuzzer
 	// payload tail; v3 dropped the campaign payload's pairwise import
 	// matrix, since campaigns sync through a dist.Hub rebuilt on resume;
-	// v4 stores each virgin map sparsely (see Virgin) instead of raw.
+	// v4 stores each virgin map sparsely (see Virgin) instead of raw; v5
+	// dropped the selective-tracing counters again, with the filter itself.
 	// Older files are rejected rather than misread.
-	Version = 4
+	Version = 5
 
 	// KindFuzzer frames a single-instance FuzzerState payload.
 	KindFuzzer byte = 1
@@ -380,9 +381,6 @@ func encodeFuzzerPayload(w *writer, st *FuzzerState) {
 	w.u64s(st.OpUsed)
 	w.u64s(st.OpSuccess)
 	w.u64s(st.OpPending)
-	// Format v2: selective-tracing counters, appended at the payload tail.
-	w.u64(st.FilterSkips)
-	w.u64(st.FilterFulls)
 }
 
 func decodeFuzzerPayload(r *reader) FuzzerState {
@@ -434,8 +432,6 @@ func decodeFuzzerPayload(r *reader) FuzzerState {
 	st.OpUsed = r.u64s()
 	st.OpSuccess = r.u64s()
 	st.OpPending = r.u64s()
-	st.FilterSkips = r.u64()
-	st.FilterFulls = r.u64()
 	return st
 }
 

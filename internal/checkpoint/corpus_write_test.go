@@ -12,10 +12,10 @@ import (
 // with well-formed encodings plus the classic corruption shapes (bit flip in
 // the payload, truncated tail, bare magic) so plain `go test` replays them.
 // Gated behind BIGMAP_WRITE_CORPUS=1; see internal/selffuzz for the workflow.
-// The directory's seed-v2-campaign and seed-v3-campaign are not
-// regenerated: they are campaign checkpoints written by the retired v2 and
-// v3 codecs, kept as rejection seeds (TestV2CampaignRejected,
-// TestV3CampaignRejected).
+// The directory's seed-v2-campaign, seed-v3-campaign and seed-v4-campaign
+// are not regenerated: they are campaign checkpoints written by the retired
+// v2, v3 and v4 codecs, kept as rejection seeds (TestV2CampaignRejected,
+// TestV3CampaignRejected, TestV4CampaignRejected).
 func TestWriteCheckpointCorpus(t *testing.T) {
 	if os.Getenv("BIGMAP_WRITE_CORPUS") != "1" {
 		t.Skip("set BIGMAP_WRITE_CORPUS=1 to regenerate testdata/fuzz corpora")

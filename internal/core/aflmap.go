@@ -116,18 +116,6 @@ func (m *AFLMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 	return verdict
 }
 
-// MaybeNew is the read-only selective-tracing prefilter over the full map:
-// true iff ClassifyAndCompare(virgin) would return a non-VerdictNone verdict.
-// Neither the trace nor the virgin map is modified.
-//
-//bigmap:hotpath per-exec selective-trace prefilter
-func (m *AFLMap) MaybeNew(virgin *Virgin) bool {
-	t0 := m.tel.MaybeNew.Start()
-	hit := maybeNewRegion(m.bits, virgin.bits)
-	m.tel.MaybeNew.Done(t0)
-	return hit
-}
-
 // Hash digests the full bitmap.
 //
 //bigmap:hotpath per-discovery trace digest

@@ -258,20 +258,6 @@ func (m *BigMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 	return verdict
 }
 
-// MaybeNew is the read-only selective-tracing prefilter over the touched
-// region: true iff ClassifyAndCompare(virgin) would return a non-VerdictNone
-// verdict. Neither the trace nor the virgin map is modified, so a false
-// result lets the caller skip the classify-store and virgin-update work of
-// the full traversal for this execution.
-//
-//bigmap:hotpath per-exec selective-trace prefilter
-func (m *BigMap) MaybeNew(virgin *Virgin) bool {
-	t0 := m.tel.MaybeNew.Start()
-	hit := maybeNewRegion(m.virginTrace(virgin), virgin.bits)
-	m.tel.MaybeNew.Done(t0)
-	return hit
-}
-
 // Hash digests the coverage bitmap up to the last non-zero slot (§IV-D).
 // Hashing a fixed [0..used) prefix would make the digest of a path depend on
 // how many edges other test cases had discovered by the time it ran; clipping

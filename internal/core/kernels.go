@@ -80,36 +80,6 @@ func classifyCompareRegion(trace, virgin []byte) (verdict Verdict, newEdges int)
 	return verdict, newEdges
 }
 
-// maybeNewRegion is the read-only coverage prefilter behind Map.MaybeNew: it
-// reports whether classifying trace and comparing it against virgin would
-// yield any verdict at all, without mutating either buffer. The predicate is
-// exact, not conservative — per word it computes the same classified bits the
-// merged classify+compare would store and tests them against virgin, returning
-// at the first word with a surviving bit. Non-discovering executions (the vast
-// majority) therefore pay one read-only early-exit scan instead of the
-// classify-store plus virgin-update traversal.
-//
-//bigmap:hotpath shared prefilter kernel
-func maybeNewRegion(trace, virgin []byte) bool {
-	i := 0
-	for ; i+8 <= len(trace); i += 8 {
-		w := loadWord(trace[i:])
-		if w == 0 {
-			continue
-		}
-		if classifyWord(w)&loadWord(virgin[i:]) != 0 {
-			return true
-		}
-	}
-	for ; i < len(trace); i++ {
-		b := trace[i]
-		if b != 0 && classifyLookup[b]&virgin[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // countNonZeroRegion counts non-zero hit counters, skipping zero words and
 // popcounting the occupancy mask of non-zero words.
 //

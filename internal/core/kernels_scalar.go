@@ -68,21 +68,6 @@ func classifyCompareScalar(trace, virgin []byte, verdict Verdict, newEdges int) 
 	return verdict, newEdges
 }
 
-// maybeNewScalar is the byte-at-a-time reference for the read-only coverage
-// prefilter: true iff classifying trace and comparing against virgin would
-// produce a non-VerdictNone result. Neither buffer is mutated.
-func maybeNewScalar(trace, virgin []byte) bool {
-	for i, b := range trace {
-		if b == 0 {
-			continue
-		}
-		if classifyLookup[b]&virgin[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // appendTouchedScalar is the byte-at-a-time touched-index reference.
 func appendTouchedScalar(dst []uint32, p []byte) []uint32 {
 	for i, b := range p {

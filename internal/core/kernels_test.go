@@ -49,18 +49,6 @@ func checkKernelEquivalence(t *testing.T, trace, virgin []byte) {
 		t.Fatalf("compare virgin diverged\n word  %x\n scalar %x", gotVirgin, wantVirgin)
 	}
 
-	// Read-only prefilter, from the raw counts and the untouched virgin.
-	preTrace := append([]byte(nil), trace...)
-	preVirgin := append([]byte(nil), virgin...)
-	gotMaybe := maybeNewRegion(preTrace, preVirgin)
-	wantMaybe := maybeNewScalar(preTrace, preVirgin)
-	if gotMaybe != wantMaybe {
-		t.Fatalf("maybeNew diverged: word %v scalar %v (trace %x virgin %x)", gotMaybe, wantMaybe, trace, virgin)
-	}
-	if !bytes.Equal(preTrace, trace) || !bytes.Equal(preVirgin, virgin) {
-		t.Fatalf("maybeNew mutated its inputs\n trace %x -> %x\n virgin %x -> %x", trace, preTrace, virgin, preVirgin)
-	}
-
 	// Merged classify+compare, from the raw counts.
 	gotTrace = append([]byte(nil), trace...)
 	wantTrace = append([]byte(nil), trace...)
@@ -88,12 +76,6 @@ func checkKernelEquivalence(t *testing.T, trace, virgin []byte) {
 	if !bytes.Equal(gotTrace, wantTrace) || !bytes.Equal(gotVirgin, wantVirgin) {
 		t.Fatalf("merged bitmaps diverged\n trace word %x scalar %x\n virgin word %x scalar %x",
 			gotTrace, wantTrace, gotVirgin, wantVirgin)
-	}
-	// The prefilter must be exact: true iff the merged traversal finds
-	// anything. This is the soundness contract selective tracing rests on.
-	if gotMaybe != (gotVerdict != VerdictNone) {
-		t.Fatalf("maybeNew %v disagrees with merged verdict %v (trace %x virgin %x)",
-			gotMaybe, gotVerdict, trace, virgin)
 	}
 
 	// Counting and scanning.

@@ -85,14 +85,6 @@ type Map interface {
 	// traversal, the merged optimization from the paper's §IV-E.
 	ClassifyAndCompare(virgin *Virgin) Verdict
 
-	// MaybeNew reports whether ClassifyAndCompare(virgin) would return a
-	// non-VerdictNone result, without mutating the trace or the virgin map.
-	// The predicate is exact (true iff the merged traversal would find a
-	// new edge or count bucket), which makes it a sound selective-tracing
-	// filter: callers may skip classify+compare entirely when it is false
-	// and run the full traversal on the recorded trace when it is true.
-	MaybeNew(virgin *Virgin) bool
-
 	// Hash returns a hash of the classified trace, used to deduplicate
 	// execution paths. For the two-level scheme the hash covers the slots
 	// up to the last non-zero value so that it is invariant under

@@ -182,52 +182,6 @@ func (e *Executor) Execute(input []byte) target.Result {
 	return res
 }
 
-// ExecuteBatch runs a batch of inputs back-to-back through the full
-// per-testcase pipeline — reset, execute, coverage decision — invoking visit
-// for every input while its trace is still live in the map, so the caller can
-// hash, snapshot or enqueue before the next input's reset wipes it.
-//
-// Only StatusOK results are decided against virgin. A crashing or hanging
-// execution belongs to a different virgin map (the fuzzer keeps separate
-// crash and hang virgins), so deciding it here would pollute the one provided;
-// instead visit receives VerdictNone with skipped=false and a raw
-// (unclassified) trace, and the callback owns the coverage decision while the
-// trace is still live.
-//
-// With selective true, each StatusOK input goes through the read-only
-// MaybeNew prefilter first: when it reports nothing new, visit receives
-// VerdictNone with skipped=true and the classify-and-compare traversal never
-// runs — the trace bytes the callback sees then hold raw hit counts, not
-// bucket bits. Because the prefilter is exact (core.Map.MaybeNew), the
-// skipped executions are precisely those the full traversal would have judged
-// VerdictNone, and the virgin map ends the batch bitwise-identical to the
-// always-traced path.
-//
-// Batching amortizes the per-execution pipeline overhead: one call sets up
-// the tracer and metric once, the map Reset folds into the loop (for BigMap
-// the high-water mark keeps each reset proportional to the previous trace,
-// so consecutive executions of similar inputs clear only what they touched),
-// and the filter's skip removes the classify-store and virgin-update work
-// for the non-discovering majority of inputs.
-//
-//bigmap:hotpath the batched exec loop: reset, execute and coverage decision per input
-func (e *Executor) ExecuteBatch(inputs [][]byte, virgin *core.Virgin, selective bool,
-	visit func(i int, res target.Result, verdict core.Verdict, skipped bool)) {
-	for i, input := range inputs {
-		e.cov.Reset()
-		res := e.Execute(input)
-		if res.Status != target.StatusOK {
-			visit(i, res, core.VerdictNone, false)
-			continue
-		}
-		if selective && !e.cov.MaybeNew(virgin) {
-			visit(i, res, core.VerdictNone, true)
-			continue
-		}
-		visit(i, res, e.cov.ClassifyAndCompare(virgin), false)
-	}
-}
-
 // simulateWork burns CPU deterministically, standing in for the native
 // instructions a real target would execute between coverage updates. The
 // accumulated sink prevents the loop from being optimized away.

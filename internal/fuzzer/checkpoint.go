@@ -35,8 +35,6 @@ func (f *Fuzzer) Snapshot() *checkpoint.FuzzerState {
 		CalibExecs:      f.calibExecs,
 		SpuriousCrashes: f.spuriousCrashes,
 		SpuriousHangs:   f.spuriousHangs,
-		FilterSkips:     f.filterSkips,
-		FilterFulls:     f.filterFulls,
 		VirginAll:       sparseVirgin(f.virginAll),
 		VirginCrash:     sparseVirgin(f.virginCrash),
 		VirginHang:      sparseVirgin(f.virginHang),
@@ -228,8 +226,6 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.FuzzerState) (*Fuzz
 	f.calibExecs = st.CalibExecs
 	f.spuriousCrashes = st.SpuriousCrashes
 	f.spuriousHangs = st.SpuriousHangs
-	f.filterSkips = st.FilterSkips
-	f.filterFulls = st.FilterFulls
 	return f, nil
 }
 

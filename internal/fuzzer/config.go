@@ -125,28 +125,6 @@ type Config struct {
 	// saturates: excess keys are dropped and counted (Stats.DroppedKeys,
 	// Stats.MapSaturated) instead of corrupting existing coverage.
 	SlotCap int
-	// Selective enables coverage-preserving selective tracing (the
-	// "untraced fast path"): after every execution the read-only MaybeNew
-	// prefilter inspects the raw trace against the status-appropriate virgin
-	// map, and the full classify-and-compare traversal runs only when the
-	// filter reports possibly-new coverage. The filter is exact
-	// (core.Map.MaybeNew), so campaign state stays bitwise-identical to the
-	// always-traced pipeline — pinned by the selffuzz differential target.
-	// Incompatible with power schedules (per-exec path accounting hashes
-	// every classified trace) and with CalibrationRuns (the verification
-	// pipeline classifies before deciding which virgin applies).
-	Selective bool
-	// BatchSize, when > 1, batches the havoc stage: mutants are
-	// pre-generated into a reusable arena and executed back-to-back through
-	// executor.ExecuteBatch, amortizing per-execution pipeline overhead (for
-	// BigMap the high-water-marked Reset folds into the loop). Campaign
-	// state is bitwise-identical to the sequential stage; the mutant stream
-	// and every coverage decision are unchanged. Incompatible with
-	// AdaptiveHavoc (per-mutant reward feedback needs sequential
-	// evaluation), power schedules, CalibrationRuns, and the Figure-3
-	// attribution modes TrackTimings/SplitClassifyCompare (per-phase timing
-	// requires the sequential pipeline). 0 or 1 disables batching.
-	BatchSize int
 	// Telemetry, when non-nil, wires the instance into the observability
 	// registry: exec and per-stage timing histograms, progress counters, and
 	// per-operation map timings (the coverage map is instrumented through
@@ -171,30 +149,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SpliceRounds == 0 {
 		c.SpliceRounds = DefaultSpliceRounds
-	}
-	if c.BatchSize < 0 {
-		return errors.New("fuzzer: BatchSize must be >= 0")
-	}
-	activeSchedule := c.Schedule != "" && c.Schedule != ScheduleExploit
-	if c.Selective {
-		if activeSchedule {
-			return errors.New("fuzzer: Selective is incompatible with power schedules (path accounting needs every trace classified)")
-		}
-		if c.CalibrationRuns > 0 {
-			return errors.New("fuzzer: Selective is incompatible with CalibrationRuns (verification classifies before choosing a virgin map)")
-		}
-	}
-	if c.BatchSize > 1 {
-		switch {
-		case c.AdaptiveHavoc:
-			return errors.New("fuzzer: BatchSize > 1 is incompatible with AdaptiveHavoc (per-mutant reward feedback)")
-		case activeSchedule:
-			return errors.New("fuzzer: BatchSize > 1 is incompatible with power schedules")
-		case c.CalibrationRuns > 0:
-			return errors.New("fuzzer: BatchSize > 1 is incompatible with CalibrationRuns")
-		case c.TrackTimings || c.SplitClassifyCompare:
-			return errors.New("fuzzer: BatchSize > 1 is incompatible with TrackTimings/SplitClassifyCompare (per-phase attribution requires the sequential pipeline)")
-		}
 	}
 	return validateSchedule(c.Schedule)
 }

@@ -53,24 +53,6 @@ type Fuzzer struct {
 	sumEdges       uint64
 	rejectedSeeds  int
 
-	// Selective-tracing state (Config.Selective). selective mirrors the
-	// config flag (validation guarantees the filter's soundness conditions:
-	// no power schedule, no calibration); the counters feed telemetry and
-	// are checkpointed as observability state.
-	selective   bool
-	filterSkips uint64 // executions the MaybeNew prefilter proved uninteresting
-	filterFulls uint64 // executions where the filter triggered the full traversal
-
-	// Batched-havoc state (Config.BatchSize > 1). batchArena holds one
-	// reusable buffer per batch slot so a round of mutants allocates only on
-	// first growth; batchVisit is the bound method value passed to
-	// executor.ExecuteBatch (bound once so the hot loop does not allocate a
-	// closure per batch); batchDepth carries the queue depth of the entry
-	// being fuzzed into the callback.
-	batchArena [][]byte
-	batchVisit func(i int, res target.Result, verdict core.Verdict, skipped bool)
-	batchDepth int
-
 	// Calibration & fault-robustness state (Config.CalibrationRuns > 0).
 	varSlots        map[uint32]bool // coverage slots calibration found unstable
 	calibExecs      uint64          // executions spent on calibration and verification
@@ -124,7 +106,6 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 		cfg:         cfg,
 		cov:         cov,
 		exec:        exe,
-		selective:   cfg.Selective,
 		virginAll:   cov.NewVirgin(),
 		virginCrash: cov.NewVirgin(),
 		virginHang:  cov.NewVirgin(),
@@ -145,10 +126,6 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 		// site in the package.
 		now: time.Now, //bigmap:nondeterministic-ok sole audited clock source: deadlines and stats timing only
 	}
-	if cfg.BatchSize > 1 {
-		f.batchArena = make([][]byte, cfg.BatchSize)
-		f.batchVisit = f.visitBatched
-	}
 	return f, nil
 }
 
@@ -168,18 +145,15 @@ func (f *Fuzzer) Crashes() *crash.Deduper { return f.crashes }
 
 // AddSeed runs one user-provided seed and enqueues it. Mirroring AFL's
 // startup behaviour, seeds enter the queue whether or not they add coverage,
-// but crashing or hanging seeds are rejected. The selective-tracing filter
-// is bypassed: the unconditional enqueue reads the classified trace (hash,
-// touched slots), so the full traversal must always run for seeds.
+// but crashing or hanging seeds are rejected.
 func (f *Fuzzer) AddSeed(input []byte) error {
-	res, verdict := f.runOne(input, false)
+	res, _ := f.runOne(input) // seeds are enqueued regardless of verdict
 	switch res.Status {
 	case target.StatusCrash, target.StatusHang:
 		f.rejectedSeeds++
 		return fmt.Errorf("fuzzer: seed %s during dry run", res.Status)
 	default:
 	}
-	_ = verdict // seeds are enqueued regardless of verdict
 	f.enqueue(input, res, "seed", 0)
 	return nil
 }
@@ -299,31 +273,15 @@ func (f *Fuzzer) fuzzEntry(e *corpus.Entry) {
 		}
 	}
 	h0 := f.tel.stageHavoc.Start()
-	if f.cfg.BatchSize > 1 {
-		for done := 0; done < rounds; {
-			n := f.cfg.BatchSize
-			if rem := rounds - done; n > rem {
-				n = rem
-			}
-			f.runHavocBatch(e.Input, n, depth)
-			done += n
-			if f.pastDeadline() {
-				f.tel.stageHavoc.Done(h0)
-				e.FuzzLevel++
-				return
-			}
+	for i := 0; i < rounds; i++ {
+		if i&63 == 63 && f.pastDeadline() {
+			f.tel.stageHavoc.Done(h0)
+			e.FuzzLevel++
+			return
 		}
-	} else {
-		for i := 0; i < rounds; i++ {
-			if i&63 == 63 && f.pastDeadline() {
-				f.tel.stageHavoc.Done(h0)
-				e.FuzzLevel++
-				return
-			}
-			before := f.queue.Len()
-			f.evaluate(f.mut.Havoc(e.Input), "havoc", depth)
-			f.mut.RewardLast(f.queue.Len() > before)
-		}
+		before := f.queue.Len()
+		f.evaluate(f.mut.Havoc(e.Input), "havoc", depth)
+		f.mut.RewardLast(f.queue.Len() > before)
 	}
 	f.tel.stageHavoc.Done(h0)
 	e.FuzzLevel++
@@ -383,7 +341,7 @@ func (f *Fuzzer) havocRounds(e *corpus.Entry) int {
 // evaluate runs one candidate through the full coverage pipeline and files
 // it (queue, crash bucket, hang) according to the fitness function.
 func (f *Fuzzer) evaluate(candidate []byte, foundBy string, depth int) {
-	res, verdict := f.runOne(candidate, true)
+	res, verdict := f.runOne(candidate)
 	switch res.Status {
 	case target.StatusOK:
 		if verdict != core.VerdictNone {
@@ -404,86 +362,12 @@ func (f *Fuzzer) evaluate(candidate []byte, foundBy string, depth int) {
 	}
 }
 
-// runHavocBatch pre-generates n havoc mutants into the reusable arena and
-// runs them back-to-back through executor.ExecuteBatch. The mutant stream is
-// exactly the sequential stage's (mut.Havoc draws from its own split RNG and
-// evaluate consumes none), and visitBatched replicates evaluate's filing per
-// status, so campaign state is bitwise-identical to the unbatched loop —
-// batching only amortizes the per-execution pipeline overhead.
-func (f *Fuzzer) runHavocBatch(seed []byte, n, depth int) {
-	for i := 0; i < n; i++ {
-		f.batchArena[i] = append(f.batchArena[i][:0], f.mut.Havoc(seed)...)
-	}
-	f.batchDepth = depth
-	f.exec.ExecuteBatch(f.batchArena[:n], f.virginAll, f.selective, f.batchVisit)
-}
-
-// visitBatched is the ExecuteBatch callback: it files one batch execution the
-// way evaluate would, while the input's trace is still live in the map. The
-// executor decided coverage only for StatusOK results (against virginAll);
-// crash and hang traces arrive raw and are decided here against the
-// status-appropriate virgin, filter included — the same order of operations
-// as runOne.
-func (f *Fuzzer) visitBatched(i int, res target.Result, verdict core.Verdict, skipped bool) {
-	f.execs++
-	f.tel.execs.Inc()
-	candidate := f.batchArena[i]
-	switch res.Status {
-	case target.StatusOK:
-		if skipped {
-			f.noteFilterSkip()
-			return
-		}
-		if f.selective {
-			f.noteFilterFull()
-		}
-		if verdict != core.VerdictNone {
-			input := make([]byte, len(candidate)) //bigmap:alloc-ok discovery-only: the candidate is copied once per verdict-positive execution
-			copy(input, candidate)
-			f.enqueue(input, res, "havoc", f.batchDepth)
-		}
-	case target.StatusCrash:
-		verdict = f.decideRaw(f.virginCrash)
-		f.totalCrashes++
-		f.tel.crashes.Inc()
-		if verdict != core.VerdictNone {
-			f.aflUniqueCrash++
-		}
-		f.crashes.Observe(res.CrashSite, res.Stack, candidate)
-	case target.StatusHang:
-		f.decideRaw(f.virginHang)
-		f.totalHangs++
-		f.tel.hangs.Inc()
-	}
-}
-
-// decideRaw runs the coverage decision for a raw (unclassified) trace against
-// virgin: the selective prefilter when enabled, then the merged traversal.
-func (f *Fuzzer) decideRaw(virgin *core.Virgin) core.Verdict {
-	if f.selective {
-		if !f.cov.MaybeNew(virgin) {
-			f.noteFilterSkip()
-			return core.VerdictNone
-		}
-		f.noteFilterFull()
-	}
-	return f.cov.ClassifyAndCompare(virgin)
-}
-
 // runOne is the per-testcase pipeline of §II-A2: reset the map, execute,
 // classify + compare against the appropriate virgin map, and (for
 // interesting, non-crashing cases) hash. Every phase is optionally timed.
 // With calibration enabled the pipeline adds crash/hang verification (see
 // runVerified); otherwise it is the merged fast path below.
-//
-// allowFilter permits the selective-tracing prefilter (Config.Selective):
-// after choosing the status-appropriate virgin map, the read-only MaybeNew
-// scan runs first, and only executions it flags go through the full
-// classify-and-compare traversal. The filter is exact, so a skip returns
-// exactly the VerdictNone the traversal would have — but it leaves the trace
-// unclassified, so callers that read the classified map regardless of
-// verdict (AddSeed's unconditional enqueue) must pass allowFilter=false.
-func (f *Fuzzer) runOne(input []byte, allowFilter bool) (target.Result, core.Verdict) {
+func (f *Fuzzer) runOne(input []byte) (target.Result, core.Verdict) {
 	if f.cfg.CalibrationRuns > 0 {
 		return f.runVerified(input)
 	}
@@ -514,14 +398,6 @@ func (f *Fuzzer) runOne(input []byte, allowFilter bool) (target.Result, core.Ver
 		virgin = f.virginCrash
 	case target.StatusHang:
 		virgin = f.virginHang
-	}
-
-	if allowFilter && f.selective {
-		if !f.cov.MaybeNew(virgin) {
-			f.noteFilterSkip()
-			return res, core.VerdictNone
-		}
-		f.noteFilterFull()
 	}
 
 	var verdict core.Verdict
@@ -726,7 +602,7 @@ func (f *Fuzzer) enqueue(input []byte, res target.Result, foundBy string, depth 
 // ImportInput re-executes an input found by another instance and enqueues it
 // if it adds local coverage — AFL's corpus synchronization.
 func (f *Fuzzer) ImportInput(input []byte) bool {
-	res, verdict := f.runOne(input, true)
+	res, verdict := f.runOne(input)
 	if res.Status != target.StatusOK || verdict == core.VerdictNone {
 		return false
 	}
@@ -780,8 +656,6 @@ func (f *Fuzzer) Stats() Stats {
 		Stability:        stability,
 		SpuriousCrashes:  f.spuriousCrashes,
 		SpuriousHangs:    f.spuriousHangs,
-		FilterSkips:      f.filterSkips,
-		FilterFulls:      f.filterFulls,
 		Timings:          f.timings,
 	}
 	if sat, ok := f.cov.(core.Saturable); ok {

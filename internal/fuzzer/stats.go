@@ -74,12 +74,6 @@ type Stats struct {
 	// verification and were quarantined rather than filed.
 	SpuriousCrashes uint64
 	SpuriousHangs   uint64
-	// FilterSkips and FilterFulls report selective tracing (Config.Selective):
-	// executions the MaybeNew prefilter proved uninteresting (no traversal
-	// ran) versus executions where it triggered the full classify-and-compare.
-	// Both zero when the filter is off.
-	FilterSkips uint64
-	FilterFulls uint64
 	// MapSaturated reports that a slot-capped BigMap has assigned every
 	// dense slot; DroppedKeys counts first-sight coverage keys discarded
 	// after that point. Non-zero drops mean coverage feedback is incomplete

@@ -21,9 +21,6 @@ type telemetryHooks struct {
 	imports    *telemetry.Counter
 	calibExecs *telemetry.Counter
 
-	filterSkips  *telemetry.Counter
-	filterReruns *telemetry.Counter
-
 	queuePaths *telemetry.Gauge
 	edges      *telemetry.Gauge
 
@@ -54,9 +51,6 @@ func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
 		imports:    r.Counter("fuzzer_imports_total"),
 		calibExecs: r.Counter("fuzzer_calib_execs_total"),
 
-		filterSkips:  r.Counter("fuzzer_filter_skips_total"),
-		filterReruns: r.Counter("fuzzer_filter_reruns_total"),
-
 		queuePaths: r.Gauge("fuzzer_queue_paths"),
 		edges:      r.Gauge("fuzzer_edges_discovered"),
 
@@ -76,19 +70,4 @@ func (f *Fuzzer) noteEnqueue() {
 	f.tel.pathsFound.Inc()
 	f.tel.queuePaths.Set(int64(f.queue.Len()))
 	f.tel.edges.Set(int64(f.virginAll.CountDiscovered()))
-}
-
-// noteFilterSkip records a selective-tracing skip: the MaybeNew prefilter
-// proved the execution could not change the virgin map, so the full
-// classify-and-compare traversal never ran.
-func (f *Fuzzer) noteFilterSkip() {
-	f.filterSkips++
-	f.tel.filterSkips.Inc()
-}
-
-// noteFilterFull records a filter miss: the prefilter reported possibly-new
-// coverage and the full traversal re-ran over the already-recorded trace.
-func (f *Fuzzer) noteFilterFull() {
-	f.filterFulls++
-	f.tel.filterReruns.Inc()
 }

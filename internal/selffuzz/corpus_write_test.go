@@ -46,9 +46,6 @@ func TestWriteSeedCorpora(t *testing.T) {
 	for i, s := range campaignSeeds() {
 		write("FuzzCampaignDeterminism", i, s.seed, s.steps, s.sizeSel)
 	}
-	for i, s := range selectiveSeeds() {
-		write("FuzzSelectiveEquivalence", i, s.seed, s.steps, s.sizeSel, s.batchSel)
-	}
 	write("FuzzOpCodecRoundTrip", 0, []byte{})
 	write("FuzzOpCodecRoundTrip", 1, EncodeOps([]Op{
 		{Code: OpColliding, N: 10, Distinct: 3, Seed: 1},

@@ -141,15 +141,6 @@ func (p *schemePair) flush(merged bool) error {
 	if len(ta) != len(tb) {
 		return fmt.Errorf("touched count diverged: afl=%d bigmap=%d", len(ta), len(tb))
 	}
-	// The selective-tracing prefilter reads the raw (unclassified) trace, so
-	// it must be queried before Classify runs below. Both schemes must agree,
-	// and the answer must be exact — true iff the full classify-and-compare
-	// pass would return a verdict (checked after the verdicts are known).
-	ma := p.afl.MaybeNew(p.va)
-	mb := p.big.MaybeNew(p.vb)
-	if ma != mb {
-		return fmt.Errorf("MaybeNew diverged: afl=%t bigmap=%t", ma, mb)
-	}
 	var ga, gb core.Verdict
 	if merged {
 		ga = p.afl.ClassifyAndCompare(p.va)
@@ -162,9 +153,6 @@ func (p *schemePair) flush(merged bool) error {
 	}
 	if ga != gb {
 		return fmt.Errorf("verdicts diverged (merged=%t): afl=%v bigmap=%v", merged, ga, gb)
-	}
-	if ma != (ga != core.VerdictNone) {
-		return fmt.Errorf("MaybeNew=%t is not exact: verdict=%v", ma, ga)
 	}
 	if ha, hb := p.afl.Hash(), p.big.Hash(); ha != p.afl.Hash() || hb != p.big.Hash() {
 		return fmt.Errorf("hash not deterministic on classified trace")

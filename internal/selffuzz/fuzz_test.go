@@ -87,21 +87,6 @@ func FuzzCampaignDeterminism(f *testing.F) {
 	})
 }
 
-// FuzzSelectiveEquivalence pins the selective-tracing/batched-execution
-// fast paths to the always-traced sequential campaign: same seed, same
-// budget, bitwise-identical snapshots (filter bookkeeping zeroed), with
-// scheme, map size, batch size and fault injection all fuzzed.
-func FuzzSelectiveEquivalence(f *testing.F) {
-	for _, s := range selectiveSeeds() {
-		f.Add(s.seed, s.steps, s.sizeSel, s.batchSel)
-	}
-	f.Fuzz(func(t *testing.T, seed, steps, sizeSel, batchSel uint64) {
-		if err := RunSelectiveEquivalence(seed, steps, sizeSel, batchSel); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzOpCodecRoundTrip pins the codec's own contract: decoding is total, and
 // encode∘decode is the identity on the decoded (canonical) form — the
 // property that makes corpus entries readable op lists rather than opaque

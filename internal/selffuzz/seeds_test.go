@@ -133,18 +133,3 @@ func campaignSeeds() []campaignSeed {
 		{4, 5, 0x2C}, // bigmap scheme with fault injection live
 	}
 }
-
-type selectiveSeed struct {
-	seed, steps, sizeSel, batchSel uint64
-}
-
-func selectiveSeeds() []selectiveSeed {
-	return []selectiveSeed{
-		{1, 3, 0, 1},     // afl scheme, tiny map, batch 4: collision pressure
-		{2, 7, 6, 3},     // bigmap scheme, 64k map, batch 8, near the step cap
-		{9, 4, 7, 2},     // bigmap scheme, 256k map, batch 5: odd final batch
-		{4, 5, 0x2C, 3},  // bigmap scheme, fault injection live, batch 8
-		{3, 6, 0x154, 2}, // afl scheme, spurious crashes+hangs through the batch path
-		{5, 2, 1, 0},     // sequential-only: pure selective vs traced
-	}
-}

@@ -105,10 +105,6 @@ type Spec struct {
 	Rounds int `json:"rounds"`
 	// MasterDeterministic runs AFL's deterministic stages on instance 0.
 	MasterDeterministic bool `json:"master_deterministic,omitempty"`
-	// Selective enables the coverage-preserving untraced fast path.
-	Selective bool `json:"selective,omitempty"`
-	// BatchSize batches the havoc stage when > 1.
-	BatchSize int `json:"batch_size,omitempty"`
 	// SlotCap bounds BigMap's dense-slot region (0 = unbounded).
 	SlotCap int `json:"slot_cap,omitempty"`
 }

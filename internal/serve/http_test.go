@@ -237,3 +237,42 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("healthz while draining: %d, want 503", hresp.StatusCode)
 	}
 }
+
+// TestSubmitRejectsUnknownFields pins the strict decoder on POST /campaigns:
+// a field the spec does not define — including the retired "selective" and
+// "batch_size" knobs — is a 400 that names the field, never a silently
+// ignored option.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	_, srv := httpDaemon(t, testConfig(t.TempDir()))
+	spec, err := json.Marshal(testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withField := func(field string) string {
+		return `{"tenant":"acme","spec":{"` + field + `,` + string(spec[1:]) + `}`
+	}
+	cases := []struct{ field, body string }{
+		{"selective", withField(`selective":true`)},
+		{"batch_size", withField(`batch_size":8`)},
+		{"turbo", withField(`turbo":1`)},
+		{"priority", `{"tenant":"acme","priority":3,"spec":` + string(spec) + `}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		decErr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.field, resp.StatusCode)
+		}
+		if decErr != nil {
+			t.Fatalf("%s: decode error response: %v", c.field, decErr)
+		}
+		if !strings.Contains(er.Error, `"`+c.field+`"`) {
+			t.Fatalf("%s: error %q does not name the field", c.field, er.Error)
+		}
+	}
+}

@@ -86,9 +86,6 @@ func (s *Spec) normalize() error {
 	if s.Rounds < 1 || s.Rounds > maxRounds {
 		return specErrf("rounds %d out of [1, %d]", s.Rounds, maxRounds)
 	}
-	if s.BatchSize < 0 {
-		return specErrf("batch_size %d negative", s.BatchSize)
-	}
 	if s.SlotCap < 0 {
 		return specErrf("slot_cap %d negative", s.SlotCap)
 	}
@@ -132,8 +129,6 @@ func (s Spec) campaignConfig(reg *telemetry.Registry, syncer dist.Syncer) parall
 			Scheme:    fuzzer.Scheme(s.Scheme),
 			MapSize:   s.MapSize,
 			Seed:      s.Seed,
-			Selective: s.Selective,
-			BatchSize: s.BatchSize,
 			SlotCap:   s.SlotCap,
 			Telemetry: reg,
 		},

@@ -75,7 +75,6 @@ type MapOps struct {
 	Classify        *Histogram
 	Compare         *Histogram
 	ClassifyCompare *Histogram
-	MaybeNew        *Histogram
 	Hash            *Histogram
 }
 
@@ -92,7 +91,6 @@ func NewMapOps(r *Registry, scheme string) MapOps {
 		Classify:        r.Histogram(p + "classify_ns"),
 		Compare:         r.Histogram(p + "compare_ns"),
 		ClassifyCompare: r.Histogram(p + "classify_compare_ns"),
-		MaybeNew:        r.Histogram(p + "maybe_new_ns"),
 		Hash:            r.Histogram(p + "hash_ns"),
 	}
 }
