@@ -38,7 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bigmap-corpusd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8766", "HTTP listen address")
-	dir := fs.String("dir", "", "state directory (content store + ledgers; empty = memory-only)")
+	dir := fs.String("dir", "", "state directory (campaign ledgers; empty = memory-only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,9 +78,9 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "bigmap-corpusd: %v, shutting down\n", sig)
 	}
 
-	// Every mutation is durable before its response is sent (content files,
-	// then the fsynced ledger append), so shutdown only needs to stop taking
-	// requests — there is no state to flush.
+	// Every accepted push is durable before its response is sent (one
+	// fsynced ledger append carrying the batch's bodies), so shutdown only
+	// needs to stop taking requests — there is no state to flush.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(shutCtx)

@@ -11,14 +11,15 @@
 // always on disk first.
 //
 // On disk (when the Store has a directory) a campaign lives under
-// <dir>/<name>/: campaign.json (geometry), inputs/<hash> and
-// crashes/<key>.json (content files, written before the ledger record that
-// references them), ledger.jsonl (fsynced, hash-chained append-only log of
-// accepted batches — the atomicity point; see ledger.go), and workers.json
-// (cursors; if lost, workers simply re-pull and re-push, which dedup
-// absorbs). New replays every campaign's ledger into a fresh Hub, verifying
-// the chain and each input's content hash — recovery IS verification. A
-// memory-only Store (dir "") hosts Hubs without journals.
+// <dir>/<name>/ as exactly three files: campaign.json (geometry and layout
+// format), ledger.jsonl (hash-chained append-only log of accepted batches,
+// each record carrying its new inputs' and crash buckets' bodies; one
+// fsynced append per push is the atomicity point, see ledger.go), and
+// workers.json (cursors, replaced without fsync; if lost, workers simply
+// re-pull and re-push, which dedup absorbs). New replays every campaign's
+// ledger into a fresh Hub, verifying the chain and each input's content
+// hash — recovery IS verification. A memory-only Store (dir "") hosts Hubs
+// without journals.
 package corpusd
 
 import (
@@ -222,7 +223,7 @@ func (s *Store) Join(campaignName, worker string) (dist.JoinInfo, error) {
 }
 
 // Push accepts one batch into the named campaign (dist.Hub.Push: the
-// journal persists content files then the ledger record before the Hub
+// journal appends and fsyncs the batch's ledger record before the Hub
 // commits). Replaying the last accepted sequence returns its stored receipt
 // without re-applying anything.
 func (s *Store) Push(campaignName, worker string, b dist.Batch) (dist.Receipt, error) {

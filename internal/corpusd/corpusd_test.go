@@ -1,10 +1,15 @@
 package corpusd
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/core"
@@ -254,32 +259,189 @@ func TestStoreRejectsMidFileTampering(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lpath := filepath.Join(dir, "c", "ledger.jsonl")
+	cdir := filepath.Join(dir, "c")
+	lpath := filepath.Join(cdir, "ledger.jsonl")
 	data, err := os.ReadFile(lpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the first record: the rewritten history must be
-	// detected, not silently accepted.
-	tampered := append([]byte(nil), data...)
-	tampered[20] ^= 1
-	if err := os.WriteFile(lpath, tampered, 0o644); err != nil {
+	// Flip a byte in the first record's header, then one in its inline
+	// body ("one" is "b25l" in base64): either rewrites history, and the
+	// chain hash covers both.
+	body := bytes.Index(data, []byte(`"data":"b25l"`))
+	if body < 0 {
+		t.Fatalf("no inline body for %q in the first record: %s", "one", data)
+	}
+	for _, at := range []int{20, body + len(`"data":"`)} {
+		tampered := append([]byte(nil), data...)
+		tampered[at] ^= 1
+		if err := os.WriteFile(lpath, tampered, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(dir, nil); !errors.Is(err, ErrLedgerCorrupt) {
+			t.Fatalf("ledger tampered at byte %d accepted: %v", at, err)
+		}
+	}
+	// A body rewritten under a re-sealed chain passes every chain check;
+	// the content-hash check alone must catch it.
+	records, truncated, err := readLedger(bytes.NewReader(data))
+	if err != nil || truncated {
+		t.Fatalf("read ledger: truncated=%v, %v", truncated, err)
+	}
+	records[0].Inputs[0].Data = []byte("evil")
+	prev := ""
+	for i := range records {
+		records[i] = sealRecord(records[i], prev)
+		prev = records[i].Hash
+	}
+	if err := rewriteLedger(cdir, records); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dir, nil); !errors.Is(err, ErrLedgerCorrupt) {
-		t.Fatalf("tampered ledger accepted: %v", err)
+	_, err = New(dir, nil)
+	if !errors.Is(err, ErrLedgerCorrupt) || !strings.Contains(err.Error(), "does not match its hash") {
+		t.Fatalf("re-sealed tampered body accepted: %v", err)
 	}
-	// Tampering with stored input bytes is caught by content-hash
-	// verification.
-	if err := os.WriteFile(lpath, data, 0o644); err != nil {
+}
+
+// TestPushWritesOnlyTheLedger pins "one durable file per push": pushes with
+// new inputs and crash buckets, and pulls, leave no per-input or per-crash
+// files and no temp files behind.
+func TestPushWritesOnlyTheLedger(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hash := dist.HashInput([]byte("one"))
-	if err := os.WriteFile(filepath.Join(dir, "c", "inputs", hash), []byte("evil"), 0o644); err != nil {
+	defer s.Close()
+	pushBatches(t, s)
+	if _, err := s.Pull("c", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dir, nil); !errors.Is(err, ErrLedgerCorrupt) {
-		t.Fatalf("tampered input accepted: %v", err)
+	entries, err := os.ReadDir(filepath.Join(dir, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"campaign.json", "ledger.jsonl", "workers.json"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("campaign directory holds %v, want %v", names, want)
+	}
+}
+
+// readTree returns every regular file under root, keyed by its path
+// relative to root.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestStoreRefusesOldLayout pins that a campaign written before ledger
+// records carried their bodies (testdata/format1: hash-only records, bodies
+// under inputs/) is refused by name and left byte-identical. Its one record
+// no longer decodes, and without the format check the torn-tail repair
+// would rewrite that ledger to empty.
+func TestStoreRefusesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := readTree(t, filepath.Join("testdata", "format1"))
+	for rel, data := range old {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := New(dir, nil)
+	if err == nil || !strings.Contains(err.Error(), "format 2") {
+		t.Fatalf("old layout: %v, want an error naming the campaign format", err)
+	}
+	if got := readTree(t, dir); !reflect.DeepEqual(got, old) {
+		t.Fatal("refusing the old layout changed its files")
+	}
+}
+
+// TestLargePushSurvivesRestart pins the ledger line cap to the request body
+// cap. One push of distinct 3-byte inputs, the shape whose record grows
+// most over its request body, is accepted over HTTP; its ledger line, scaled
+// to a full-size body, must fit maxRecordBytes, and it is larger than the
+// ledger reader's initial buffer, so a restart exercises the grown buffer.
+func TestLargePushSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	cl, err := dist.NewClient(srv.URL, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.EnsureCampaign(64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Join("w"); err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([][]byte, 20000)
+	for i := range inputs {
+		inputs[i] = []byte{byte(i >> 16), byte(i >> 8), byte(i)}
+	}
+	body, err := json.Marshal(dist.PushRequest{Worker: "w", Seq: 1, Inputs: inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcpt, err := cl.Push("w", dist.Batch{Seq: 1, Inputs: inputs}); err != nil || rcpt.NewInputs != len(inputs) {
+		t.Fatalf("push: %+v, %v", rcpt, err)
+	}
+	before, err := s.Stats("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := os.ReadFile(filepath.Join(dir, "c", "ledger.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := int64(len(ledger))
+	if line <= 1<<20 {
+		t.Fatalf("ledger line is %d bytes, want more than the reader's 1 MiB initial buffer", line)
+	}
+	if line*maxBodyBytes > int64(maxRecordBytes)*int64(len(body)) {
+		t.Fatalf("a %d-byte body made a %d-byte record: scaled to the %d-byte body cap it exceeds the %d-byte line cap",
+			len(body), line, maxBodyBytes, maxRecordBytes)
+	}
+	s2, err := New(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if after, err := s2.Stats("c"); err != nil || after != before {
+		t.Fatalf("recovered stats %+v, %v; want %+v", after, err, before)
+	}
+	if in, err := s2.Input("c", dist.HashInput(inputs[len(inputs)-1])); err != nil || !bytes.Equal(in, inputs[len(inputs)-1]) {
+		t.Fatalf("recovered input %x, %v", in, err)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 
 // journal persists one campaign's Hub under its directory. It implements
 // dist.Journal: the Hub calls Commit after dedup and before any in-memory
-// change, so the content files and then the fsynced ledger record land
-// before the batch is visible — in that order, so every record only
-// references files already on disk.
+// change, so the batch's sealed ledger record — bodies included — is
+// appended and fsynced before the batch is visible. That append is the
+// only durable write of a push; the cursor file after it is not fsynced.
 type journal struct {
 	dir string // immutable
 
@@ -29,9 +29,16 @@ type journal struct {
 
 var _ dist.Journal = (*journal)(nil)
 
+// campaignFormat is the on-disk layout version recorded in campaign.json.
+// Format 2 carries input and crash bodies inside the ledger records. The
+// earlier layout (no format field) kept them in inputs/ and crashes/ files
+// and is refused, not converted: its hash-only records do not decode.
+const campaignFormat = 2
+
 type campaignMeta struct {
 	Name    string `json:"name"`
 	MapSize int    `json:"map_size"`
+	Format  int    `json:"format"`
 }
 
 // workerCursor is one worker's workers.json entry.
@@ -40,21 +47,12 @@ type workerCursor struct {
 	LastSeq uint64 `json:"last_seq"`
 }
 
-type crashFile struct {
-	Key        string `json:"key"`
-	Site       uint32 `json:"site"`
-	StackDepth int    `json:"stack_depth"`
-	Input      []byte `json:"input"`
-}
-
 // createJournal lays out a new campaign directory and its campaign.json.
 func createJournal(dir, name string, mapSize int) (*journal, error) {
-	for _, sub := range []string{"", "inputs", "crashes"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("corpusd: create campaign dir: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("corpusd: create campaign dir: %w", err)
 	}
-	data, err := json.MarshalIndent(campaignMeta{Name: name, MapSize: mapSize}, "", "  ")
+	data, err := json.MarshalIndent(campaignMeta{Name: name, MapSize: mapSize, Format: campaignFormat}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("corpusd: encode campaign meta: %w", err)
 	}
@@ -64,24 +62,19 @@ func createJournal(dir, name string, mapSize int) (*journal, error) {
 	return &journal{dir: dir}, nil
 }
 
-// Commit writes the batch's new inputs and crash buckets, then appends and
-// fsyncs the sealed ledger record that references them — the batch's
-// durability point.
+// Commit seals the batch — new inputs and crash buckets inline — into one
+// ledger record, then appends and fsyncs it: the batch's durability point.
 func (j *journal) Commit(c dist.Commit) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec := Record{Seq: j.length + 1, Worker: c.Worker, WorkerSeq: c.Seq, Dups: c.Dups, Delta: c.Delta}
 	for _, in := range c.Inputs {
-		if err := checkpoint.Save(filepath.Join(j.dir, "inputs", in.Hash), in.Input); err != nil {
-			return fmt.Errorf("corpusd: store input: %w", err)
-		}
-		rec.Inputs = append(rec.Inputs, in.Hash)
+		rec.Inputs = append(rec.Inputs, RecordInput{Hash: in.Hash, Data: in.Input})
 	}
 	for _, cr := range c.Crashes {
-		if err := saveCrash(j.dir, cr); err != nil {
-			return err
-		}
-		rec.Crashes = append(rec.Crashes, crashKeyHex(cr.Key))
+		rec.Crashes = append(rec.Crashes, RecordCrash{
+			Key: fmt.Sprintf("%016x", cr.Key), Site: cr.Site, StackDepth: cr.StackDepth, Input: cr.Input,
+		})
 	}
 	rec = sealRecord(rec, j.prevHash)
 	if err := j.appendLocked(rec); err != nil {
@@ -115,9 +108,10 @@ func (j *journal) appendLocked(rec Record) error {
 	return nil
 }
 
-// SaveCursors atomically rewrites workers.json. Losing it is recoverable
-// (workers re-pull and re-push; dedup absorbs both), so it is written after
-// the ledger, never as part of the chain.
+// SaveCursors atomically replaces workers.json (temp file, then rename).
+// Losing it is recoverable (workers re-pull and re-push; dedup absorbs
+// both), so it is written after the ledger, never as part of the chain, and
+// never fsynced.
 func (j *journal) SaveCursors(cursors map[string]dist.JoinInfo) error {
 	out := make(map[string]workerCursor, len(cursors))
 	//bigmap:nondeterministic-ok map-to-map copy; json sorts the keys
@@ -128,7 +122,11 @@ func (j *journal) SaveCursors(cursors map[string]dist.JoinInfo) error {
 	if err != nil {
 		return fmt.Errorf("corpusd: encode workers: %w", err)
 	}
-	if err := checkpoint.Save(filepath.Join(j.dir, "workers.json"), data); err != nil {
+	path := filepath.Join(j.dir, "workers.json")
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		return fmt.Errorf("corpusd: save workers: %w", err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return fmt.Errorf("corpusd: save workers: %w", err)
 	}
 	return nil
@@ -160,33 +158,13 @@ func (j *journal) close() error {
 	return err
 }
 
-func crashKeyHex(key uint64) string {
-	return fmt.Sprintf("%016x", key)
-}
-
-func saveCrash(dir string, cr dist.Crash) error {
-	data, err := json.MarshalIndent(crashFile{
-		Key:        crashKeyHex(cr.Key),
-		Site:       cr.Site,
-		StackDepth: cr.StackDepth,
-		Input:      cr.Input,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("corpusd: encode crash: %w", err)
-	}
-	path := filepath.Join(dir, "crashes", crashKeyHex(cr.Key)+".json")
-	if err := checkpoint.Save(path, data); err != nil {
-		return fmt.Errorf("corpusd: save crash: %w", err)
-	}
-	return nil
-}
-
-// recoverCampaign rebuilds a campaign from its directory: the ledger is
-// read and its chain verified (a torn tail line from a crash mid-append is
-// cut off), every record is re-read from its content files — each input's
-// hash re-checked — and replayed into a fresh Hub, and the cursors come
-// back from workers.json when present (a missing or stale cursor file only
-// causes harmless re-pulls).
+// recoverCampaign rebuilds a campaign from its directory, reading nothing
+// but campaign.json, the ledger and the cursor file: the campaign's format
+// is checked before the ledger is touched, the ledger is read and its chain
+// verified (a torn tail line from a crash mid-append is cut off), every
+// record — each input's content hash re-checked — is replayed into a fresh
+// Hub, and the cursors come back from workers.json when present (a missing
+// or stale cursor file only causes harmless re-pulls).
 func recoverCampaign(dir string) (*campaign, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "campaign.json"))
 	if err != nil {
@@ -198,6 +176,10 @@ func recoverCampaign(dir string) (*campaign, error) {
 	}
 	if meta.Name != filepath.Base(dir) {
 		return nil, fmt.Errorf("campaign.json names %q, directory is %q", meta.Name, filepath.Base(dir))
+	}
+	if meta.Format != campaignFormat {
+		return nil, fmt.Errorf("campaign.json has format %d, want format %d (inline ledger bodies); "+
+			"older layouts are not converted", meta.Format, campaignFormat)
 	}
 	if err := core.CheckMapSize(meta.MapSize); err != nil {
 		return nil, fmt.Errorf("campaign.json map size %d: %w", meta.MapSize, err)
@@ -236,7 +218,7 @@ func recoverCampaign(dir string) (*campaign, error) {
 		return nil, err
 	}
 	for _, rec := range records {
-		commit, err := readCommit(dir, rec)
+		commit, err := readCommit(rec)
 		if err != nil {
 			return nil, err
 		}
@@ -259,36 +241,23 @@ func recoverCampaign(dir string) (*campaign, error) {
 	return c, nil
 }
 
-// readCommit loads the content a ledger record references, verifying each
-// input against its content hash.
-func readCommit(dir string, rec Record) (dist.Commit, error) {
+// readCommit turns a ledger record back into the Commit it sealed,
+// verifying each input against its content hash.
+func readCommit(rec Record) (dist.Commit, error) {
 	c := dist.Commit{Worker: rec.Worker, Seq: rec.WorkerSeq, Delta: rec.Delta, Dups: rec.Dups}
-	for _, hash := range rec.Inputs {
-		in, err := os.ReadFile(filepath.Join(dir, "inputs", hash))
-		if err != nil {
-			return c, fmt.Errorf("%w: ledger record %d references unreadable input %s: %v",
-				ErrLedgerCorrupt, rec.Seq, hash, err)
+	for _, in := range rec.Inputs {
+		if dist.HashInput(in.Data) != in.Hash {
+			return c, fmt.Errorf("%w: record %d: input %s content does not match its hash",
+				ErrLedgerCorrupt, rec.Seq, in.Hash)
 		}
-		if dist.HashInput(in) != hash {
-			return c, fmt.Errorf("%w: input %s content does not match its hash", ErrLedgerCorrupt, hash)
-		}
-		c.Inputs = append(c.Inputs, dist.Pulled{Hash: hash, Input: in})
+		c.Inputs = append(c.Inputs, dist.Pulled{Hash: in.Hash, Input: in.Data})
 	}
-	for _, keyHex := range rec.Crashes {
-		key, err := strconv.ParseUint(keyHex, 16, 64)
+	for _, cr := range rec.Crashes {
+		key, err := strconv.ParseUint(cr.Key, 16, 64)
 		if err != nil {
-			return c, fmt.Errorf("%w: record %d: crash key %q: %v", ErrLedgerCorrupt, rec.Seq, keyHex, err)
+			return c, fmt.Errorf("%w: record %d: crash key %q: %v", ErrLedgerCorrupt, rec.Seq, cr.Key, err)
 		}
-		cdata, err := os.ReadFile(filepath.Join(dir, "crashes", keyHex+".json"))
-		if err != nil {
-			return c, fmt.Errorf("%w: ledger record %d references unreadable crash %s: %v",
-				ErrLedgerCorrupt, rec.Seq, keyHex, err)
-		}
-		var cf crashFile
-		if err := json.Unmarshal(cdata, &cf); err != nil {
-			return c, fmt.Errorf("%w: crash %s: %v", ErrLedgerCorrupt, keyHex, err)
-		}
-		c.Crashes = append(c.Crashes, dist.Crash{Key: key, Site: cf.Site, StackDepth: cf.StackDepth, Input: cf.Input})
+		c.Crashes = append(c.Crashes, dist.Crash{Key: key, Site: cr.Site, StackDepth: cr.StackDepth, Input: cr.Input})
 	}
 	return c, nil
 }

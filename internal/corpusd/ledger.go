@@ -2,20 +2,22 @@ package corpusd
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Record is one accepted batch in a campaign's hash-chained ledger. The
-// ledger is the campaign's durable truth: replaying it (verifying the chain
-// and every referenced input's content hash) reconstructs the store's full
-// state, which is how a restarted corpusd recovers and how anyone holding
-// the ledger can audit that no batch was dropped, reordered or rewritten.
+// ledger is the campaign's durable truth and its only durable per-batch
+// write: each record carries the bodies of the inputs and crash buckets it
+// added, so replaying it (verifying the chain and every input's content
+// hash) reconstructs the store's full state. That is how a restarted
+// corpusd recovers and how anyone holding the ledger can audit that no batch
+// was dropped, reordered or rewritten.
 type Record struct {
 	// Seq is the global record number, 1-based and dense.
 	Seq int `json:"seq"`
@@ -23,13 +25,12 @@ type Record struct {
 	// chain.
 	Worker    string `json:"worker"`
 	WorkerSeq uint64 `json:"worker_seq"`
-	// Inputs lists the content hashes of inputs first seen in this batch,
-	// in arrival order. Duplicates are counted in Dups, not listed.
-	Inputs []string `json:"inputs,omitempty"`
-	Dups   int      `json:"dups,omitempty"`
-	// Crashes lists the dedup keys (hex) of crash buckets first seen in
-	// this batch.
-	Crashes []string `json:"crashes,omitempty"`
+	// Inputs holds the inputs first seen in this batch, in arrival order.
+	// Duplicates are counted in Dups, not listed.
+	Inputs []RecordInput `json:"inputs,omitempty"`
+	Dups   int           `json:"dups,omitempty"`
+	// Crashes holds the crash buckets first seen in this batch.
+	Crashes []RecordCrash `json:"crashes,omitempty"`
 	// Delta is the batch's encoded virgin delta (base64 in JSON), empty
 	// when the batch carried none.
 	Delta []byte `json:"delta,omitempty"`
@@ -37,6 +38,22 @@ type Record struct {
 	// is this record's chain hash.
 	Prev string `json:"prev"`
 	Hash string `json:"hash"`
+}
+
+// RecordInput is one stored input: its content hash (hex SHA-256) and its
+// bytes (base64 in JSON).
+type RecordInput struct {
+	Hash string `json:"hash"`
+	Data []byte `json:"data"`
+}
+
+// RecordCrash is one crash bucket: its dedup key (hex), the crash site and
+// stack depth, and the input that reproduces it.
+type RecordCrash struct {
+	Key        string `json:"key"`
+	Site       uint32 `json:"site"`
+	StackDepth int    `json:"stack_depth"`
+	Input      []byte `json:"input"`
 }
 
 // ErrLedgerCorrupt wraps every ledger integrity failure: a broken hash
@@ -83,42 +100,48 @@ func VerifyChain(records []Record, prev string) (string, error) {
 	return prev, nil
 }
 
+// maxRecordBytes caps one ledger line at the largest record an accepted
+// push can produce, so every batch the HTTP layer takes stays readable at
+// recovery. Byte slices are base64 in both the request and the record, so
+// bodies and the delta cost the same on both sides. What grows is each new
+// input's entry: a request spends at least 7 bytes on a distinct input
+// ("AAAA",) and the record 90 ({"hash":"<64 hex>","data":"AAAA"},), under 13
+// times as much; a crash bucket grows less than 2 times. The slack covers
+// the record's fixed fields and the one empty input a batch can add.
+const maxRecordBytes = 13*maxBodyBytes + 64<<10
+
 // readLedger parses a ledger.jsonl stream, verifying the chain as it goes.
 // A truncated or garbled final line — the signature of a crash mid-append —
 // is tolerated and reported via truncated; corruption anywhere else is an
 // error.
 func readLedger(rd io.Reader) (records []Record, truncated bool, err error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 512<<20)
-	var lines []string
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" {
-			lines = append(lines, line)
-		}
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, false, fmt.Errorf("corpusd: read ledger: %w", serr)
-	}
+	sc.Buffer(make([]byte, 0, 1<<20), maxRecordBytes)
 	prev := ""
-	for i, line := range lines {
-		last := i == len(lines)-1
-		var r Record
-		if jerr := json.Unmarshal([]byte(line), &r); jerr != nil {
-			if last {
-				return records, true, nil
-			}
-			return nil, false, fmt.Errorf("%w: undecodable record %d mid-file: %v",
-				ErrLedgerCorrupt, i+1, jerr)
+	var bad error // the last line read failed; fatal only if another follows
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
 		}
-		if r.Seq != i+1 || r.Prev != prev || chainHash(r) != r.Hash {
-			if last {
-				return records, true, nil
-			}
-			return nil, false, fmt.Errorf("%w: chain break at record %d mid-file",
-				ErrLedgerCorrupt, i+1)
+		if bad != nil {
+			return nil, false, bad
+		}
+		n := len(records) + 1
+		var r Record
+		if jerr := json.Unmarshal(line, &r); jerr != nil {
+			bad = fmt.Errorf("%w: undecodable record %d mid-file: %v", ErrLedgerCorrupt, n, jerr)
+			continue
+		}
+		if r.Seq != n || r.Prev != prev || chainHash(r) != r.Hash {
+			bad = fmt.Errorf("%w: chain break at record %d mid-file", ErrLedgerCorrupt, n)
+			continue
 		}
 		prev = r.Hash
 		records = append(records, r)
 	}
-	return records, false, nil
+	if serr := sc.Err(); serr != nil {
+		return nil, false, fmt.Errorf("corpusd: read ledger: %w", serr)
+	}
+	return records, bad != nil, nil
 }

@@ -11,7 +11,9 @@
 #      sequence chain and the campaign keeps growing
 #   5. verify the hash-chain ledger endpoint answers and is non-trivial
 #   6. restart the daemon over the same state dir and assert ledger-replay
-#      recovery reproduces the exact same stats
+#      recovery reproduces the exact same stats, and that the campaign
+#      directory holds only its three files (no per-input or per-crash
+#      files: the ledger record carries the bodies)
 #
 # Requires: go, curl, jq.
 set -eu
@@ -137,6 +139,10 @@ start_daemon
 STATS_AFTER=$(curl -fsS "$BASE/v1/campaigns/smoke")
 [ "$STATS_BEFORE" = "$STATS_AFTER" ] || die "recovery drifted: before=$STATS_BEFORE after=$STATS_AFTER"
 echo "    recovered: $(echo "$STATS_AFTER" | jq -c '{workers, inputs, batches, union_edges}')"
+
+echo "=== assert one durable file per push"
+FILES=$(cd "$DIR/state/smoke" && LC_ALL=C ls -A | tr '\n' ' ')
+[ "$FILES" = "campaign.json ledger.jsonl workers.json " ] || die "campaign dir holds: $FILES"
 
 kill -TERM "$PID"
 wait "$PID" 2>/dev/null || true
