@@ -1,9 +1,9 @@
 # Development targets; CI (.github/workflows/ci.yml) runs `make check`'s
 # steps verbatim.
 
-.PHONY: check build test vet vet-json race dbg notel serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench3 benchcmp bench-smoke bench-all results
+.PHONY: check build test vet vet-json race dbg serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench3 benchcmp bench-smoke bench-all results
 
-check: vet build test race dbg notel
+check: vet build test race dbg
 
 # Static analysis: the stock go vet suite, then the repo's own invariant
 # checkers (cmd/bigmap-vet: determinism, kernelparity, codecsymmetry,
@@ -40,13 +40,6 @@ race:
 # high-water-mark / bijection / virgin-coverage checks live.
 dbg:
 	go test -tags bigmapdbg ./internal/core/ ./internal/fuzzer/ ./internal/dist/ ./internal/checkpoint/ ./internal/parallel/
-
-# Telemetry compiled out (telemetry.New returns nil): the whole tree must
-# still build, and the suite must pass with every instrument on the nil
-# fast path. The default build/test targets cover the tag-off state.
-notel:
-	go build -tags bigmapnotel ./...
-	go test -tags bigmapnotel ./...
 
 # The fuzzing-as-a-service control plane, driven end to end over real HTTP:
 # submit, pause/resume/cancel, chaos-kill a worker mid-run and assert

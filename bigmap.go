@@ -155,8 +155,6 @@ type (
 	FuzzerConfig = fuzzer.Config
 	// Stats is a fuzzing progress snapshot.
 	Stats = fuzzer.Stats
-	// Timings attributes time to the per-testcase phases of Figure 3.
-	Timings = fuzzer.Timings
 	// Scheme selects the coverage-map implementation.
 	Scheme = fuzzer.Scheme
 	// Campaign is a parallel master–secondary fuzzing session.
@@ -203,9 +201,6 @@ func WithContextMetric() Option {
 func WithDeterministicStages() Option {
 	return func(c *fuzzer.Config) { c.RunDeterministic = true }
 }
-
-// WithTimings records per-phase wall-clock time (Figure 3).
-func WithTimings() Option { return func(c *fuzzer.Config) { c.TrackTimings = true } }
 
 // WithSplitClassifyCompare disables the merged classify+compare
 // optimization (§IV-E), running the two passes separately like vanilla AFL.
@@ -306,14 +301,8 @@ type (
 	TelemetrySnapshot = telemetry.Snapshot
 )
 
-// TelemetryEnabled reports whether the binary was built with telemetry
-// compiled in (false under the bigmapnotel build tag, where NewTelemetry
-// returns nil and the whole layer dead-code-eliminates).
-const TelemetryEnabled = telemetry.Enabled
-
 // NewTelemetry creates an observability registry to share across fuzzers and
-// campaigns. Under the bigmapnotel build tag it returns nil, which every
-// consumer treats as "off".
+// campaigns.
 func NewTelemetry() *TelemetryRegistry { return telemetry.New() }
 
 // WithTelemetry wires a fuzzing instance into an observability registry:

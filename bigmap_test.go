@@ -63,11 +63,12 @@ func TestFacadeMetrics(t *testing.T) {
 
 func TestFacadeFuzzerWithOptions(t *testing.T) {
 	prog := smallProgram(t)
+	reg := bigmap.NewTelemetry()
 	f, err := bigmap.NewFuzzer(prog,
 		bigmap.WithScheme(bigmap.SchemeBigMap),
 		bigmap.WithMapSize(bigmap.MapSize2M),
 		bigmap.WithSeed(7),
-		bigmap.WithTimings(),
+		bigmap.WithTelemetry(reg),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +87,8 @@ func TestFacadeFuzzerWithOptions(t *testing.T) {
 	if st.Execs < 3000 || st.EdgesDiscovered == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Timings.Total() == 0 {
-		t.Error("timings not recorded")
+	if h := reg.Snapshot().Histograms["fuzzer_exec_ns"]; h.Count != st.Execs || h.Sum == 0 {
+		t.Errorf("exec timings not recorded: %+v", h)
 	}
 }
 

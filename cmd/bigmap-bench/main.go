@@ -83,14 +83,15 @@ func run(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	jsonOut := fs.Bool("json", false, "emit one JSON report (benchjson schema) instead of text tables")
 	quiet := fs.Bool("q", false, "suppress progress")
-	httpAddr := fs.String("http", "", "serve /debug/pprof/ (and /metrics if a registry exists) on this address during the run")
+	httpAddr := fs.String("http", "", "serve /debug/pprof/ on this address during the run")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
 
 	if *httpAddr != "" {
-		// Benchmarks measure the uninstrumented loop, so no registry is wired
-		// into the experiments; the endpoint exists to profile them (pprof).
+		// The endpoint exists to profile the experiments (pprof). No shared
+		// registry is served: most experiments measure the uninstrumented
+		// loop, and Figure 3 reads a private registry per cell.
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, telemetry.Handler(nil)); err != nil {
 				fmt.Fprintln(os.Stderr, "bigmap-bench: http:", err)

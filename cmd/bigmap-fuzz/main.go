@@ -130,9 +130,6 @@ func run(args []string) error {
 	var reg *bigmap.TelemetryRegistry
 	if *httpAddr != "" || *statsEvery > 0 {
 		reg = bigmap.NewTelemetry()
-		if reg == nil {
-			fmt.Fprintln(os.Stderr, "  telemetry compiled out (bigmapnotel build); -http serves pprof only")
-		}
 	}
 	if *httpAddr != "" {
 		srv := &http.Server{Addr: *httpAddr, Handler: bigmap.TelemetryHandler(reg)}

@@ -10,12 +10,13 @@ import (
 // TestAllOptionsCompose exercises every functional option end to end.
 func TestAllOptionsCompose(t *testing.T) {
 	prog := smallProgram(t)
+	reg := bigmap.NewTelemetry()
 	f, err := bigmap.NewFuzzer(prog,
 		bigmap.WithScheme(bigmap.SchemeBigMap),
 		bigmap.WithMapSize(bigmap.MapSize256K),
 		bigmap.WithSeed(99),
 		bigmap.WithContextMetric(),
-		bigmap.WithTimings(),
+		bigmap.WithTelemetry(reg),
 		bigmap.WithSplitClassifyCompare(),
 		bigmap.WithDictionary([][]byte{[]byte("tok")}),
 		bigmap.WithExecBudget(1<<20),
@@ -39,8 +40,8 @@ func TestAllOptionsCompose(t *testing.T) {
 	if st.Execs < 2000 {
 		t.Errorf("execs = %d", st.Execs)
 	}
-	tm := st.Timings
-	if tm.Classify == 0 || tm.Compare == 0 {
+	h := reg.Snapshot().Histograms
+	if h["map_bigmap_classify_ns"].Sum == 0 || h["map_bigmap_compare_ns"].Sum == 0 {
 		t.Error("split timings not recorded")
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,12 +166,24 @@ func TestFig3SmallRun(t *testing.T) {
 	if len(tbl.Rows) != len(Fig3Sizes) {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(Fig3Sizes))
 	}
-	// The total column must grow with map size (AFL scheme).
+	// The total column must grow with map size (AFL scheme), and each row's
+	// five phase columns (execution, classify, compare, reset, hash) must
+	// sum to it within rounding: every cell is printed to one decimal.
 	var prev float64
 	for i, row := range tbl.Rows {
-		var total float64
-		if _, err := parseFloat(row[len(row)-1], &total); err != nil {
-			t.Fatalf("bad total %q", row[len(row)-1])
+		var v [6]float64
+		for j := range v {
+			if _, err := parseFloat(row[2+j], &v[j]); err != nil {
+				t.Fatalf("bad cell %q in row %v", row[2+j], row)
+			}
+		}
+		total, hash := v[5], v[4]
+		sum := v[0] + v[1] + v[2] + v[3] + v[4]
+		if math.Abs(sum-total) > 6*0.05+1e-9 {
+			t.Errorf("%s: phases sum to %.1f, total is %.1f", row[1], sum, total)
+		}
+		if hash <= 0 {
+			t.Errorf("%s: hash column is zero: %v", row[1], row)
 		}
 		if i > 0 && total < prev {
 			t.Errorf("total time shrank as map grew: %v", tbl.Rows)

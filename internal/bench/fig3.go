@@ -5,6 +5,7 @@ import (
 
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/target"
+	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
 // Fig3Benchmarks is the benchmark set of the paper's Figure 3.
@@ -17,6 +18,10 @@ var Fig3Sizes = []int{64 << 10, 2 << 20, 8 << 20}
 // AFL (flat map, split classify/compare) fuzzing run as the map grows. The
 // paper reports hours per one million test cases; we run opts.ExecsPerRun
 // cases and normalize to the per-million figure.
+//
+// The phases are read from the telemetry histograms (fuzzer_exec_ns and
+// map_afl_<op>_ns) of a registry private to each cell, so every counted
+// execution, trim runs included, is timed exactly once.
 func Fig3(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	names := opts.Benchmarks
@@ -44,13 +49,14 @@ func Fig3(opts Options) (*Table, error) {
 			return nil, err
 		}
 		for _, size := range Fig3Sizes {
+			reg := telemetry.New()
 			f, err := fuzzer.New(b.prog, fuzzer.Config{
 				Scheme:               fuzzer.SchemeAFL,
 				MapSize:              size,
 				Seed:                 opts.Seed,
 				ExecCostFactor:       b.costFactor,
-				TrackTimings:         true,
 				SplitClassifyCompare: true,
+				Telemetry:            reg,
 			})
 			if err != nil {
 				return nil, err
@@ -62,17 +68,22 @@ func Fig3(opts Options) (*Table, error) {
 				return nil, err
 			}
 			st := f.Stats()
+			hist := reg.Snapshot().Histograms
+			phases := []uint64{
+				hist["fuzzer_exec_ns"].Sum,
+				hist["map_afl_classify_ns"].Sum,
+				hist["map_afl_compare_ns"].Sum,
+				hist["map_afl_reset_ns"].Sum,
+				hist["map_afl_hash_ns"].Sum,
+			}
 			perM := 1e6 / float64(st.Execs)
-			sec := func(d float64) string { return fmtFloat(d*perM, 1) }
-			tm := st.Timings
-			t.AddRow(p.Name, fmtSize(size),
-				sec(tm.Execution.Seconds()),
-				sec(tm.Classify.Seconds()),
-				sec(tm.Compare.Seconds()),
-				sec(tm.Reset.Seconds()),
-				sec(tm.Hash.Seconds()),
-				sec(tm.Total().Seconds()),
-			)
+			row := []string{p.Name, fmtSize(size)}
+			var total uint64
+			for _, ns := range phases {
+				row = append(row, fmtFloat(float64(ns)/1e9*perM, 1))
+				total += ns
+			}
+			t.AddRow(append(row, fmtFloat(float64(total)/1e9*perM, 1))...)
 			opts.progressf("  fig3 %-12s %-4s done (%d execs)\n", p.Name, fmtSize(size), st.Execs)
 		}
 	}

@@ -65,9 +65,6 @@ func TestExecLoopZeroAllocsTelemetry(t *testing.T) {
 	})
 	t.Run("enabled", func(t *testing.T) {
 		reg := telemetry.New()
-		if reg == nil {
-			t.Skip("telemetry compiled out (bigmapnotel)")
-		}
 		m, e, virgin, input := benchRig(t)
 		m.Instrument(telemetry.NewMapOps(reg, "bigmap"))
 		allocs := testing.AllocsPerRun(50, func() {
@@ -93,9 +90,6 @@ func BenchmarkExecLoopTelemetry(b *testing.B) {
 			m, e, virgin, input := benchRig(b)
 			if mode == "on" {
 				reg := telemetry.New()
-				if reg == nil {
-					b.Skip("telemetry compiled out (bigmapnotel)")
-				}
 				m.Instrument(telemetry.NewMapOps(reg, "bigmap"))
 			}
 			b.ReportAllocs()

@@ -11,7 +11,7 @@ import (
 )
 
 // fingerprint captures everything a resumed campaign must reproduce exactly:
-// progress stats (timings excluded — they are wall-clock), the full virgin
+// progress stats, the full virgin
 // maps, the map's slot assignments, the queue's entries and flags, crash
 // buckets and both RNG streams.
 type fingerprint struct {
@@ -36,10 +36,8 @@ type entryPrint struct {
 }
 
 func takeFingerprint(f *Fuzzer) fingerprint {
-	st := f.Stats()
-	st.Timings = Timings{}
 	fp := fingerprint{
-		Stats:      st,
+		Stats:      f.Stats(),
 		VirginAll:  f.virginAll.Words(),
 		VirginHang: f.virginHang.Words(),
 		RNG:        f.src.State(),

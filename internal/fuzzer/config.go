@@ -87,8 +87,6 @@ type Config struct {
 	// (§IV-E) and runs the two passes separately, as vanilla AFL does.
 	// Required to attribute time to the two phases separately (Figure 3).
 	SplitClassifyCompare bool
-	// TrackTimings records per-phase wall-clock time (Figure 3).
-	TrackTimings bool
 	// DisableTrim turns off AFL's test-case trimming of new queue entries.
 	DisableTrim bool
 	// Schedule selects the AFLFast power schedule (default: exploit, no

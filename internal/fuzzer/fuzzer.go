@@ -41,12 +41,11 @@ type Fuzzer struct {
 
 	execs          uint64
 	deadline       time.Time        // non-zero during RunFor: abort stages when past
-	now            func() time.Time // clock behind RunFor deadlines and stage timings; swappable in tests
+	now            func() time.Time // clock behind RunFor deadlines; swappable in tests
 	cyclesDone     int
 	totalCrashes   uint64
 	totalHangs     uint64
 	aflUniqueCrash int
-	timings        Timings
 	queuePos       int
 	touchedScratch []uint32
 	sumCycles      uint64 // across queue entries, for perf scoring
@@ -121,10 +120,9 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 		varSlots:       make(map[uint32]bool),
 		tel:            newTelemetryHooks(cfg.Telemetry, cov),
 		// The clock feeds only the RunFor deadline (a wall-clock API by
-		// contract) and the stage-timing stats; nothing resume-relevant
-		// reads it. The field indirection keeps this the sole wall-clock
-		// site in the package.
-		now: time.Now, //bigmap:nondeterministic-ok sole audited clock source: deadlines and stats timing only
+		// contract); nothing resume-relevant reads it. The field indirection
+		// keeps this the sole wall-clock site in the package.
+		now: time.Now, //bigmap:nondeterministic-ok sole audited clock source: RunFor deadline only
 	}
 	return f, nil
 }
@@ -364,103 +362,68 @@ func (f *Fuzzer) evaluate(candidate []byte, foundBy string, depth int) {
 
 // runOne is the per-testcase pipeline of §II-A2: reset the map, execute,
 // classify + compare against the appropriate virgin map, and (for
-// interesting, non-crashing cases) hash. Every phase is optionally timed.
-// With calibration enabled the pipeline adds crash/hang verification (see
-// runVerified); otherwise it is the merged fast path below.
+// interesting, non-crashing cases) hash. With calibration enabled the
+// pipeline adds crash/hang verification (see runVerified); otherwise it is
+// the merged fast path below.
 func (f *Fuzzer) runOne(input []byte) (target.Result, core.Verdict) {
 	if f.cfg.CalibrationRuns > 0 {
 		return f.runVerified(input)
 	}
-	timed := f.cfg.TrackTimings
-
-	var t0 time.Time
-	if timed {
-		t0 = f.now()
-	}
-	f.cov.Reset()
-	if timed {
-		f.timings.Reset += f.now().Sub(t0)
-		t0 = f.now()
-	}
-
-	e0 := f.tel.execNs.Start()
-	res := f.exec.Execute(input)
-	f.tel.execNs.Done(e0)
-	f.execs++
-	f.tel.execs.Inc()
-	if timed {
-		f.timings.Execution += f.now().Sub(t0)
-	}
-
-	virgin := f.virginAll
-	switch res.Status {
-	case target.StatusCrash:
-		virgin = f.virginCrash
-	case target.StatusHang:
-		virgin = f.virginHang
-	}
-
+	res := f.execute(input)
 	var verdict core.Verdict
 	if f.cfg.SplitClassifyCompare {
-		if timed {
-			t0 = f.now()
-		}
 		f.cov.Classify()
-		if timed {
-			f.timings.Classify += f.now().Sub(t0)
-			t0 = f.now()
-		}
-		verdict = f.cov.CompareWith(virgin)
-		if timed {
-			f.timings.Compare += f.now().Sub(t0)
-		}
+		verdict = f.cov.CompareWith(f.virginFor(res.Status))
 	} else {
-		if timed {
-			t0 = f.now()
-		}
-		verdict = f.cov.ClassifyAndCompare(virgin)
-		if timed {
-			f.timings.ClassifyCompare += f.now().Sub(t0)
-		}
+		verdict = f.cov.ClassifyAndCompare(f.virginFor(res.Status))
 	}
-	if f.paths != nil {
-		// AFLFast's n_fuzz accounting hashes every classified trace. The
-		// cost is the price of the schedule, as in the original.
-		f.paths.observe(f.cov.Hash())
-	}
+	f.observePath()
 	return res, verdict
 }
 
-// execClassify resets the map, executes input and classifies the trace,
-// leaving the classified coverage in the map but deferring the virgin
-// compare to the caller. This is the building block of the verification and
-// calibration paths, which must be able to re-run an input before deciding
-// which virgin map (if any) the result may touch.
-func (f *Fuzzer) execClassify(input []byte) target.Result {
-	timed := f.cfg.TrackTimings
-	var t0 time.Time
-	if timed {
-		t0 = f.now()
-	}
+// execute is the one counted execution: reset the map, run input, count it.
+// The map holds the raw trace afterwards.
+func (f *Fuzzer) execute(input []byte) target.Result {
 	f.cov.Reset()
-	if timed {
-		f.timings.Reset += f.now().Sub(t0)
-		t0 = f.now()
-	}
 	e0 := f.tel.execNs.Start()
 	res := f.exec.Execute(input)
 	f.tel.execNs.Done(e0)
 	f.execs++
 	f.tel.execs.Inc()
-	if timed {
-		f.timings.Execution += f.now().Sub(t0)
-		t0 = f.now()
-	}
-	f.cov.Classify()
-	if timed {
-		f.timings.Classify += f.now().Sub(t0)
-	}
 	return res
+}
+
+// execClassify executes input and classifies the trace, leaving the
+// classified coverage in the map but deferring the virgin compare to the
+// caller. This is the building block of the verification, calibration and
+// trim paths, which must be able to re-run an input before deciding which
+// virgin map (if any) the result may touch.
+func (f *Fuzzer) execClassify(input []byte) target.Result {
+	res := f.execute(input)
+	f.cov.Classify()
+	return res
+}
+
+// virginFor selects the virgin map a run with the given status is compared
+// against: crashes and hangs keep their own coverage, like AFL's
+// virgin_crash and virgin_tmout.
+func (f *Fuzzer) virginFor(status target.Status) *core.Virgin {
+	switch status {
+	case target.StatusCrash:
+		return f.virginCrash
+	case target.StatusHang:
+		return f.virginHang
+	}
+	return f.virginAll
+}
+
+// observePath feeds AFLFast's n_fuzz accounting, which hashes every
+// classified trace. The cost is the price of the schedule, as in the
+// original.
+func (f *Fuzzer) observePath() {
+	if f.paths != nil {
+		f.paths.observe(f.cov.Hash())
+	}
 }
 
 // runVerified is the calibrating variant of runOne. Crash and hang verdicts
@@ -485,26 +448,8 @@ func (f *Fuzzer) runVerified(input []byte) (target.Result, core.Verdict) {
 			}
 		}
 	}
-
-	virgin := f.virginAll
-	switch res.Status {
-	case target.StatusCrash:
-		virgin = f.virginCrash
-	case target.StatusHang:
-		virgin = f.virginHang
-	}
-	timed := f.cfg.TrackTimings
-	var t0 time.Time
-	if timed {
-		t0 = f.now()
-	}
-	verdict := f.cov.CompareWith(virgin)
-	if timed {
-		f.timings.Compare += f.now().Sub(t0)
-	}
-	if f.paths != nil {
-		f.paths.observe(f.cov.Hash())
-	}
+	verdict := f.cov.CompareWith(f.virginFor(res.Status))
+	f.observePath()
 	return res, verdict
 }
 
@@ -551,13 +496,7 @@ func (f *Fuzzer) calibrate(input []byte, firstTouched []uint32, firstCycles uint
 // without consulting or updating any virgin map — the read-only run the trim
 // stage needs for path comparison.
 func (f *Fuzzer) runForHash(input []byte) (target.Result, uint64) {
-	f.cov.Reset()
-	e0 := f.tel.execNs.Start()
-	res := f.exec.Execute(input)
-	f.tel.execNs.Done(e0)
-	f.execs++
-	f.tel.execs.Inc()
-	f.cov.Classify()
+	res := f.execClassify(input)
 	return res, f.cov.Hash()
 }
 
@@ -565,15 +504,7 @@ func (f *Fuzzer) runForHash(input []byte) (target.Result, uint64) {
 // deterministic, so a single execution doubles as AFL's calibration run:
 // res.Cycles is already the exact execution cost.
 func (f *Fuzzer) enqueue(input []byte, res target.Result, foundBy string, depth int) {
-	timed := f.cfg.TrackTimings
-	var t0 time.Time
-	if timed {
-		t0 = f.now()
-	}
 	pathHash := f.cov.Hash()
-	if timed {
-		f.timings.Hash += f.now().Sub(t0)
-	}
 
 	f.touchedScratch = f.cov.AppendTouched(f.touchedScratch[:0])
 	touched := make([]uint32, len(f.touchedScratch)) //bigmap:alloc-ok discovery-only: touched slots are copied once per new corpus entry
@@ -656,7 +587,6 @@ func (f *Fuzzer) Stats() Stats {
 		Stability:        stability,
 		SpuriousCrashes:  f.spuriousCrashes,
 		SpuriousHangs:    f.spuriousHangs,
-		Timings:          f.timings,
 	}
 	if sat, ok := f.cov.(core.Saturable); ok {
 		st.MapSaturated = sat.Saturated()

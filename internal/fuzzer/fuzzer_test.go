@@ -223,47 +223,6 @@ func TestBigMapUsedKeysStaysSmall(t *testing.T) {
 	}
 }
 
-func TestTimingsAccumulateMerged(t *testing.T) {
-	prog := fuzzTarget(t)
-	f, err := New(prog, Config{Seed: 6, TrackTimings: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedCorpus(t, f, prog, 2)
-	if err := f.RunExecs(2000); err != nil {
-		t.Fatal(err)
-	}
-	tm := f.Stats().Timings
-	if tm.Execution == 0 || tm.Reset == 0 || tm.ClassifyCompare == 0 {
-		t.Errorf("timings missing: %+v", tm)
-	}
-	if tm.Classify != 0 || tm.Compare != 0 {
-		t.Errorf("split timings nonzero in merged mode: %+v", tm)
-	}
-}
-
-func TestTimingsAccumulateSplit(t *testing.T) {
-	prog := fuzzTarget(t)
-	f, err := New(prog, Config{Seed: 6, TrackTimings: true, SplitClassifyCompare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedCorpus(t, f, prog, 2)
-	if err := f.RunExecs(2000); err != nil {
-		t.Fatal(err)
-	}
-	tm := f.Stats().Timings
-	if tm.Classify == 0 || tm.Compare == 0 {
-		t.Errorf("split timings missing: %+v", tm)
-	}
-	if tm.ClassifyCompare != 0 {
-		t.Errorf("merged timing nonzero in split mode: %+v", tm)
-	}
-	if tm.Total() != tm.Execution+tm.MapOps() {
-		t.Error("Total != Execution + MapOps")
-	}
-}
-
 func TestImportInput(t *testing.T) {
 	prog := fuzzTarget(t)
 	a, err := New(prog, Config{Seed: 7, Scheme: SchemeBigMap})

@@ -1,40 +1,5 @@
 package fuzzer
 
-import "time"
-
-// Timings attributes wall-clock time to the per-testcase phases of Figure 3.
-// ClassifyCompare accumulates the merged single-pass traversal (§IV-E); when
-// Config.SplitClassifyCompare is set, Classify and Compare accumulate
-// separately instead, reproducing vanilla AFL's cost breakdown.
-type Timings struct {
-	Execution       time.Duration
-	Reset           time.Duration
-	Classify        time.Duration
-	Compare         time.Duration
-	ClassifyCompare time.Duration
-	Hash            time.Duration
-}
-
-// MapOps returns the total time spent on map operations.
-func (t Timings) MapOps() time.Duration {
-	return t.Reset + t.Classify + t.Compare + t.ClassifyCompare + t.Hash
-}
-
-// Total returns execution plus map-operation time.
-func (t Timings) Total() time.Duration {
-	return t.Execution + t.MapOps()
-}
-
-// Add accumulates other into t.
-func (t *Timings) Add(other Timings) {
-	t.Execution += other.Execution
-	t.Reset += other.Reset
-	t.Classify += other.Classify
-	t.Compare += other.Compare
-	t.ClassifyCompare += other.ClassifyCompare
-	t.Hash += other.Hash
-}
-
 // Stats is a snapshot of a fuzzing instance's progress.
 type Stats struct {
 	// Execs counts generated-and-executed test cases.
@@ -81,6 +46,4 @@ type Stats struct {
 	// slot region.
 	MapSaturated bool
 	DroppedKeys  uint64
-	// Timings holds per-phase time when Config.TrackTimings is set.
-	Timings Timings
 }

@@ -58,8 +58,7 @@ func (f *Fuzzer) trim(e *corpus.Entry) {
 	if trimmed {
 		e.Input = input
 		// Refresh the entry's cost statistics from a final clean run.
-		res, _ := f.runForHash(input)
-		e.Cycles = res.Cycles
+		e.Cycles = f.execClassify(input).Cycles
 	}
 }
 

@@ -274,9 +274,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	take := func(c *Campaign) print {
 		var p print
 		for _, f := range c.Instances() {
-			st := f.Stats()
-			st.Timings = fuzzer.Timings{}
-			p.Stats = append(p.Stats, st)
+			p.Stats = append(p.Stats, f.Stats())
 			var hashes []uint64
 			for _, e := range f.Queue().Entries() {
 				hashes = append(hashes, e.PathHash)

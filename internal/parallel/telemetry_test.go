@@ -14,9 +14,6 @@ import (
 // round counts match, and every instance publishes its exec gauge.
 func TestCampaignTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	if reg == nil {
-		t.Skip("telemetry compiled out (bigmapnotel)")
-	}
 	prog, seeds := campaignTarget(t)
 	c, err := NewCampaign(prog, Config{
 		Instances: 3,
@@ -61,9 +58,6 @@ func TestCampaignTelemetry(t *testing.T) {
 // an instance_revived event in the ring.
 func TestCampaignTelemetryRevivalEvents(t *testing.T) {
 	reg := telemetry.New()
-	if reg == nil {
-		t.Skip("telemetry compiled out (bigmapnotel)")
-	}
 	prog, seeds := campaignTarget(t)
 	c, err := NewCampaign(prog, Config{
 		Instances:   2,

@@ -488,8 +488,8 @@ func (d *Daemon) Events(id string) ([]EventRecord, error) {
 	return out, nil
 }
 
-// Registry exposes a campaign's telemetry registry (nil when telemetry is
-// compiled out) for the /campaigns/{id}/metrics mount.
+// Registry exposes a campaign's telemetry registry for the
+// /campaigns/{id}/metrics mount.
 func (d *Daemon) Registry(id string) (*telemetry.Registry, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

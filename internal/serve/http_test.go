@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
 // httpDaemon boots a daemon behind an httptest server.
@@ -113,19 +111,16 @@ func TestHTTPSession(t *testing.T) {
 		t.Fatalf("resume: %d", resp.StatusCode)
 	}
 
-	// Observability endpoints. Event content only exists when telemetry is
-	// compiled in (the bigmapnotel build serves empty logs).
+	// Observability endpoints: every campaign records into its own registry.
 	var events []EventRecord
 	doJSON(t, "GET", base+"/campaigns/"+info.ID+"/events", nil, &events)
-	if telemetry.New() != nil {
-		seen := map[string]bool{}
-		for _, e := range events {
-			seen[e.Name] = true
-		}
-		for _, want := range []string{"paused", "resumed"} {
-			if !seen[want] {
-				t.Errorf("event log missing %q: have %v", want, seen)
-			}
+	seen := map[string]bool{}
+	for _, e := range events {
+		seen[e.Name] = true
+	}
+	for _, want := range []string{"paused", "resumed"} {
+		if !seen[want] {
+			t.Errorf("event log missing %q: have %v", want, seen)
 		}
 	}
 	var buckets []CrashBucket

@@ -14,13 +14,11 @@
 // benignly with recorders — each atomic is read individually, so a snapshot
 // is approximately-consistent, which is all a stats endpoint needs.
 //
-// Telemetry is opt-in at two levels. At runtime, everything hangs off a
-// *Registry; a nil registry (and the nil Counter/Gauge/Histogram handles it
-// hands out) turns every record call into a nil-check-and-return, so the
-// instrumented hot paths cost nothing measurable when telemetry is off — in
-// particular, no clock is read. At build time, the bigmapnotel build tag
-// makes New return nil unconditionally, collapsing the whole layer to the
-// disabled fast path for environments that want the guarantee in the binary.
+// Telemetry is opt-in at runtime: everything hangs off a *Registry, and a nil
+// registry (and the nil Counter/Gauge/Histogram handles it hands out) turns
+// every record call into a nil-check-and-return, so the instrumented hot
+// paths cost nothing measurable when telemetry is off — in particular, no
+// clock is read.
 //
 // # Determinism
 //

@@ -13,7 +13,7 @@ import (
 //	/debug/pprof/   the standard net/http/pprof profiles
 //	/               a plain-text index of the above
 //
-// With a nil registry (telemetry disabled, or a bigmapnotel build) /metrics
+// With a nil registry (telemetry disabled) /metrics
 // and /stats answer 503 while the pprof endpoints keep working — profiling a
 // telemetry-free binary is still useful.
 func Handler(r *Registry) http.Handler {

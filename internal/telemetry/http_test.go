@@ -10,7 +10,7 @@ import (
 )
 
 func TestHandlerEndpoints(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	r.Counter("execs_total").Add(42)
 	r.Histogram("exec_ns").Observe(100)
 	srv := httptest.NewServer(Handler(r))

@@ -6,7 +6,7 @@ import (
 )
 
 func TestWritePrometheusFormat(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	r.Counter("fuzzer_execs_total").Add(100)
 	r.Gauge("fuzzer_queue_paths").Set(12)
 	h := r.Histogram("exec_ns")
@@ -39,7 +39,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 func TestWritePrometheusDeterministicOrder(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	r.Counter("zebra_total").Inc()
 	r.Counter("alpha_total").Inc()
 	r.Gauge("mid").Set(1)

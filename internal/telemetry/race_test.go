@@ -10,7 +10,7 @@ import (
 // -race this proves the lock discipline: registration under the registry
 // mutex, metric updates lock-free atomics, event log under its own mutex.
 func TestSnapshotUnderConcurrentRecording(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	const (
 		recorders = 8
 		iters     = 2000

@@ -105,12 +105,8 @@ type Registry struct {
 	events     *EventLog
 }
 
-// New creates an empty registry. Under the bigmapnotel build tag it returns
-// nil instead, hard-disabling the telemetry layer for the whole binary.
+// New creates an empty registry.
 func New() *Registry {
-	if !Enabled {
-		return nil
-	}
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),

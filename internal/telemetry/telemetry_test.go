@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-// newTestRegistry returns a live registry or skips the test under the
-// bigmapnotel build tag, where New returns nil by contract.
-func newTestRegistry(t *testing.T) *Registry {
-	t.Helper()
-	r := New()
-	if r == nil {
-		t.Skip("telemetry compiled out (bigmapnotel)")
-	}
-	return r
-}
-
 func TestNilHandlesAreInert(t *testing.T) {
 	// The disabled state is all-nil handles; every method must be a no-op
 	// rather than a nil-pointer dereference.
@@ -53,7 +42,7 @@ func TestNilHandlesAreInert(t *testing.T) {
 }
 
 func TestCounterAndGauge(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	c := r.Counter("execs_total")
 	c.Inc()
 	c.Add(9)
@@ -133,7 +122,7 @@ func TestQuantileWithin2x(t *testing.T) {
 }
 
 func TestHistogramStartDone(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	h := r.Histogram("op_ns")
 	t0 := h.Start()
 	h.Done(t0)
@@ -143,7 +132,7 @@ func TestHistogramStartDone(t *testing.T) {
 }
 
 func TestSnapshotContents(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	r.Counter("a_total").Add(3)
 	r.Gauge("b").Set(-7)
 	r.Histogram("c_ns").Observe(16)
@@ -169,7 +158,7 @@ func TestSnapshotContents(t *testing.T) {
 }
 
 func TestEventLogRingWraps(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	for i := 0; i < eventLogSize+10; i++ {
 		r.Event("e", strings.Repeat("x", i%3))
 	}
@@ -189,7 +178,7 @@ func TestEventLogRingWraps(t *testing.T) {
 }
 
 func TestSpan(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	sp := r.StartSpan("checkpoint_save")
 	sp.End("1234 bytes")
 	s := r.Snapshot()
@@ -202,7 +191,7 @@ func TestSpan(t *testing.T) {
 }
 
 func TestMapOps(t *testing.T) {
-	r := newTestRegistry(t)
+	r := New()
 	ops := NewMapOps(r, "bigmap")
 	ops.Reset.Done(ops.Reset.Start())
 	if r.Histogram("map_bigmap_reset_ns").Count() != 1 {
