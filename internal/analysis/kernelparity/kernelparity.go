@@ -7,8 +7,10 @@
 // Detection is by convention, the same one kernels.go documents:
 //
 //   - a word-level kernel is a package-level function (outside test files)
-//     that calls loadWord or storeWord — the 8-byte accessors every word
-//     traversal goes through;
+//     that reads or writes a 64-bit word of a byte slice: it calls loadWord
+//     or storeWord — the 8-byte accessors every word traversal goes
+//     through — or encoding/binary's byte-order Uint64/PutUint64, which a
+//     kernel could use instead and so escape the rule;
 //   - its scalar reference is the function named after it with the "Region"
 //     suffix replaced by "Scalar" (classifyRegion → classifyScalar,
 //     lastNonZero → lastNonZeroScalar);
@@ -16,8 +18,10 @@
 //     package's test files (directly or through helpers), which is what
 //     "pinned by the differential fuzzer" means.
 //
-// loadWord/storeWord themselves and *Scalar functions are exempt from
-// kernel detection.
+// loadWord/storeWord themselves, *Scalar functions and wire codecs (names
+// starting with encode/Encode/decode/Decode, whose word reads parse a
+// format rather than traverse a map; codecsymmetry checks those) are exempt
+// from kernel detection.
 package kernelparity
 
 import (
@@ -31,7 +35,7 @@ import (
 // Analyzer is the kernel-parity checker.
 var Analyzer = &analysis.Analyzer{
 	Name:      "kernelparity",
-	Doc:       "every word-level kernel (calls loadWord/storeWord) needs a <name>Scalar reference and a fuzz target reaching both",
+	Doc:       "every word-level kernel (calls loadWord/storeWord or binary's Uint64/PutUint64) needs a <name>Scalar reference and a fuzz target reaching both",
 	Directive: "kernel-ok",
 	Run:       run,
 }
@@ -91,26 +95,44 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isKernel reports whether fn calls the word accessors loadWord/storeWord
-// (and is not itself one of them or a scalar reference).
+// isKernel reports whether fn reads or writes words of a byte slice (and
+// is not one of the accessors, a scalar reference or a codec).
 func isKernel(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	name := fn.Name.Name
 	if name == "loadWord" || name == "storeWord" || strings.HasSuffix(name, "Scalar") {
 		return false
 	}
+	for _, prefix := range []string{"encode", "Encode", "decode", "Decode"} {
+		if strings.HasPrefix(name, prefix) {
+			return false
+		}
+	}
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		pkg, callee := analysis.CalleePkgFunc(pass.Info, call)
-		if pkg == pass.Pkg.Path() && (callee == "loadWord" || callee == "storeWord") {
+		if call, ok := n.(*ast.CallExpr); ok && isWordAccess(pass, call) {
 			found = true
 		}
 		return !found
 	})
 	return found
+}
+
+// isWordAccess reports whether call is a 64-bit word access: the package's
+// loadWord/storeWord, or a Uint64/PutUint64 method of an encoding/binary
+// byte order (binary.LittleEndian.Uint64 and friends).
+func isWordAccess(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if pkg, callee := analysis.CalleePkgFunc(pass.Info, call); pkg == pass.Pkg.Path() {
+		return callee == "loadWord" || callee == "storeWord"
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	method, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || method.Pkg() == nil || method.Pkg().Path() != "encoding/binary" {
+		return false
+	}
+	return method.Name() == "Uint64" || method.Name() == "PutUint64"
 }
 
 // reachableFrom walks the static reference graph (any identifier use of a

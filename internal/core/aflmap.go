@@ -6,9 +6,10 @@ import "github.com/bigmap/bigmap/internal/telemetry"
 // hit-count storage per coverage key. Updates are O(1) but every other map
 // operation (reset, classify, compare, hash) must traverse the entire bitmap,
 // which is what makes large maps expensive (paper §III-A). The traversals use
-// the shared word-level kernels (kernels.go), as AFL's u64* loops do, so the
-// per-slot constant is as small as the scheme allows — the cost that remains
-// is the full-map iteration itself, which is the paper's point.
+// the shared block-skipping kernels (kernels.go), which reject 32 untouched
+// slots with one OR-and-test, so a sparse trace costs about one read of the
+// map per operation — the cost that remains is the full-map iteration
+// itself, which is the paper's point.
 type AFLMap struct {
 	bits []byte
 
@@ -121,7 +122,7 @@ func (m *AFLMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 //bigmap:hotpath per-discovery trace digest
 func (m *AFLMap) Hash() uint64 {
 	t0 := m.tel.Hash.Start()
-	h := hashBytes(m.bits)
+	h := hashRegion(m.bits)
 	m.tel.Hash.Done(t0)
 	return h
 }

@@ -269,7 +269,7 @@ func (m *BigMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 func (m *BigMap) Hash() uint64 {
 	t0 := m.tel.Hash.Start()
 	last := lastNonZero(m.trace())
-	h := hashBytes(m.coverage[:last+1])
+	h := hashRegion(m.coverage[:last+1])
 	m.tel.Hash.Done(t0)
 	return h
 }

@@ -3,10 +3,22 @@ package core
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters. AFL hashes its
 // trace bitmap with a 32-bit MurmurHash derivative; any fast, stable digest
 // serves the same purpose (rapid path comparison), so we use FNV-1a 64,
-// which needs no lookup tables and is trivially verifiable in tests.
+// which needs no lookup tables and is trivially verifiable in tests. The
+// byte loop is hashScalar (kernels_scalar.go); the maps call the
+// block-skipping hashRegion (kernels.go), which computes the same digest
+// because a zero byte's XOR is a no-op: n zero bytes multiply the state by
+// fnvPrime^n mod 2^64. fnvPrime8 and fnvPrime32 are those powers for a zero
+// word and a zero block, derived by repeated squaring so every product stays
+// within the compiler's constant precision.
 const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
+
+	fnvPrime2  = fnvPrime * fnvPrime % (1 << 64)
+	fnvPrime4  = fnvPrime2 * fnvPrime2 % (1 << 64)
+	fnvPrime8  = fnvPrime4 * fnvPrime4 % (1 << 64)
+	fnvPrime16 = fnvPrime8 * fnvPrime8 % (1 << 64)
+	fnvPrime32 = fnvPrime16 * fnvPrime16 % (1 << 64)
 )
 
 // loadWord reads 8 bytes of a bitmap as one little-endian word so the map
@@ -31,20 +43,6 @@ func storeWord(p []byte, w uint64) {
 	p[6] = byte(w >> 48)
 	p[7] = byte(w >> 56)
 }
-
-// hashBytes returns the FNV-1a 64-bit digest of p.
-func hashBytes(p []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// HashBytes exposes the trace digest for packages that need to hash coverage
-// snapshots the same way the maps do (e.g. crash bucketing in tests).
-func HashBytes(p []byte) uint64 { return hashBytes(p) }
 
 // hashCombine mixes v into h, used by the N-gram and context metrics to fold
 // block IDs together. It is a splitmix64-style finalizer step: cheap and

@@ -5,74 +5,97 @@ import (
 	"testing"
 )
 
-// Kernel benchmarks: scalar reference vs word-level implementation on the
-// exact region shapes the fuzzer produces. The "bigmap" cases run over a
-// BigMap used region (dense slots, the Fig. 3 load of 4096 discovered keys
-// on an 8M hash space); the "afl" cases run the same load scattered over the
-// full flat 8M bitmap. `make bench` records these in BENCH_2.json; the PR's
-// acceptance bar is word >= 2x scalar on the 8M BigMap classify+compare.
+// Kernel benchmarks: scalar reference vs block kernel on the exact region
+// shapes the fuzzer produces. The "bigmap" cases run over a BigMap used
+// region (dense slots, the Fig. 3 load of 4096 discovered keys on a 2M or 8M
+// hash space); the "afl" cases run the same load scattered over the full
+// flat 8M bitmap, one touched slot every 2 KiB. The sub-benchmark names are
+// <scalar|word>/<scheme>/<size>; "word" is the kernel the maps call. `make
+// bench` writes them to BENCH_2.json, whose checked-in copy predates the afl
+// cases and the block kernels; DESIGN §8 has the current figures.
 
 const benchKernelLoad = 4096
 
-// benchBigMapRegion builds a BigMap with the Fig. 3 load and returns it with
-// its touched region and a virgin map that has already absorbed the trace —
-// the steady state where almost every compare finds nothing new.
-func benchBigMapRegion(b *testing.B, size int) (*BigMap, []byte, *Virgin) {
+// benchRegion is one kernel input: a map carrying the Fig. 3 load, its
+// traversed region, the prefix its Hash digests, and a virgin map that has
+// already absorbed the trace — the steady state where almost every compare
+// finds nothing new. The counts are raw (all 1).
+type benchRegion struct {
+	name   string
+	m      Map
+	trace  []byte
+	hashed []byte
+	virgin []byte
+}
+
+// benchRegions builds the bigmap/2M, bigmap/8M and afl/8M regions.
+func benchRegions(b *testing.B) []benchRegion {
 	b.Helper()
-	m, err := NewBigMap(size)
-	if err != nil {
-		b.Fatal(err)
+	var out []benchRegion
+	for _, c := range []struct {
+		scheme string
+		size   int
+	}{{"bigmap", MapSize2M}, {"bigmap", MapSize8M}, {"afl", MapSize8M}} {
+		m, err := newSchemeMap(c.scheme, c.size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		step := uint32(c.size / benchKernelLoad)
+		for i := 0; i < benchKernelLoad; i++ {
+			m.Add(uint32(i) * step)
+		}
+		virgin := m.NewVirgin()
+		m.ClassifyAndCompare(virgin)
+		// Rebuild raw counts: classification replaced them in place.
+		m.Reset()
+		for i := 0; i < benchKernelLoad; i++ {
+			m.Add(uint32(i) * step)
+		}
+		r := benchRegion{name: c.scheme + "/" + benchSizeLabel(c.size), m: m, virgin: virgin.bits}
+		switch m := m.(type) {
+		case *BigMap:
+			r.trace = m.trace()
+			r.hashed = r.trace[:lastNonZeroScalar(r.trace)+1]
+		case *AFLMap:
+			r.trace, r.hashed = m.bits, m.bits
+		}
+		out = append(out, r)
 	}
-	step := uint32(size / benchKernelLoad)
-	for i := 0; i < benchKernelLoad; i++ {
-		m.Add(uint32(i) * step)
-	}
-	virgin := m.NewVirgin()
-	m.Classify()
-	m.CompareWith(virgin)
-	// Rebuild raw counts: classification replaced them in place.
-	m.Reset()
-	for i := 0; i < benchKernelLoad; i++ {
-		m.Add(uint32(i) * step)
-	}
-	return m, m.trace(), virgin
+	return out
 }
 
 func BenchmarkClassifyKernel(b *testing.B) {
-	for _, size := range []int{MapSize2M, MapSize8M} {
-		m, region, _ := benchBigMapRegion(b, size)
-		_ = m
-		b.Run(fmt.Sprintf("scalar/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+	for _, r := range benchRegions(b) {
+		b.Run("scalar/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				classifyScalar(region)
+				classifyScalar(r.trace)
 			}
 		})
-		b.Run(fmt.Sprintf("word/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+		b.Run("word/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				classifyRegion(region)
+				classifyRegion(r.trace)
 			}
 		})
 	}
 }
 
 func BenchmarkCompareKernel(b *testing.B) {
-	for _, size := range []int{MapSize2M, MapSize8M} {
-		_, region, virgin := benchBigMapRegion(b, size)
-		classifyRegion(region)
-		b.Run(fmt.Sprintf("scalar/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+	for _, r := range benchRegions(b) {
+		classifyRegion(r.trace)
+		b.Run("scalar/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if v, _ := compareScalar(region, virgin.bits, VerdictNone, 0); v != VerdictNone {
+				if v, _ := compareScalar(r.trace, r.virgin, VerdictNone, 0); v != VerdictNone {
 					b.Fatal("steady-state compare found new bits")
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("word/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+		b.Run("word/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if v, _ := compareRegion(region, virgin.bits); v != VerdictNone {
+				if v, _ := compareRegion(r.trace, r.virgin); v != VerdictNone {
 					b.Fatal("steady-state compare found new bits")
 				}
 			}
@@ -81,38 +104,45 @@ func BenchmarkCompareKernel(b *testing.B) {
 }
 
 func BenchmarkClassifyCompareKernel(b *testing.B) {
-	for _, size := range []int{MapSize2M, MapSize8M} {
-		_, region, virgin := benchBigMapRegion(b, size)
-		b.Run(fmt.Sprintf("scalar/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+	for _, r := range benchRegions(b) {
+		b.Run("scalar/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				classifyCompareScalar(region, virgin.bits, VerdictNone, 0)
+				classifyCompareScalar(r.trace, r.virgin, VerdictNone, 0)
 			}
 		})
-		b.Run(fmt.Sprintf("word/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+		b.Run("word/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				classifyCompareRegion(region, virgin.bits)
+				classifyCompareRegion(r.trace, r.virgin)
 			}
 		})
 	}
 }
 
-// BenchmarkHashKernel isolates the §IV-D digest: the high-water mark plus
-// the word-level backward scan bound the work to the trace footprint.
+// BenchmarkHashKernel isolates the §IV-D digest. The "word" cases time the
+// map's own Hash: for BigMap the high-water mark plus the backward scan bound
+// the work to the trace footprint; for AFLMap it digests the whole bitmap.
 func BenchmarkHashKernel(b *testing.B) {
-	for _, size := range []int{MapSize2M, MapSize8M} {
-		m, _, _ := benchBigMapRegion(b, size)
-		b.Run(fmt.Sprintf("word/bigmap/%s", benchSizeLabel(size)), func(b *testing.B) {
+	for _, r := range benchRegions(b) {
+		b.Run("scalar/"+r.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var sink uint64
 			for i := 0; i < b.N; i++ {
-				sink ^= m.Hash()
+				hashSink ^= hashScalar(r.hashed)
 			}
-			_ = sink
+		})
+		b.Run("word/"+r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink ^= r.m.Hash()
+			}
 		})
 	}
 }
+
+// hashSink keeps the inlined scalar digest from being eliminated as dead
+// code.
+var hashSink uint64
 
 // BenchmarkAddBatchKernel compares per-edge virtual updates against one
 // batched flush for the same 4096-edge trace.

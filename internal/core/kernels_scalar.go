@@ -1,12 +1,13 @@
 package core
 
 // Scalar reference kernels: the straightforward byte-at-a-time definitions
-// of classify, has_new_bits, and the merged classify+compare. The word-level
-// kernels in kernels.go fall back to these for unaligned tails and for the
-// rare words that need per-byte work, and the differential fuzzer in
-// kernels_test.go requires the word kernels to be byte-for-byte equivalent
-// to these on arbitrary trace/virgin pairs. They are the semantic ground
-// truth; any future kernel (SIMD, batched, whatever) must match them.
+// of classify, has_new_bits, the merged classify+compare, counting, scanning
+// and the FNV-1a digest. The block kernels in kernels.go fall back to these
+// for ragged tails and for the rare blocks that need per-byte work, and the
+// differential fuzzer in kernels_test.go requires the block kernels to be
+// byte-for-byte equivalent to these on arbitrary trace/virgin pairs. They
+// are the semantic ground truth; any future kernel (SIMD, batched, whatever)
+// must match them.
 
 // classifyScalar converts exact hit counts to AFL bucket bits in place,
 // one byte at a time.
@@ -66,6 +67,30 @@ func classifyCompareScalar(trace, virgin []byte, verdict Verdict, newEdges int) 
 		virgin[j] = v &^ t
 	}
 	return verdict, newEdges
+}
+
+// skipZeroBlocksScalar is the byte-at-a-time skipZeroBlocks reference: from
+// i in blockSize steps, the first full block with a non-zero byte, else the
+// offset from which fewer than blockSize bytes remain.
+func skipZeroBlocksScalar(p []byte, i int) int {
+	for ; i+blockSize <= len(p); i += blockSize {
+		for _, b := range p[i : i+blockSize] {
+			if b != 0 {
+				return i
+			}
+		}
+	}
+	return i
+}
+
+// hashScalar is the byte-at-a-time FNV-1a 64 reference digest.
+func hashScalar(p []byte) uint64 {
+	h := uint64(fnvOffset)
+	for _, b := range p {
+		h ^= uint64(b)
+		h *= fnvPrime
+	}
+	return h
 }
 
 // appendTouchedScalar is the byte-at-a-time touched-index reference.

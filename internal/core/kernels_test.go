@@ -2,17 +2,19 @@ package core
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/rng"
 )
 
-// The word-level kernels must be byte-for-byte equivalent to the scalar
+// The block kernels must be byte-for-byte equivalent to the scalar
 // references on every input: same classified bitmap, same verdict, same
-// virgin mutation, same counts and scan indices. These tests pin that down
-// with a go test -fuzz differential fuzzer (seeded so plain `go test` still
-// exercises the corners), a testing/quick property, and exhaustive
-// single-word cases around the alignment and bucket boundaries.
+// virgin mutation, same counts, scan indices and digest. These tests pin
+// that down with a go test -fuzz differential fuzzer (seeded so plain
+// `go test` still exercises the corners), randomized sweeps, and
+// exhaustive single-lane cases around the block, word and bucket
+// boundaries.
 
 // checkKernelEquivalence runs every kernel pair on one trace/virgin input
 // and fails the test on the first divergence. virgin is stretched or
@@ -78,6 +80,18 @@ func checkKernelEquivalence(t *testing.T, trace, virgin []byte) {
 			gotTrace, wantTrace, gotVirgin, wantVirgin)
 	}
 
+	// Block skip, from every start offset of the first two blocks.
+	for i := 0; i <= len(trace) && i <= 2*blockSize; i++ {
+		if got, want := skipZeroBlocks(trace, i), skipZeroBlocksScalar(trace, i); got != want {
+			t.Fatalf("skipZeroBlocks from %d diverged: block %d scalar %d (trace %x)", i, got, want, trace)
+		}
+	}
+
+	// Digest.
+	if got, want := hashRegion(trace), hashScalar(trace); got != want {
+		t.Fatalf("hash diverged: block %#x scalar %#x (trace %x)", got, want, trace)
+	}
+
 	// Counting and scanning.
 	if got, want := countNonZeroRegion(trace), countNonZeroScalar(trace); got != want {
 		t.Fatalf("countNonZero diverged: word %d scalar %d (trace %x)", got, want, trace)
@@ -108,6 +122,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3}, 17), bytes.Repeat([]byte{0x55}, 17))
 	f.Add(bytes.Repeat([]byte{255}, 32), bytes.Repeat([]byte{0}, 32))
 	f.Add([]byte{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255}, []byte{0xFF, 0xFE, 1, 0, 0x80, 0x0F})
+	f.Add(sparseTrace(100, 31, 32, 63, 64, 99), bytes.Repeat([]byte{0xFF, 0x7F, 0}, 34))
 	f.Fuzz(func(t *testing.T, trace, virgin []byte) {
 		if len(trace) > 1<<12 {
 			trace = trace[:1<<12]
@@ -143,13 +158,25 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// sparseTrace returns an n-byte trace that is zero except for a count of 1
+// at each of the given offsets.
+func sparseTrace(n int, offsets ...int) []byte {
+	trace := make([]byte, n)
+	for _, off := range offsets {
+		trace[off] = 1
+	}
+	return trace
+}
+
 // TestKernelEquivalenceBoundaries walks every bucket-boundary count through
-// every byte lane and alignment so the halfword packing cannot hide a
-// lane-swap bug, with a virgin byte sweep that covers all discovery states.
+// every byte lane of every length up to two blocks and a word and byte tail
+// (1–80 bytes), so neither the halfword packing nor the block and word loop
+// bounds can hide a lane-swap or off-by-one bug, with a virgin byte sweep
+// that covers all discovery states.
 func TestKernelEquivalenceBoundaries(t *testing.T) {
 	counts := []byte{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255}
 	virgins := []byte{0xFF, 0xFE, 0x80, 0x0F, 0x01, 0x00}
-	for size := 1; size <= 24; size++ {
+	for size := 1; size <= 80; size++ {
 		for lane := 0; lane < size; lane++ {
 			for _, c := range counts {
 				for _, v := range virgins {
@@ -160,6 +187,77 @@ func TestKernelEquivalenceBoundaries(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelEquivalenceSparse runs long zero runs up to 4 KiB through the
+// differential check, with non-zero bytes on both sides of the block
+// boundaries (offsets 31/32 and 63/64) and at the far end, so the zero-block
+// skips and the digest's zero-run multiplies are exercised between and after
+// non-zero blocks.
+func TestKernelEquivalenceSparse(t *testing.T) {
+	shapes := [][]int{
+		{31}, {32}, {63}, {64}, {31, 32}, {63, 64}, {0, 31, 32, 63, 64},
+	}
+	src := rng.New(0x5a)
+	for _, n := range []int{65, 96, 127, 128, 129, 1000, 1<<12 - 1, 1 << 12} {
+		for _, shape := range shapes {
+			offsets := append(append([]int(nil), shape...), n-1)
+			trace := sparseTrace(n, offsets...)
+			for _, off := range offsets {
+				trace[off] = byte(1 + src.Intn(255))
+			}
+			checkKernelEquivalence(t, trace, bytes.Repeat([]byte{0xFF}, n))
+			checkKernelEquivalence(t, trace, bytes.Repeat([]byte{0x55}, n))
+		}
+	}
+}
+
+// TestHashRegionGolden pins hashRegion to FNV-1a 64: the published test
+// vectors and hash/fnv on short inputs, and hashScalar on an all-zero and a
+// sparse 8 MiB map, the flat map's real shape.
+func TestHashRegionGolden(t *testing.T) {
+	vectors := []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xcbf29ce484222325},
+		{"a", 0xaf63dc4c8601ec8c},
+		{"foobar", 0x85944171f73967e8},
+	}
+	for _, v := range vectors {
+		if got := hashRegion([]byte(v.in)); got != v.want {
+			t.Errorf("hashRegion(%q) = %#x, want %#x", v.in, got, v.want)
+		}
+		if got := hashScalar([]byte(v.in)); got != v.want {
+			t.Errorf("hashScalar(%q) = %#x, want %#x", v.in, got, v.want)
+		}
+	}
+	for n := 0; n <= 80; n++ {
+		p := make([]byte, n)
+		for i := range p {
+			if i%3 != 0 {
+				p[i] = byte(i)
+			}
+		}
+		ref := fnv.New64a()
+		ref.Write(p)
+		if got, want := hashRegion(p), ref.Sum64(); got != want {
+			t.Fatalf("hashRegion over %d bytes = %#x, hash/fnv %#x", n, got, want)
+		}
+	}
+
+	flat := make([]byte, MapSize8M)
+	if got, want := hashRegion(flat), hashScalar(flat); got != want {
+		t.Fatalf("all-zero 8 MiB map: hashRegion %#x, hashScalar %#x", got, want)
+	}
+	src := rng.New(8)
+	for i := 0; i < benchKernelLoad; i++ {
+		flat[src.Intn(len(flat))] = byte(1 + src.Intn(255))
+	}
+	flat[len(flat)-1] = 1
+	if got, want := hashRegion(flat), hashScalar(flat); got != want {
+		t.Fatalf("sparse 8 MiB map: hashRegion %#x, hashScalar %#x", got, want)
 	}
 }
 
@@ -331,7 +429,7 @@ func TestBigMapResetClearsOnlyTouchedRegion(t *testing.T) {
 			t.Fatalf("slot %d = %d after reset, want 0", i, b)
 		}
 	}
-	if m.Hash() != hashBytes(nil) {
+	if m.Hash() != hashScalar(nil) {
 		t.Fatal("empty-trace hash wrong after clipped reset")
 	}
 }
