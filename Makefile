@@ -1,9 +1,13 @@
 # Development targets; CI (.github/workflows/ci.yml) runs `make check`'s
-# steps verbatim.
+# steps verbatim, and scripts/bench-gate.sh as its own job.
 
-.PHONY: check build test vet vet-json race dbg serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench3 benchcmp bench-smoke bench-all results
+.PHONY: check fmt build test vet vet-json race dbg serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench-smoke bench-all bench-gate results
 
-check: vet build test race dbg
+check: fmt vet build test race dbg
+
+# Formatting: gofmt must have nothing to rewrite anywhere in the tree.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Static analysis: the stock go vet suite, then the repo's own invariant
 # checkers (cmd/bigmap-vet: determinism, kernelparity, codecsymmetry,
@@ -91,19 +95,6 @@ bench:
 	go run ./cmd/bigmap-bench benchjson -o BENCH_2.json < bench.out
 	@rm -f bench.out
 
-# Same sweep emitted as BENCH_3.json, a second generation of the shared
-# baselines; `make benchcmp` then gates the shared names against BENCH_2.json.
-bench3:
-	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=$(BENCH_TIME) $(BENCH_PKGS) | tee bench.out
-	go run ./cmd/bigmap-bench benchjson -o BENCH_3.json < bench.out
-	@rm -f bench.out
-
-# No-regression gate over the checked-in artifacts: every benchmark BENCH_2
-# and BENCH_3 share must be within tolerance. Both files were generated on
-# the same machine, so the ratio is meaningful where raw CI timings are not.
-benchcmp:
-	go run ./cmd/bigmap-bench benchcmp BENCH_2.json BENCH_3.json
-
 # CI smoke: same sweep at -benchtime=10x, report discarded after parsing —
 # proves every benchmark still runs and the JSON pipeline still parses.
 bench-smoke:
@@ -112,6 +103,13 @@ bench-smoke:
 # Every benchmark in the repo, one iteration (sanity, not measurement).
 bench-all:
 	go test -run '^$$' -bench=. -benchtime=1x ./...
+
+# Regression gate: the repository benchmark (benchmark/run.sh) on the
+# parent commit and on this tree, alternating same-seed pairs on one
+# machine, judged by `run.sh compare` with BENCHMARK.json's bounds. About
+# 5 minutes. CI runs the script against a pull request's merge-base.
+bench-gate:
+	./scripts/bench-gate.sh HEAD^
 
 # Regenerate every reproducible paper artifact under results/ from the
 # declarative grid (experiments.json). Deterministic: consecutive runs are

@@ -21,7 +21,6 @@
 //	bigmap-bench all [flags]                 # everything above
 //	bigmap-bench grid [-config f] [-out dir] # declarative reproducible grid -> results/
 //	bigmap-bench benchjson [-o file]         # stdin: `go test -bench` text -> JSON report
-//	bigmap-bench benchcmp old.json new.json  # no-regression gate over shared benchmarks
 //
 // Common flags:
 //
@@ -32,7 +31,6 @@
 //	-seed n      campaign seed (default 1)
 //	-trials n    average grid cells over n runs (the paper averages 3)
 //	-csv         emit CSV instead of an aligned table
-//	-json        emit one JSON report (benchjson schema) instead of text tables
 //	-q           suppress per-cell progress lines
 package main
 
@@ -66,9 +64,6 @@ func run(args []string) error {
 	if sub == "benchjson" {
 		return runBenchJSON(rest)
 	}
-	if sub == "benchcmp" {
-		return runBenchCmp(rest)
-	}
 	if sub == "grid" {
 		return runGrid(rest)
 	}
@@ -81,7 +76,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	trials := fs.Int("trials", 1, "average grid cells over this many runs (paper uses 3)")
 	csv := fs.Bool("csv", false, "emit CSV")
-	jsonOut := fs.Bool("json", false, "emit one JSON report (benchjson schema) instead of text tables")
 	quiet := fs.Bool("q", false, "suppress progress")
 	httpAddr := fs.String("http", "", "serve /debug/pprof/ on this address during the run")
 	if err := fs.Parse(rest); err != nil {
@@ -113,17 +107,9 @@ func run(args []string) error {
 		opts.Progress = os.Stderr
 	}
 
-	// With -json, tables are collected and written as one benchjson report
-	// after the experiment finishes — the same schema `benchjson` produces
-	// for `go test -bench` output, so both artifact paths diff identically.
-	var collected []benchjson.TableJSON
 	emit := func(tables ...*bench.Table) error {
 		for _, t := range tables {
 			if t == nil {
-				continue
-			}
-			if *jsonOut {
-				collected = append(collected, benchjson.FromTable(t.Title, t.Notes, t.Header, t.Rows))
 				continue
 			}
 			var err error
@@ -140,14 +126,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	if err := dispatch(sub, opts, *seconds, emit); err != nil {
-		return err
-	}
-	if *jsonOut {
-		rep := &benchjson.Report{Schema: benchjson.Schema, Tables: collected}
-		return rep.Write(os.Stdout)
-	}
-	return nil
+	return dispatch(sub, opts, *seconds, emit)
 }
 
 // dispatch runs one experiment subcommand through emit. Every per-figure
@@ -299,61 +278,5 @@ func runBenchJSON(args []string) error {
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %d records to %s\n", len(rep.Records), *out)
 	}
-	return nil
-}
-
-// runBenchCmp is the microbenchmark regression gate: it compares two
-// benchjson reports generated on the same machine (the checked-in BENCH_N
-// artifacts) over the benchmarks they share and fails when any shared
-// name slowed down beyond the tolerance. Benchmarks only one side has are
-// ignored — an older baseline cannot gate code it never measured.
-func runBenchCmp(args []string) error {
-	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
-	tolerance := fs.Float64("tolerance", 0.30, "allowed ns/op growth before a shared benchmark counts as regressed (0.30 = +30%)")
-	quiet := fs.Bool("q", false, "print only regressions")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("benchcmp needs exactly two report files (old new)")
-	}
-	load := func(path string) (*benchjson.Report, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		rep, err := benchjson.ReadReport(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return rep, nil
-	}
-	oldRep, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newRep, err := load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	deltas := benchjson.Compare(oldRep, newRep, *tolerance)
-	if len(deltas) == 0 {
-		return fmt.Errorf("benchcmp: %s and %s share no benchmark names", fs.Arg(0), fs.Arg(1))
-	}
-	if !*quiet {
-		fmt.Printf("%-60s %12s %12s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-		for _, d := range deltas {
-			fmt.Println(benchjson.FormatDelta(d))
-		}
-	}
-	if regs := benchjson.Regressions(deltas); len(regs) > 0 {
-		for _, d := range regs {
-			fmt.Fprintln(os.Stderr, "REGRESSED:", benchjson.FormatDelta(d))
-		}
-		return fmt.Errorf("benchcmp: %d of %d shared benchmarks regressed beyond +%.0f%%",
-			len(regs), len(deltas), *tolerance*100)
-	}
-	fmt.Fprintf(os.Stderr, "benchcmp: %d shared benchmarks within +%.0f%%\n", len(deltas), *tolerance*100)
 	return nil
 }

@@ -435,17 +435,10 @@ func printStats(f *bigmap.Fuzzer, scheme string, size int, elapsed time.Duration
 	fmt.Printf("  crashes         : %d total, %d unique (crashwalk), %d unique (afl)\n",
 		st.Crashes, st.UniqueCrashes, st.UniqueCrashesAFL)
 	fmt.Printf("  hangs           : %d\n", st.Hangs)
-	rate, err := bigmap.CollisionRate(size, maxInt(st.EdgesDiscovered, 1))
+	rate, err := bigmap.CollisionRate(size, max(st.EdgesDiscovered, 1))
 	if err == nil {
 		fmt.Printf("  collision rate  : %.2f%% (Equation 1 at this map size)\n", rate*100)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func parseSize(s string) (int, error) {

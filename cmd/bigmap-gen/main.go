@@ -61,7 +61,7 @@ func run(args []string) error {
 	kindCounts(prog)
 
 	for _, h := range []int{64 << 10, 2 << 20, 8 << 20} {
-		rate, err := bigmap.CollisionRate(h, maxInt(prog.StaticEdges(), 1))
+		rate, err := bigmap.CollisionRate(h, max(prog.StaticEdges(), 1))
 		if err == nil {
 			fmt.Printf("collision projection @%7d slots (all static edges hit): %.2f%%\n", h, rate*100)
 		}
@@ -73,7 +73,7 @@ func run(args []string) error {
 			stats.SplitCompares, stats.SplitSwitches, stats.AddedBlocks)
 		fmt.Printf("  static edges %d -> %d (%.2fx)\n",
 			stats.StaticEdgesBefore, stats.StaticEdgesAfter,
-			float64(stats.StaticEdgesAfter)/float64(maxInt(stats.StaticEdgesBefore, 1)))
+			float64(stats.StaticEdgesAfter)/float64(max(stats.StaticEdgesBefore, 1)))
 		_ = lafProg
 	}
 
@@ -136,11 +136,4 @@ func kindCounts(prog *bigmap.Program) {
 			fmt.Printf("  %-14s %d\n", e.n, counts[e.k])
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -80,7 +80,7 @@ func Metrics(opts Options) (*Table, error) {
 			if baseline > 0 {
 				pressure = fmt.Sprintf("%.2fx", float64(keys)/float64(baseline))
 			}
-			rate, err := collision.Rate(64<<10, maxInt(keys, 1))
+			rate, err := collision.Rate(64<<10, max(keys, 1))
 			if err != nil {
 				return nil, err
 			}

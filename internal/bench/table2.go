@@ -55,7 +55,7 @@ func Table2(opts Options) (*Table, error) {
 			return nil, err
 		}
 		st := f.Stats()
-		rate, err := collision.Rate(64<<10, maxInt(st.EdgesDiscovered, 1))
+		rate, err := collision.Rate(64<<10, max(st.EdgesDiscovered, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -69,11 +69,4 @@ func Table2(opts Options) (*Table, error) {
 		opts.progressf("  table2 %-16s done\n", p.Name)
 	}
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

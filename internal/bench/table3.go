@@ -101,7 +101,7 @@ func Table3(opts Options) (*Table, error) {
 		smallLabel = fmtSize(smallSize)
 
 		coll := func(keys, size int) float64 {
-			r, rerr := collision.Rate(size, maxInt(keys, 1))
+			r, rerr := collision.Rate(size, max(keys, 1))
 			if rerr != nil {
 				return 0
 			}

@@ -2,9 +2,8 @@
 // artifact. It has two producers feeding the same schema: a parser for the
 // text `go test -bench -benchmem` emits (the kernel and exec-loop
 // microbenchmarks behind BENCH_2.json), and a converter for the experiment
-// tables cmd/bigmap-bench renders — so CI, the Makefile's bench target and
-// the paper-artifact runner all speak one format a regression checker can
-// diff across commits.
+// tables `bigmap-bench grid` writes under results/ — so CI, the Makefile's
+// bench target and the paper-artifact runner all speak one format.
 package benchjson
 
 import (
@@ -212,28 +211,4 @@ func (r *Report) Write(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// ReadReport decodes a report and checks its schema tag, so a consumer
-// (the benchcmp regression gate) fails loudly on a stale or foreign file
-// rather than silently comparing nothing.
-func ReadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("benchjson: %w", err)
-	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("benchjson: schema %q, want %q", rep.Schema, Schema)
-	}
-	return &rep, nil
-}
-
-// Find returns the first record whose name matches exactly, or nil.
-func (r *Report) Find(name string) *Record {
-	for i := range r.Records {
-		if r.Records[i].Name == name {
-			return &r.Records[i]
-		}
-	}
-	return nil
 }

@@ -34,9 +34,9 @@ func TestParseGoBench(t *testing.T) {
 		t.Fatalf("got %d records, want 4", len(rep.Records))
 	}
 
-	r := rep.Find("BenchmarkClassifyKernel/word/bigmap/8M")
-	if r == nil {
-		t.Fatal("word/8M record missing (GOMAXPROCS suffix not stripped?)")
+	r := rep.Records[1]
+	if r.Name != "BenchmarkClassifyKernel/word/bigmap/8M" {
+		t.Fatalf("record 1 named %q (GOMAXPROCS suffix not stripped?)", r.Name)
 	}
 	if r.Op != "ClassifyKernel" || r.Variant != "word" || r.Scheme != "bigmap" || r.MapSize != "8M" {
 		t.Errorf("labels not derived: %+v", r)
@@ -45,14 +45,14 @@ func TestParseGoBench(t *testing.T) {
 		t.Errorf("measurements wrong: %+v", r)
 	}
 
-	exec := rep.Find("BenchmarkExecLoop/afl/64k")
-	if exec == nil || exec.Scheme != "afl" || exec.MapSize != "64k" || exec.Variant != "" {
+	exec := rep.Records[2]
+	if exec.Name != "BenchmarkExecLoop/afl/64k" || exec.Scheme != "afl" || exec.MapSize != "64k" || exec.Variant != "" {
 		t.Errorf("exec-loop labels wrong: %+v", exec)
 	}
 
 	// A record without -benchmem must distinguish "not measured" from zero.
-	fig2 := rep.Find("BenchmarkFig2CollisionRate")
-	if fig2 == nil || fig2.AllocsPerOp != -1 || fig2.BytesPerOp != -1 {
+	fig2 := rep.Records[3]
+	if fig2.Name != "BenchmarkFig2CollisionRate" || fig2.AllocsPerOp != -1 || fig2.BytesPerOp != -1 {
 		t.Errorf("missing -benchmem should report -1: %+v", fig2)
 	}
 }

@@ -102,59 +102,55 @@ func TestCampaignRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2CampaignRejected pins the v3 bump: a campaign checkpoint written by
-// the v2 codec, which still carried the pairwise import matrix, is refused
-// with ErrVersion instead of being misread. The fixture is the v2 seed kept
-// in the round-trip fuzz corpus.
-func TestV2CampaignRejected(t *testing.T) {
-	requireOldCampaignRejected(t, "seed-v2-campaign", 2)
-}
-
-// TestV3CampaignRejected pins the v4 bump: a campaign checkpoint written by
-// the v3 codec, which stored every virgin map raw, is refused with
-// ErrVersion. The fixture is the v3 seed kept in the round-trip fuzz corpus.
-func TestV3CampaignRejected(t *testing.T) {
-	requireOldCampaignRejected(t, "seed-v3-campaign", 3)
-}
-
-// TestV4CampaignRejected pins the v5 bump: a campaign checkpoint written by
-// the v4 codec, whose fuzzer payloads still ended in the two selective-tracing
-// counters, is refused with ErrVersion. The fixture is the v4 seed kept in
-// the round-trip fuzz corpus.
-func TestV4CampaignRejected(t *testing.T) {
-	requireOldCampaignRejected(t, "seed-v4-campaign", 4)
-}
-
-// requireOldCampaignRejected loads the named corpus fixture, checks that it
-// is a campaign checkpoint of the given retired version, and requires both
-// DecodeCampaign and LoadCampaign to refuse it with ErrVersion.
-func requireOldCampaignRejected(t *testing.T, fixture string, version byte) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointRoundTrip", fixture))
+// TestOldCampaignVersionsRejected pins every codec bump: a campaign
+// checkpoint written by a retired version is refused with ErrVersion by both
+// DecodeCampaign and LoadCampaign instead of being misread. The fixtures are
+// the seed-v<N>-campaign files kept in the round-trip fuzz corpus, so a
+// future bump adds a fixture, not a test. v2 still carried the pairwise
+// import matrix, v3 stored every virgin map raw, and v4's fuzzer payloads
+// still ended in the two selective-tracing counters.
+func TestOldCampaignVersionsRejected(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCheckpointRoundTrip", "seed-v*-campaign"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(raw), "\n")
-	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
-	if !ok {
-		t.Fatalf("fixture line %q is not a []byte literal", lines[1])
+	if len(fixtures) == 0 {
+		t.Fatal("no seed-v*-campaign fixtures")
 	}
-	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(data, magic+string([]byte{version, KindCampaign})) {
-		t.Fatalf("fixture is not a v%d campaign checkpoint: % x", version, data[:6])
-	}
-	if _, err := DecodeCampaign([]byte(data)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("DecodeCampaign(v%d) = %v, want ErrVersion", version, err)
-	}
-	path := filepath.Join(t.TempDir(), "old.bm")
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCampaign(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("LoadCampaign(v%d) = %v, want ErrVersion", version, err)
+	for _, path := range fixtures {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			version, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seed-v"), "-campaign"))
+			if err != nil || version >= Version {
+				t.Fatalf("fixture %s does not name a retired version", name)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(string(raw), "\n")
+			lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+			if !ok {
+				t.Fatalf("fixture line %q is not a []byte literal", lines[1])
+			}
+			data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(data, magic+string([]byte{byte(version), KindCampaign})) {
+				t.Fatalf("fixture is not a v%d campaign checkpoint: % x", version, data[:6])
+			}
+			if _, err := DecodeCampaign([]byte(data)); !errors.Is(err, ErrVersion) {
+				t.Fatalf("DecodeCampaign(v%d) = %v, want ErrVersion", version, err)
+			}
+			old := filepath.Join(t.TempDir(), "old.bm")
+			if err := os.WriteFile(old, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCampaign(old); !errors.Is(err, ErrVersion) {
+				t.Fatalf("LoadCampaign(v%d) = %v, want ErrVersion", version, err)
+			}
+		})
 	}
 }
 

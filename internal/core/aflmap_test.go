@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"time"
 )
 
 func TestNewAFLMapRejectsBadSizes(t *testing.T) {
@@ -175,5 +177,39 @@ func TestAFLMapUsedKeysIsFullSize(t *testing.T) {
 	}
 	if m.Scheme() != "afl" {
 		t.Errorf("Scheme = %q", m.Scheme())
+	}
+}
+
+// TestAFLBaselineCostGrowsWithMapSize pins the AFL scheme as the paper's
+// baseline (DESIGN §8): its per-exec Reset and Classify traverse the whole
+// map, so with the same sparse trace an 8M map must cost at least 16x a 64k
+// one. A sparse or dirty-block reset would flatten the ratio and erase the
+// Figure 3/6 gap this scheme exists to show. Timings are the minimum of
+// several runs, which drops scheduler noise; E12 measures about 40x.
+func TestAFLBaselineCostGrowsWithMapSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	trace := make([]uint32, 1000)
+	for i := range trace {
+		trace[i] = uint32(i*61) % MapSize64K
+	}
+	minCost := func(size int) time.Duration {
+		m := mustAFL(t, size)
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 20; i++ {
+			m.AddBatch(trace)
+			start := time.Now()
+			m.Classify()
+			m.Reset()
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := minCost(MapSize64K), minCost(MapSize8M)
+	ratio := float64(large) / float64(small)
+	t.Logf("Reset+Classify: 64k %v, 8M %v, ratio %.1fx", small, large, ratio)
+	if ratio < 16 {
+		t.Fatalf("8M map costs %.1fx a 64k map, want at least 16x: the AFL baseline must touch the whole map", ratio)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/bigmap/bigmap/internal/checkpoint"
 	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/rng"
 	"github.com/bigmap/bigmap/internal/telemetry"
@@ -203,7 +205,10 @@ func Open(cfg Config) (*Daemon, error) {
 // the previous process left queued or running (a kill -9 mid-round) are
 // requeued; paused and terminal ones keep their state. A campaign directory
 // that does not load is skipped with a daemon event rather than failing
-// startup — one corrupt tenant must not hold the box hostage.
+// startup — one corrupt tenant must not hold the box hostage. A checkpoint
+// of another format version does fail startup, before anything is written:
+// requeueing would fail the campaign durably, and the binary that wrote the
+// file could no longer resume it.
 func (d *Daemon) recover() error {
 	ids, err := d.store.list()
 	if err != nil {
@@ -238,9 +243,13 @@ func (d *Daemon) recover() error {
 		// actually decodes — trusting the newest filename alone would let a
 		// corrupt file make Info promise rounds that materialize() must then
 		// walk back to an older checkpoint.
-		if _, rounds, err := d.store.loadCheckpoint(id); err == nil {
+		_, rounds, err := d.store.loadCheckpoint(id)
+		switch {
+		case err == nil:
 			c.chkRounds = rounds
 			c.rounds = rounds
+		case errors.Is(err, checkpoint.ErrVersion):
+			return err
 		}
 		d.campaigns[id] = c
 		switch m.State {

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/bigmap/bigmap/internal/checkpoint"
 )
 
 // finalCheckpoint reads the raw bytes of the checkpoint covering the given
@@ -250,6 +253,58 @@ func TestRecoveryIgnoresCorruptNewestCheckpoint(t *testing.T) {
 	if got.Rounds != 9 || got.CheckpointRounds != 9 {
 		t.Fatalf("recovered view claims rounds=%d chk=%d, want 9/9 (the newest decodable checkpoint)",
 			got.Rounds, got.CheckpointRounds)
+	}
+}
+
+// TestRecoveryRefusesVersionSkew: checkpoints of another codec version are
+// version skew, not corruption. Requeueing such a campaign would fail it
+// durably, so Open must refuse, with an error naming the campaign and both
+// versions, and leave meta.json untouched for the binary that can resume it.
+func TestRecoveryRefusesVersionSkew(t *testing.T) {
+	dir := t.TempDir()
+	d := openTest(t, testConfig(dir))
+	info := submit(t, d, "acme", testSpec(50))
+	waitFor(t, d, info.ID, "round 2", func(i *Info) bool { return i.Rounds >= 2 })
+	if err := d.Close(); err != nil {
+		t.Fatalf("hard Close: %v", err)
+	}
+
+	campaignDir := filepath.Join(dir, "campaigns", info.ID)
+	chks, err := filepath.Glob(filepath.Join(campaignDir, "chk-*.bm"))
+	if err != nil || len(chks) == 0 {
+		t.Fatalf("no checkpoints on disk (%v)", err)
+	}
+	for _, path := range chks {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len("BMCP")] = 4 // the version byte follows the magic
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaPath := filepath.Join(campaignDir, "meta.json")
+	before, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(testConfig(dir))
+	if err == nil {
+		d2.Close()
+		t.Fatal("Open accepted checkpoints of another format version")
+	}
+	want := fmt.Sprintf("got 4, want %d", checkpoint.Version)
+	if !errors.Is(err, checkpoint.ErrVersion) || !strings.Contains(err.Error(), info.ID) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open error %q: want ErrVersion naming %s and %q", err, info.ID, want)
+	}
+	after, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused Open rewrote meta.json:\n before %s\n after %s", before, after)
 	}
 }
 

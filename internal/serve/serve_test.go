@@ -134,7 +134,7 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 
 func TestPauseResumeCancel(t *testing.T) {
 	d := openTest(t, testConfig(t.TempDir()))
-	info := submit(t, d, "acme", testSpec(1 << 18))
+	info := submit(t, d, "acme", testSpec(1<<18))
 	waitFor(t, d, info.ID, "progress", func(i *Info) bool { return i.Rounds > 0 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

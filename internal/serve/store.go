@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,13 +169,19 @@ func (st *store) checkpointRounds(id string) []int {
 
 // loadCheckpoint returns the newest checkpoint that decodes, with the round
 // count it covers. A corrupt newest file falls back to its predecessor —
-// losing one cadence of work beats losing the campaign.
+// losing one cadence of work beats losing the campaign. A file of another
+// format version is not corruption but version skew: it stops the walk
+// with an error wrapping checkpoint.ErrVersion, since an older file would
+// resume the campaign from the wrong point.
 func (st *store) loadCheckpoint(id string) (*checkpoint.CampaignState, int, error) {
 	var firstErr error
 	for _, rounds := range st.checkpointRounds(id) {
 		cs, err := checkpoint.LoadCampaign(st.chkPath(id, rounds))
 		if err == nil {
 			return cs, rounds, nil
+		}
+		if errors.Is(err, checkpoint.ErrVersion) {
+			return nil, 0, fmt.Errorf("serve: campaign %s: %s: %w", id, filepath.Base(st.chkPath(id, rounds)), err)
 		}
 		if firstErr == nil {
 			firstErr = err
