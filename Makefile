@@ -85,20 +85,17 @@ fuzz-all:
 	FUZZTIME=$(FUZZTIME) ./scripts/fuzz-all.sh
 
 # Hot-path benchmark sweep (word kernels, batched exec loop, Fig. 3 map ops)
-# with allocation counts, emitted as the machine-readable BENCH_2.json.
+# with allocation counts, printed as `go test -bench` text.
 BENCH_PKGS    := ./internal/core/ ./internal/executor/ .
 BENCH_FILTER  := 'Kernel|ExecLoop|Fig3MapOps'
 BENCH_TIME    ?= 200x
 
 bench:
-	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=$(BENCH_TIME) $(BENCH_PKGS) | tee bench.out
-	go run ./cmd/bigmap-bench benchjson -o BENCH_2.json < bench.out
-	@rm -f bench.out
+	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=$(BENCH_TIME) $(BENCH_PKGS)
 
-# CI smoke: same sweep at -benchtime=10x, report discarded after parsing —
-# proves every benchmark still runs and the JSON pipeline still parses.
+# CI smoke: same sweep at -benchtime=10x — proves every benchmark still runs.
 bench-smoke:
-	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=10x $(BENCH_PKGS) | go run ./cmd/bigmap-bench benchjson -o /dev/null
+	go test -run '^$$' -bench $(BENCH_FILTER) -benchmem -benchtime=10x $(BENCH_PKGS)
 
 # Every benchmark in the repo, one iteration (sanity, not measurement).
 bench-all:

@@ -20,7 +20,6 @@
 //	bigmap-bench schedules [flags]           # AFLFast power schedules on BigMap
 //	bigmap-bench all [flags]                 # everything above
 //	bigmap-bench grid [-config f] [-out dir] # declarative reproducible grid -> results/
-//	bigmap-bench benchjson [-o file]         # stdin: `go test -bench` text -> JSON report
 //
 // Common flags:
 //
@@ -44,7 +43,6 @@ import (
 	"strings"
 
 	"github.com/bigmap/bigmap/internal/bench"
-	"github.com/bigmap/bigmap/internal/benchjson"
 	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
@@ -61,9 +59,6 @@ func run(args []string) error {
 	}
 	sub, rest := args[0], args[1:]
 
-	if sub == "benchjson" {
-		return runBenchJSON(rest)
-	}
 	if sub == "grid" {
 		return runGrid(rest)
 	}
@@ -247,36 +242,6 @@ func runAll(opts bench.Options, seconds float64, emit func(...*bench.Table) erro
 		if err := emit(t); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runBenchJSON implements the benchjson subcommand: parse `go test -bench
-// -benchmem` text on stdin into the machine-readable report (BENCH_2.json).
-func runBenchJSON(args []string) error {
-	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
-	out := fs.String("o", "-", "output path (- for stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := benchjson.ParseGoBench(os.Stdin)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.Write(w); err != nil {
-		return err
-	}
-	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "benchjson: wrote %d records to %s\n", len(rep.Records), *out)
 	}
 	return nil
 }

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/bigmap/bigmap/internal/checkpoint"
 )
 
 func TestRunSmallCampaign(t *testing.T) {
@@ -108,6 +113,37 @@ func TestRunResumeValidation(t *testing.T) {
 		"-checkpoint", chk, "-resume",
 	}); err == nil {
 		t.Error("resume from missing checkpoint accepted")
+	}
+}
+
+// TestRunResumeRefusesVersionSkew: a checkpoint written by another codec
+// version is refused before anything is written — the checkpoint keeps its
+// bytes and the output directory is never created.
+func TestRunResumeRefusesVersionSkew(t *testing.T) {
+	dir := t.TempDir()
+	chk := filepath.Join(dir, "campaign.bmcp")
+	flags := []string{"-bench", "zlib", "-scheme", "bigmap", "-map", "64k", "-scale", "0.05"}
+	if err := run(append(flags, "-execs", "500", "-seeds", "4", "-checkpoint", chk)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4] = 4 // the version byte, right after the 4-byte magic
+	if err := os.WriteFile(chk, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out")
+	err = run(append(flags, "-execs", "1000", "-checkpoint", chk, "-resume", "-o", out))
+	if !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("resume err = %v, want ErrVersion", err)
+	}
+	if after, err := os.ReadFile(chk); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("refused resume changed the checkpoint (read err %v)", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("refused resume created the output directory (stat err %v)", err)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"github.com/bigmap/bigmap"
 	"github.com/bigmap/bigmap/internal/crash"
 	"github.com/bigmap/bigmap/internal/output"
+	"github.com/bigmap/bigmap/internal/target"
 	"github.com/bigmap/bigmap/internal/tmin"
 )
 
@@ -73,7 +74,7 @@ func run(args []string) error {
 	dedup := crash.NewDeduper()
 	nonCrashing := 0
 	for _, in := range inputs {
-		res := interp.Run(in, nopTracer{}, 1<<22)
+		res := interp.Run(in, target.NopTracer{}, 1<<22)
 		if res.Status != bigmap.StatusCrash {
 			nonCrashing++
 			continue
@@ -109,10 +110,3 @@ func run(args []string) error {
 	}
 	return nil
 }
-
-// nopTracer discards instrumentation events during replay.
-type nopTracer struct{}
-
-func (nopTracer) Visit(uint32)     {}
-func (nopTracer) EnterCall(uint32) {}
-func (nopTracer) LeaveCall()       {}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/crash"
+	"github.com/bigmap/bigmap/internal/executor"
 	"github.com/bigmap/bigmap/internal/lafintel"
 	"github.com/bigmap/bigmap/internal/rng"
 	"github.com/bigmap/bigmap/internal/target"
@@ -103,15 +104,16 @@ func countUnique(prog *target.Program, crashes [][]byte, mapSize int) (crashwalk
 	if err != nil {
 		return 0, 0, err
 	}
+	exe, err := executor.New(prog, metric, cov, 1<<22)
+	if err != nil {
+		return 0, 0, err
+	}
 	virginCrash := cov.NewVirgin()
 	dedup := crash.NewDeduper()
-	interp := target.NewInterp(prog)
-	tracer := &dedupTracer{metric: metric, cov: cov}
 
 	for _, input := range crashes {
 		cov.Reset()
-		metric.Begin()
-		res := interp.Run(input, tracer, 1<<22)
+		res := exe.Execute(input)
 		if res.Status != target.StatusCrash {
 			continue
 		}
@@ -122,13 +124,3 @@ func countUnique(prog *target.Program, crashes [][]byte, mapSize int) (crashwalk
 	}
 	return dedup.Unique(), aflStyle, nil
 }
-
-// dedupTracer wires metric+map for the replay.
-type dedupTracer struct {
-	metric core.Metric
-	cov    core.Map
-}
-
-func (t *dedupTracer) Visit(b uint32)   { t.cov.Add(t.metric.Visit(b)) }
-func (t *dedupTracer) EnterCall(uint32) {}
-func (t *dedupTracer) LeaveCall()       {}

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"github.com/bigmap/bigmap/internal/core"
-	"github.com/bigmap/bigmap/internal/covreport"
-	"github.com/bigmap/bigmap/internal/ensemble"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/lafintel"
+	"github.com/bigmap/bigmap/internal/parallel"
 	"github.com/bigmap/bigmap/internal/target"
 )
 
@@ -17,10 +16,10 @@ import (
 //
 //	stacked   — ONE instance, laf-intel + 3-gram on a 2MB BigMap (the
 //	            paper's §V-C aggressive composition)
-//	ensemble  — THREE instances (edge / 3-gram / context) with periodic
-//	            corpus sync, each getting a third of the budget; once with
-//	            the ensemble's traditional small 64kB maps and once with
-//	            2MB BigMaps
+//	ensemble  — ONE parallel campaign of THREE instances (edge / 3-gram /
+//	            context) with periodic corpus sync, each instance getting
+//	            a third of the budget; once with the ensemble's traditional
+//	            small 64kB maps and once with 2MB BigMaps
 //
 // Coverage is judged with the bias-free exact coverage build over each
 // configuration's final corpus, since the configurations count coverage in
@@ -75,13 +74,10 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 		// Exact coverage of the stacked corpus, replayed on the ORIGINAL
 		// program so laf-intel's extra guard blocks don't inflate the
 		// comparison.
-		cov := covreport.New(b.prog, 0)
-		for _, e := range stacked.Queue().Entries() {
-			cov.Add(e.Input)
-		}
+		edges := exactEdges(b.prog, stacked)
 		st := stacked.Stats()
-		t.AddRow(p.Name, "stacked", fmtInt(cov.Edges()), fmtInt(st.UniqueCrashes), fmtInt(int(st.Execs)))
-		opts.progressf("  ensemble %-10s stacked edges=%d crashes=%d\n", p.Name, cov.Edges(), st.UniqueCrashes)
+		t.AddRow(p.Name, "stacked", fmtInt(edges), fmtInt(st.UniqueCrashes), fmtInt(int(st.Execs)))
+		opts.progressf("  ensemble %-10s stacked edges=%d crashes=%d\n", p.Name, edges, st.UniqueCrashes)
 
 		// Ensembles at two map configurations.
 		for _, variant := range []struct {
@@ -92,28 +88,42 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 			{"ensemble/64k", fuzzer.SchemeAFL, 64 << 10},
 			{"ensemble/2M-bigmap", fuzzer.SchemeBigMap, 2 << 20},
 		} {
-			ens, err := ensemble.New(b.prog, ensemble.Config{
-				Members:   ensemble.DefaultMembers(),
-				SyncEvery: budget / 6,
-				Fuzzer: fuzzer.Config{
-					Scheme:         variant.scheme,
-					MapSize:        variant.mapSize,
-					Seed:           opts.Seed,
-					ExecCostFactor: b.costFactor,
-				},
-			}, b.seeds)
+			ens, err := newEnsemble(b.prog, b.seeds, budget/6, fuzzer.Config{
+				Scheme:         variant.scheme,
+				MapSize:        variant.mapSize,
+				Seed:           opts.Seed,
+				ExecCostFactor: b.costFactor,
+			})
 			if err != nil {
 				return nil, err
 			}
 			if err := ens.RunExecs(budget / 3); err != nil {
 				return nil, err
 			}
-			rep := ens.Report(b.prog)
-			t.AddRow(p.Name, variant.name, fmtInt(rep.UnionExactEdges),
+			rep := ens.Report()
+			edges := exactEdges(b.prog, ens.Instances()...)
+			t.AddRow(p.Name, variant.name, fmtInt(edges),
 				fmtInt(rep.UniqueCrashes), fmtInt(int(rep.TotalExecs)))
 			opts.progressf("  ensemble %-10s %s edges=%d crashes=%d\n",
-				p.Name, variant.name, rep.UnionExactEdges, rep.UniqueCrashes)
+				p.Name, variant.name, edges, rep.UniqueCrashes)
 		}
 	}
 	return t, nil
+}
+
+// newEnsemble builds the classic heterogeneous trio as one campaign, one
+// instance per coverage metric: plain edges, 3-gram partial paths and
+// context-sensitive edges, cross-pollinating every syncEvery execs.
+func newEnsemble(prog *target.Program, seeds [][]byte, syncEvery uint64, template fuzzer.Config) (*parallel.Campaign, error) {
+	metrics := []fuzzer.MetricFactory{
+		func(size int) (core.Metric, error) { return core.NewEdgeMetric(size) },
+		func(size int) (core.Metric, error) { return core.NewNGramMetric(size, 3) },
+		func(size int) (core.Metric, error) { return core.NewContextMetric(size) },
+	}
+	return parallel.NewCampaign(prog, parallel.Config{
+		Instances: len(metrics),
+		SyncEvery: syncEvery,
+		Metrics:   metrics,
+		Fuzzer:    template,
+	}, seeds)
 }

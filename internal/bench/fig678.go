@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"github.com/bigmap/bigmap/internal/covreport"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/target"
 )
@@ -186,11 +185,7 @@ func Fig7TimeBudget(opts Options, secondsPerCell float64) (*Table, *Table, error
 				// The fuzzers' own virgin counts are incomparable across
 				// map sizes (collisions merge edges); replay the corpus
 				// exactly instead, as the paper does.
-				rep := covreport.New(b.prog, 0)
-				for _, e := range f.Queue().Entries() {
-					rep.Add(e.Input)
-				}
-				exact[scheme] = rep.Edges()
+				exact[scheme] = exactEdges(b.prog, f)
 				opts.progressf("  fig7t %-12s %-7s %-4s exact-edges=%d crashes=%d execs=%d\n",
 					p.Name, scheme, fmtSize(size), exact[scheme],
 					stats[scheme].UniqueCrashes, stats[scheme].Execs)

@@ -6,10 +6,15 @@ import (
 	"math"
 	"time"
 
+	"github.com/bigmap/bigmap/internal/covreport"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/rng"
 	"github.com/bigmap/bigmap/internal/target"
 )
+
+// execWorkUnits is the cost auto-calibration target: about 24,000 work
+// units per average seed execution, roughly 15us of CPU.
+const execWorkUnits = 24000
 
 // Options tune experiment cost. Zero values select quick defaults suitable
 // for a laptop run; the CLI exposes flags for full-scale sweeps.
@@ -27,14 +32,11 @@ type Options struct {
 	MaxSeeds int
 	// CostFactor simulates native execution cost per virtual cycle.
 	// 0 (the default) auto-calibrates per benchmark so that an average
-	// seed execution costs about ExecWorkUnits of CPU work regardless of
+	// seed execution costs about execWorkUnits of CPU work regardless of
 	// program scale — restoring the paper's regime where execution
 	// dominates map operations at a 64kB map. Negative disables the
 	// simulation entirely.
 	CostFactor int
-	// ExecWorkUnits is the auto-calibration target (default 24,000 work
-	// units per execution, roughly 15us of CPU).
-	ExecWorkUnits int
 	// Trials averages each grid cell over this many runs with different
 	// seeds (default 1; the paper uses an average of three runs, §V-B).
 	Trials int
@@ -56,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSeeds == 0 {
 		o.MaxSeeds = 32
-	}
-	if o.ExecWorkUnits == 0 {
-		o.ExecWorkUnits = 24000
 	}
 	if o.Trials == 0 {
 		o.Trials = 1
@@ -104,7 +103,7 @@ type bencher struct {
 
 // prepare generates the benchmark program, synthesizes its seed corpus, and
 // calibrates the simulated execution cost so an average seed execution
-// costs opts.ExecWorkUnits of CPU work whatever the program's scale.
+// costs execWorkUnits of CPU work whatever the program's scale.
 func prepare(p target.Profile, opts Options) (*bencher, error) {
 	prog, err := target.Generate(p.Spec(opts.Scale))
 	if err != nil {
@@ -127,6 +126,20 @@ func prepare(p target.Profile, opts Options) (*bencher, error) {
 	return b, nil
 }
 
+// exactEdges is the bias-free exact-edge coverage of the fuzzers' combined
+// queues replayed on prog: the fair coverage measure across configurations
+// whose maps or metrics count coverage differently (collisions, key
+// spaces), as the paper's §V-A3 methodology prescribes.
+func exactEdges(prog *target.Program, fuzzers ...*fuzzer.Fuzzer) int {
+	cov := covreport.New(prog, 0)
+	for _, f := range fuzzers {
+		for _, e := range f.Queue().Entries() {
+			cov.Add(e.Input)
+		}
+	}
+	return cov.Edges()
+}
+
 // calibrateCost derives the per-cycle work factor from the average seed
 // execution cost.
 func calibrateCost(prog *target.Program, seeds [][]byte, opts Options) int {
@@ -145,7 +158,7 @@ func calibrateCost(prog *target.Program, seeds [][]byte, opts Options) int {
 	if avg == 0 {
 		avg = 1
 	}
-	factor := opts.ExecWorkUnits / int(avg)
+	factor := execWorkUnits / int(avg)
 	if factor < 1 {
 		factor = 1
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/bigmap/bigmap/internal/collision"
 	"github.com/bigmap/bigmap/internal/core"
-	"github.com/bigmap/bigmap/internal/covreport"
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/lafintel"
 	"github.com/bigmap/bigmap/internal/target"
@@ -74,11 +73,7 @@ func Table3(opts Options) (*Table, error) {
 			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return fuzzer.Stats{}, 0, err
 			}
-			cov := covreport.New(laf, 0)
-			for _, e := range f.Queue().Entries() {
-				cov.Add(e.Input)
-			}
-			return f.Stats(), cov.Edges(), nil
+			return f.Stats(), exactEdges(laf, f), nil
 		}
 
 		// Big map first: its (nearly collision-free) key count calibrates

@@ -16,9 +16,8 @@ func sampleTable(cells ...string) TableJSON {
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
 	rep := &Report{
-		Schema:  Schema,
-		Records: []Record{{Name: "BenchmarkX", Iterations: 10, NsPerOp: 5}},
-		Tables:  []TableJSON{sampleTable("12")},
+		Schema: Schema,
+		Tables: []TableJSON{sampleTable("12")},
 	}
 	if err := Validate(rep); err != nil {
 		t.Fatalf("well-formed report rejected: %v", err)
@@ -46,9 +45,6 @@ func TestValidateEdgeCases(t *testing.T) {
 		{"nil report", nil},
 		{"wrong schema", &Report{Schema: "bogus/v9", Tables: []TableJSON{sampleTable("1")}}},
 		{"empty grid", &Report{Schema: Schema}},
-		{"record without name", &Report{Schema: Schema, Records: []Record{{Iterations: 1}}}},
-		{"record zero iterations", &Report{Schema: Schema, Records: []Record{{Name: "B", Iterations: 0}}}},
-		{"record negative ns", &Report{Schema: Schema, Records: []Record{{Name: "B", Iterations: 1, NsPerOp: -1}}}},
 		{"ragged table", &Report{Schema: Schema, Tables: []TableJSON{ragged}}},
 		{"untitled table", &Report{Schema: Schema, Tables: []TableJSON{noTitle}}},
 		{"headerless table", &Report{Schema: Schema, Tables: []TableJSON{noHeader}}},

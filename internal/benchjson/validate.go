@@ -12,12 +12,11 @@ import (
 var ErrSchema = errors.New("benchjson: schema violation")
 
 // Validate checks a report against the bigmap-bench/v1 schema contract:
-// the schema string must match, the report must carry at least one record or
-// table, every record needs a name and a positive iteration count, and every
-// table must be rectangular (each row exactly as wide as its header) with a
-// title and a non-empty header. This is what "fails on schema drift" means
-// mechanically: an experiment driver that renames, widens or empties a table
-// breaks Validate before any artifact is written.
+// the schema string must match, the report must carry at least one table,
+// and every table must be rectangular (each row exactly as wide as its
+// header) with a title and a non-empty header. This is what "fails on schema
+// drift" means mechanically: an experiment driver that renames, widens or
+// empties a table breaks Validate before any artifact is written.
 func Validate(r *Report) error {
 	if r == nil {
 		return fmt.Errorf("%w: nil report", ErrSchema)
@@ -25,19 +24,8 @@ func Validate(r *Report) error {
 	if r.Schema != Schema {
 		return fmt.Errorf("%w: schema %q, want %q", ErrSchema, r.Schema, Schema)
 	}
-	if len(r.Records) == 0 && len(r.Tables) == 0 {
-		return fmt.Errorf("%w: report carries no records and no tables", ErrSchema)
-	}
-	for i, rec := range r.Records {
-		if rec.Name == "" {
-			return fmt.Errorf("%w: record %d has no name", ErrSchema, i)
-		}
-		if rec.Iterations <= 0 {
-			return fmt.Errorf("%w: record %q has iterations %d", ErrSchema, rec.Name, rec.Iterations)
-		}
-		if rec.NsPerOp < 0 {
-			return fmt.Errorf("%w: record %q has negative ns/op", ErrSchema, rec.Name)
-		}
+	if len(r.Tables) == 0 {
+		return fmt.Errorf("%w: report carries no tables", ErrSchema)
 	}
 	for i := range r.Tables {
 		if err := ValidateTable(&r.Tables[i]); err != nil {

@@ -10,9 +10,9 @@ import (
 // region (dense slots, the Fig. 3 load of 4096 discovered keys on a 2M or 8M
 // hash space); the "afl" cases run the same load scattered over the full
 // flat 8M bitmap, one touched slot every 2 KiB. The sub-benchmark names are
-// <scalar|word>/<scheme>/<size>; "word" is the kernel the maps call. `make
-// bench` writes them to BENCH_2.json, whose checked-in copy predates the afl
-// cases and the block kernels; DESIGN §8 has the current figures.
+// <scalar|word>/<scheme>/<size>; "word" is the kernel the maps call. Run
+// them with `go test -run '^$' -bench Kernel -benchmem ./internal/core/`
+// (part of `make bench`); DESIGN §8 has the current figures.
 
 const benchKernelLoad = 4096
 

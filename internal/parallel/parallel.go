@@ -4,6 +4,12 @@
 // fuzzing the same target with independent coverage maps and seed pools,
 // periodically cross-pollinating their corpora.
 //
+// Instances share the template's coverage metric unless Config.Metrics gives
+// each its own. That makes an ensemble campaign (the paper's §VI future
+// work: edge, N-gram and context-sensitive instances cross-pollinating, as
+// in EnFuzz) an ordinary campaign: a find interesting under one metric is
+// re-judged under each peer's metric when the peer imports it.
+//
 // Instances run concurrently, one goroutine each, so wall-clock throughput
 // measurements capture the real scaling behaviour (shared last-level cache
 // and memory-bandwidth pressure included — the effect Figure 9 plots).
@@ -46,6 +52,10 @@ import (
 // instance.
 var ErrNoInstances = errors.New("parallel: campaign needs at least one instance")
 
+// ErrMetricCount is returned when Config.Metrics is non-empty and does not
+// name exactly one metric per instance.
+var ErrMetricCount = errors.New("parallel: Metrics needs one entry per instance")
+
 // Config parameterizes a campaign.
 type Config struct {
 	// Instances is the number of concurrent fuzzers (the paper sweeps 1,
@@ -60,6 +70,13 @@ type Config struct {
 	Fuzzer fuzzer.Config
 	// MasterDeterministic enables the deterministic stages on instance 0.
 	MasterDeterministic bool
+	// Metrics, when non-empty, gives instance i the coverage metric
+	// Metrics[i] instead of the template's Fuzzer.Metric (an ensemble
+	// campaign). Its length must equal Instances. Instances with different
+	// metrics count coverage in different key spaces, so Report.MaxEdges
+	// and UnionEdges do not compare across them; measure an ensemble's
+	// coverage by exact replay of its queues (internal/covreport).
+	Metrics []fuzzer.MetricFactory
 	// MaxRestarts bounds how many times a crashed instance is revived from
 	// its last sync-round checkpoint before it is marked failed and the
 	// campaign continues without it. 0 means 3.
@@ -230,8 +247,8 @@ func withDefaults(cfg Config) Config {
 }
 
 // InstanceConfig derives instance i's fuzzer config from the campaign
-// template: a per-instance seed perturbation, and deterministic stages on
-// the master only. Revival and resume rebuild configs through this same
+// template: a per-instance seed perturbation, deterministic stages on the
+// master only, and the instance's own metric when Metrics is set. Revival and resume rebuild configs through this same
 // function, so a restarted instance is bitwise the campaign's original.
 // Exported so out-of-process workers (bigmap-fuzz -join) can derive the
 // exact per-instance configuration an in-process campaign would use —
@@ -240,7 +257,22 @@ func InstanceConfig(cfg Config, i int) fuzzer.Config {
 	fcfg := cfg.Fuzzer
 	fcfg.Seed = fcfg.Seed*31 + uint64(i) + 1
 	fcfg.RunDeterministic = cfg.MasterDeterministic && i == 0
+	if len(cfg.Metrics) > 0 {
+		fcfg.Metric = cfg.Metrics[i]
+	}
 	return fcfg
+}
+
+// validate checks the instance count and that Metrics, when set, has one
+// entry per instance.
+func validate(cfg Config) error {
+	if cfg.Instances < 1 {
+		return ErrNoInstances
+	}
+	if len(cfg.Metrics) > 0 && len(cfg.Metrics) != cfg.Instances {
+		return fmt.Errorf("%w: %d metrics for %d instances", ErrMetricCount, len(cfg.Metrics), cfg.Instances)
+	}
+	return nil
 }
 
 func (c *Campaign) instanceCfg(i int) fuzzer.Config {
@@ -277,8 +309,8 @@ func newShell(prog *target.Program, cfg Config) *Campaign {
 // NewCampaign builds the instances and dry-runs the shared seed corpus on
 // each.
 func NewCampaign(prog *target.Program, cfg Config, seeds [][]byte) (*Campaign, error) {
-	if cfg.Instances < 1 {
-		return nil, ErrNoInstances
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	c := newShell(prog, withDefaults(cfg))
 	for i := range c.fuzzers {
@@ -645,6 +677,9 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.CampaignState) (*Ca
 	if cfg.Instances != n {
 		return nil, fmt.Errorf("parallel: resume instance count mismatch: config %d, checkpoint %d",
 			cfg.Instances, n)
+	}
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.SyncEvery == 0 && st.SyncEvery != 0 {
 		cfg.SyncEvery = st.SyncEvery

@@ -35,6 +35,9 @@ func TestNewCampaignValidates(t *testing.T) {
 	if _, err := NewCampaign(prog, Config{Instances: 0}, seeds); !errors.Is(err, ErrNoInstances) {
 		t.Errorf("err = %v, want ErrNoInstances", err)
 	}
+	if _, err := NewCampaign(prog, Config{Instances: 2, Metrics: make([]fuzzer.MetricFactory, 3)}, seeds); !errors.Is(err, ErrMetricCount) {
+		t.Errorf("err = %v, want ErrMetricCount", err)
+	}
 }
 
 func TestCampaignRunsAllInstances(t *testing.T) {

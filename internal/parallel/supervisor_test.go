@@ -250,6 +250,25 @@ func TestCampaignConstructionErrors(t *testing.T) {
 	}
 }
 
+// campaignPrint is a campaign's per-instance stats and queue path hashes.
+type campaignPrint struct {
+	Stats  []fuzzer.Stats
+	Queues [][]uint64
+}
+
+func fingerprint(c *Campaign) campaignPrint {
+	var p campaignPrint
+	for _, f := range c.Instances() {
+		p.Stats = append(p.Stats, f.Stats())
+		var hashes []uint64
+		for _, e := range f.Queue().Entries() {
+			hashes = append(hashes, e.PathHash)
+		}
+		p.Queues = append(p.Queues, hashes)
+	}
+	return p
+}
+
 // TestCampaignResumeMatchesUninterrupted: a campaign checkpointed between
 // Run calls and resumed through the full campaign codec must reproduce the
 // uninterrupted campaign exactly — per-instance stats, coverage, queues —
@@ -267,23 +286,6 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 			Faults: &target.FaultProfile{Seed: 6, FlakyEdgeFraction: 100, DropRate: 250},
 		},
 	}
-	type print struct {
-		Stats  []fuzzer.Stats
-		Queues [][]uint64
-	}
-	take := func(c *Campaign) print {
-		var p print
-		for _, f := range c.Instances() {
-			p.Stats = append(p.Stats, f.Stats())
-			var hashes []uint64
-			for _, e := range f.Queue().Entries() {
-				hashes = append(hashes, e.PathHash)
-			}
-			p.Queues = append(p.Queues, hashes)
-		}
-		return p
-	}
-
 	ref, err := NewCampaign(prog, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +293,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	if err := ref.RunRounds(4); err != nil {
 		t.Fatal(err)
 	}
-	want := take(ref)
+	want := fingerprint(ref)
 
 	a, err := NewCampaign(prog, cfg, seeds)
 	if err != nil {
@@ -317,7 +319,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	if err := b.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := take(b); !reflect.DeepEqual(got, want) {
+	if got := fingerprint(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed campaign diverged:\n got %+v\nwant %+v", got, want)
 	}
 	if got, want := b.Report().UnionEdges, ref.Report().UnionEdges; got != want || got == 0 {
@@ -344,6 +346,9 @@ func TestCampaignResumeValidates(t *testing.T) {
 	st := c.Snapshot()
 	if _, err := Resume(prog, Config{Instances: 5}, st); err == nil {
 		t.Error("instance count mismatch accepted")
+	}
+	if _, err := Resume(prog, Config{Metrics: make([]fuzzer.MetricFactory, 3)}, st); !errors.Is(err, ErrMetricCount) {
+		t.Errorf("metric count mismatch: err = %v, want ErrMetricCount", err)
 	}
 	if _, err := Resume(prog, Config{}, &checkpoint.CampaignState{}); !errors.Is(err, ErrNoInstances) {
 		t.Errorf("empty checkpoint: err = %v, want ErrNoInstances", err)
