@@ -88,7 +88,7 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 			{"ensemble/64k", fuzzer.SchemeAFL, 64 << 10},
 			{"ensemble/2M-bigmap", fuzzer.SchemeBigMap, 2 << 20},
 		} {
-			ens, err := newEnsemble(b.prog, b.seeds, budget/6, fuzzer.Config{
+			ens, err := newEnsemble(b.prog, b.seeds, ensembleMembers(), budget/6, fuzzer.Config{
 				Scheme:         variant.scheme,
 				MapSize:        variant.mapSize,
 				Seed:           opts.Seed,
@@ -111,19 +111,24 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// newEnsemble builds the classic heterogeneous trio as one campaign, one
-// instance per coverage metric: plain edges, 3-gram partial paths and
-// context-sensitive edges, cross-pollinating every syncEvery execs.
-func newEnsemble(prog *target.Program, seeds [][]byte, syncEvery uint64, template fuzzer.Config) (*parallel.Campaign, error) {
-	metrics := []fuzzer.MetricFactory{
+// ensembleMembers is the classic heterogeneous trio, one coverage metric
+// per instance: plain edges, 3-gram partial paths and context-sensitive
+// edges.
+func ensembleMembers() []fuzzer.MetricFactory {
+	return []fuzzer.MetricFactory{
 		func(size int) (core.Metric, error) { return core.NewEdgeMetric(size) },
 		func(size int) (core.Metric, error) { return core.NewNGramMetric(size, 3) },
 		func(size int) (core.Metric, error) { return core.NewContextMetric(size) },
 	}
+}
+
+// newEnsemble builds an ensemble as one campaign, one instance per member
+// metric, cross-pollinating every syncEvery execs.
+func newEnsemble(prog *target.Program, seeds [][]byte, members []fuzzer.MetricFactory, syncEvery uint64, template fuzzer.Config) (*parallel.Campaign, error) {
 	return parallel.NewCampaign(prog, parallel.Config{
-		Instances: len(metrics),
+		Instances: len(members),
 		SyncEvery: syncEvery,
-		Metrics:   metrics,
+		Metrics:   members,
 		Fuzzer:    template,
 	}, seeds)
 }
