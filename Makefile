@@ -84,10 +84,11 @@ fuzz-selffuzz:
 fuzz-all:
 	FUZZTIME=$(FUZZTIME) ./scripts/fuzz-all.sh
 
-# Hot-path benchmark sweep (word kernels, batched exec loop, Fig. 3 map ops)
-# with allocation counts, printed as `go test -bench` text.
-BENCH_PKGS    := ./internal/core/ ./internal/executor/ .
-BENCH_FILTER  := 'Kernel|ExecLoop|Fig3MapOps'
+# Hot-path benchmark sweep (word kernels, batched exec loop, havoc and
+# splice, Fig. 3 map ops) with allocation counts, printed as `go test -bench`
+# text.
+BENCH_PKGS    := ./internal/core/ ./internal/executor/ ./internal/mutation/ .
+BENCH_FILTER  := 'Kernel|ExecLoop|Havoc|Fig3MapOps'
 BENCH_TIME    ?= 200x
 
 bench:

@@ -45,6 +45,34 @@ var execLoopFunctions = []string{
 // //bigmap:hotpath root. Skipped in -short mode: it type-checks four real
 // packages.
 func TestExecLoopIsCoveredByHotpathRoots(t *testing.T) {
+	assertReachableFromHotpath(t, []string{"internal/core", "internal/target", "internal/executor", "internal/telemetry"}, execLoopFunctions)
+}
+
+// mutatorFunctions names every function TestHavocSpliceZeroAllocs in
+// internal/mutation executes per call: the havoc and splice entry points,
+// the operator and block-length draws, and the bounded RNG draw behind
+// them.
+var mutatorFunctions = []string{
+	"(*github.com/bigmap/bigmap/internal/mutation.Mutator).Havoc",
+	"(*github.com/bigmap/bigmap/internal/mutation.Mutator).Splice",
+	"(*github.com/bigmap/bigmap/internal/mutation.Mutator).pickOp",
+	"(*github.com/bigmap/bigmap/internal/mutation.Mutator).blockLen",
+	"(*github.com/bigmap/bigmap/internal/rng.Source).Intn",
+}
+
+// TestMutatorIsCoveredByHotpathRoots is the mutator's counterpart of
+// TestExecLoopIsCoveredByHotpathRoots: the zero-allocs guard proves havoc
+// and splice do not allocate at run time, and this test proves the
+// allocfree analyzer checks the same functions. Skipped in -short mode.
+func TestMutatorIsCoveredByHotpathRoots(t *testing.T) {
+	assertReachableFromHotpath(t, []string{"internal/mutation", "internal/rng"}, mutatorFunctions)
+}
+
+// assertReachableFromHotpath loads dirs of the real module, builds their
+// call graph and fails for every name in funcs that is missing from the
+// graph or unreachable from a //bigmap:hotpath root.
+func assertReachableFromHotpath(t *testing.T, dirs, funcs []string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("real-module call-graph build skipped in -short mode")
 	}
@@ -57,7 +85,7 @@ func TestExecLoopIsCoveredByHotpathRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pkgs []*analysis.Package
-	for _, dir := range []string{"internal/core", "internal/target", "internal/executor", "internal/telemetry"} {
+	for _, dir := range dirs {
 		pkg, err := mod.LoadDir(dir, false)
 		if err != nil {
 			t.Fatalf("loading %s: %v", dir, err)
@@ -68,18 +96,18 @@ func TestExecLoopIsCoveredByHotpathRoots(t *testing.T) {
 
 	roots := g.FuncsWithDirective("hotpath")
 	if len(roots) == 0 {
-		t.Fatal("no //bigmap:hotpath roots found in internal/core, internal/target, internal/executor, internal/telemetry")
+		t.Fatalf("no //bigmap:hotpath roots found in %v", dirs)
 	}
 	parents := g.Reachable(roots)
 
-	for _, name := range execLoopFunctions {
+	for _, name := range funcs {
 		node := g.Lookup(name)
 		if node == nil {
-			t.Errorf("function %s is not in the call graph (renamed or removed? update execLoopFunctions)", name)
+			t.Errorf("function %s is not in the call graph (renamed or removed? update the list)", name)
 			continue
 		}
 		if _, ok := parents[node]; !ok {
-			t.Errorf("%s executes in the zero-allocs loop but is not reachable from any //bigmap:hotpath root", name)
+			t.Errorf("%s executes in a zero-allocs loop but is not reachable from any //bigmap:hotpath root", name)
 		}
 	}
 }

@@ -15,12 +15,16 @@ import (
 func quickOpts() Options {
 	return Options{
 		Scale:       0.02,
-		ExecsPerRun: 1500,
+		ExecsPerRun: testExecs(1500),
 		Seed:        1,
 		MaxSeeds:    4,
 		CostFactor:  -1, // disable exec-cost simulation: tests check shapes, not calibration
 	}
 }
+
+// testExecs is a test's exec budget: n, cut by raceBudgetDivisor under the
+// race detector.
+func testExecs(n uint64) uint64 { return n / raceBudgetDivisor }
 
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
@@ -94,7 +98,8 @@ func TestRunGridSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := RunGrid(profiles, GridSchemes, []int{64 << 10, 2 << 20}, quickOpts())
+	opts := quickOpts()
+	cells, err := RunGrid(profiles, GridSchemes, []int{64 << 10, 2 << 20}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestRunGridSmall(t *testing.T) {
 		t.Fatalf("cells = %d, want 4", len(cells))
 	}
 	for _, c := range cells {
-		if c.Execs < 1500 {
+		if c.Execs < opts.ExecsPerRun {
 			t.Errorf("%s/%s/%s: execs = %d", c.Benchmark, c.Scheme, fmtSize(c.MapSize), c.Execs)
 		}
 		if c.Throughput <= 0 {
@@ -122,7 +127,7 @@ func TestThroughputShape(t *testing.T) {
 		t.Skip("throughput shape needs a timed run")
 	}
 	opts := quickOpts()
-	opts.ExecsPerRun = 4000
+	opts.ExecsPerRun = testExecs(4000)
 	profiles, err := selectProfiles(target.Profiles(), []string{"libpng"})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +234,7 @@ func TestScalingSmallRun(t *testing.T) {
 	}
 	opts := quickOpts()
 	opts.Benchmarks = []string{"zlib"}
-	opts.ExecsPerRun = 4000
+	opts.ExecsPerRun = testExecs(4000)
 	// Shrink the sweep for the test.
 	old := ScalingInstances
 	ScalingInstances = []int{1, 2}
@@ -295,12 +300,12 @@ func TestRunGridTrialsAveraging(t *testing.T) {
 	}
 	opts := quickOpts()
 	opts.Trials = 2
-	opts.ExecsPerRun = 800
+	opts.ExecsPerRun = testExecs(800)
 	cells, err := RunGrid(profiles, []fuzzer.Scheme{fuzzer.SchemeBigMap}, []int{64 << 10}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Execs < 800 || cells[0].Throughput <= 0 {
+	if len(cells) != 1 || cells[0].Execs < opts.ExecsPerRun || cells[0].Throughput <= 0 {
 		t.Errorf("averaged cell wrong: %+v", cells)
 	}
 }

@@ -34,7 +34,7 @@ func TestDedupBiasSmallRun(t *testing.T) {
 func TestRoadblocksSmallRun(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"libxml2"}
-	opts.ExecsPerRun = 2500
+	opts.ExecsPerRun = testExecs(2500)
 	tbl, err := Roadblocks(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestRoadblocksSmallRun(t *testing.T) {
 func TestCollAFLSmallRun(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"libpng"}
-	opts.ExecsPerRun = 2000
+	opts.ExecsPerRun = testExecs(2000)
 	tbl, err := CollAFL(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestCollAFLSmallRun(t *testing.T) {
 func TestMetricsSmallRun(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"zlib"}
-	opts.ExecsPerRun = 2000
+	opts.ExecsPerRun = testExecs(2000)
 	tbl, err := Metrics(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestMetricsSmallRun(t *testing.T) {
 func TestEnsembleVsStackingSmallRun(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"sccp"}
-	opts.ExecsPerRun = 3000
+	opts.ExecsPerRun = testExecs(3000)
 	tbl, err := EnsembleVsStacking(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestEnsembleVsStackingSmallRun(t *testing.T) {
 func TestSchedulesSmallRun(t *testing.T) {
 	opts := quickOpts()
 	opts.Benchmarks = []string{"zlib"}
-	opts.ExecsPerRun = 1500
+	opts.ExecsPerRun = testExecs(1500)
 	tbl, err := Schedules(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func (m *Mutator) pickOp() int {
 	// A quarter of picks stay uniform so no operator starves.
 	if m.src.Intn(4) == 0 {
 		op := m.src.Intn(numHavocOps)
-		m.adaptive.lastOps = append(m.adaptive.lastOps, op)
+		m.adaptive.lastOps = append(m.adaptive.lastOps, op) //bigmap:alloc-ok amortized growth: RewardLast truncates lastOps and keeps its capacity
 		return op
 	}
 	// Weight = (success+1)/(used+numHavocOps): Laplace-smoothed success
@@ -118,6 +118,6 @@ func (m *Mutator) pickOp() int {
 		}
 		pick -= weights[i]
 	}
-	m.adaptive.lastOps = append(m.adaptive.lastOps, op)
+	m.adaptive.lastOps = append(m.adaptive.lastOps, op) //bigmap:alloc-ok amortized growth: RewardLast truncates lastOps and keeps its capacity
 	return op
 }

@@ -8,6 +8,7 @@ package mutation
 
 import (
 	"bytes"
+	"slices"
 
 	"github.com/bigmap/bigmap/internal/rng"
 )
@@ -33,7 +34,9 @@ const (
 type Mutator struct {
 	src      *rng.Source
 	dict     [][]byte
-	buf      []byte
+	buf      []byte              // Havoc's and Deterministic's result
+	spliced  []byte              // Splice's result, kept apart so Havoc(Splice(a, b)) can copy it into buf
+	block    [havocBlkSmall]byte // the clone/insert operator's block
 	adaptive *adaptiveState
 }
 
@@ -245,15 +248,18 @@ func (m *Mutator) DeterministicCount(n int) int {
 }
 
 // Havoc produces one stacked-random mutant of base. The result buffer is
-// owned by the mutator and reused by the next call.
+// owned by the mutator and reused by the next call; once it has grown to the
+// campaign's input sizes, Havoc does not allocate.
+//
+//bigmap:hotpath the havoc and splice stages call it once per execution
 func (m *Mutator) Havoc(base []byte) []byte {
 	src := m.src
-	buf := append(m.scratch(0)[:0], base...)
+	buf := append(m.buf[:0], base...) //bigmap:alloc-ok amortized growth: m.buf keeps the largest capacity across calls
 
 	stack := 1 << (1 + src.Intn(havocStackPow))
 	for s := 0; s < stack; s++ {
 		if len(buf) == 0 {
-			buf = append(buf, byte(src.Uint32()))
+			buf = append(buf, byte(src.Uint32())) //bigmap:alloc-ok amortized growth of the mutator-owned result buffer
 			continue
 		}
 		switch m.pickOp() {
@@ -309,13 +315,13 @@ func (m *Mutator) Havoc(base []byte) []byte {
 			if len(buf) > 2 {
 				dl := m.blockLen(len(buf) - 1)
 				from := src.Intn(len(buf) - dl + 1)
-				buf = append(buf[:from], buf[from+dl:]...)
+				buf = slices.Delete(buf, from, from+dl)
 			}
 		case 10: // clone block (75%) or insert constant block (25%)
 			if len(buf)+havocBlkSmall < maxInputLen {
 				cl := m.blockLen(len(buf))
 				to := src.Intn(len(buf) + 1)
-				block := make([]byte, cl)
+				block := m.block[:cl]
 				if src.Intn(4) != 0 {
 					from := src.Intn(len(buf) - cl + 1)
 					copy(block, buf[from:from+cl])
@@ -325,7 +331,7 @@ func (m *Mutator) Havoc(base []byte) []byte {
 						block[i] = fill
 					}
 				}
-				buf = append(buf[:to], append(block, buf[to:]...)...)
+				buf = slices.Insert(buf, to, block...) //bigmap:alloc-ok amortized growth of the mutator-owned result buffer
 			}
 		case 11: // overwrite block with copy (75%) or constant (25%)
 			if len(buf) >= 2 {
@@ -352,7 +358,7 @@ func (m *Mutator) Havoc(base []byte) []byte {
 					copy(buf[i:], tok)
 				} else if len(buf)+len(tok) < maxInputLen {
 					i := src.Intn(len(buf) + 1)
-					buf = append(buf[:i], append(append([]byte{}, tok...), buf[i:]...)...)
+					buf = slices.Insert(buf, i, tok...) //bigmap:alloc-ok amortized growth of the mutator-owned result buffer
 				}
 			}
 		case 14: // flip random byte completely
@@ -379,7 +385,11 @@ func (m *Mutator) blockLen(limit int) int {
 // Splice combines two corpus entries: it locates the first and last
 // differing byte, picks a split point between them, and joins a's head with
 // b's tail, then typically havocs the result. Returns nil if the inputs are
-// too similar or too short to splice, matching AFL's retry behaviour.
+// too similar or too short to splice, matching AFL's retry behaviour. The
+// result buffer is owned by the mutator and reused by the next Splice call
+// (Havoc copies its base, so Havoc(Splice(a, b)) is safe).
+//
+//bigmap:hotpath the splice stage calls it once per execution
 func (m *Mutator) Splice(a, b []byte) []byte {
 	if len(a) < minSpliceLen || len(b) < minSpliceLen {
 		return nil
@@ -401,10 +411,8 @@ func (m *Mutator) Splice(a, b []byte) []byte {
 		return nil
 	}
 	split := first + 1 + m.src.Intn(last-first-1)
-	out := make([]byte, split+len(b)-split)
-	copy(out, a[:split])
-	copy(out[split:], b[split:])
-	return out
+	m.spliced = append(append(m.spliced[:0], a[:split]...), b[split:]...) //bigmap:alloc-ok amortized growth of the mutator-owned result buffer
+	return m.spliced
 }
 
 // scratch returns a reusable buffer of at least n bytes.

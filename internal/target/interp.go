@@ -88,56 +88,33 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 	}
 	stack := ip.stack[:0]
 	var cycles uint64
+	visits := 0
+	status := StatusOK
+	// blocks is the current function's block list; it changes only on call
+	// and return, where fn changes with it.
 	fn, bi := 0, 0
+	blocks := prog.Funcs[0].Blocks
 
 	bt, batched := tracer.(BatchTracer)
 	if batched && cap(ip.ring) == 0 {
 		ip.ring = make([]uint32, 0, traceRingLen) //bigmap:alloc-ok one-time lazy ring allocation, reused across every subsequent run
 	}
 	ring := ip.ring[:0]
-	flushRing := func() {
-		if len(ring) > 0 {
-			bt.VisitBatch(ring)
-			ring = ring[:0]
-		}
-	}
 
-	charge := func(cost uint64) bool {
+	// Every exit sets status (and cycles, for hangs) and breaks out of the
+	// loop; an out-of-range block index ends the run cleanly.
+exec:
+	for bi >= 0 && bi < len(blocks) {
+		blk := &blocks[bi]
+		cost := blk.Cost
 		if cost == 0 {
-			cost = 1
+			cost = 1 // zero-cost hand-built programs cannot loop for free
 		}
 		cycles += cost
-		return cycles <= budget
-	}
-	finish := func(status Status) Result {
-		if batched {
-			flushRing()
-			ip.ring = ring[:0]
-		}
-		res.Status = status
-		res.Cycles = cycles
-		if len(stack) > 0 {
-			res.Stack = make([]uint32, len(stack)) //bigmap:alloc-ok abnormal-exit reporting: a clean run ends with an empty call stack
-			for i := range stack {
-				res.Stack[i] = stack[i].site
-			}
-		}
-		ip.stack = stack[:0]
-		return res
-	}
-
-	for {
-		if fn < 0 || fn >= len(prog.Funcs) {
-			return finish(StatusOK)
-		}
-		blocks := prog.Funcs[fn].Blocks
-		if bi < 0 || bi >= len(blocks) {
-			return finish(StatusOK)
-		}
-		blk := &blocks[bi]
-		if !charge(blk.Cost) {
+		if cycles > budget {
 			cycles = budget
-			return finish(StatusHang)
+			status = StatusHang
+			break
 		}
 		if batched {
 			if len(ring) == cap(ring) {
@@ -148,7 +125,7 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 		} else {
 			tracer.Visit(blk.ID)
 		}
-		res.Blocks++
+		visits++
 
 		nd := &blk.Node
 		switch nd.Kind {
@@ -209,9 +186,11 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 			if bound := int64(nd.Val); bound > 0 {
 				n := int(int64(at(input, nd.Pos)) % bound)
 				for i := 0; i < n; i++ {
-					if !charge(blk.Cost) {
+					cycles += cost
+					if cycles > budget {
 						cycles = budget
-						return finish(StatusHang)
+						status = StatusHang
+						break exec
 					}
 					if batched {
 						if len(ring) == cap(ring) {
@@ -222,7 +201,7 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 					} else {
 						tracer.Visit(blk.ID)
 					}
-					res.Blocks++
+					visits++
 				}
 			}
 			bi = nd.A
@@ -235,39 +214,64 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 			}
 			if len(stack) >= maxCallDepth {
 				cycles = budget
-				return finish(StatusHang)
+				status = StatusHang
+				break exec
 			}
 			stack = append(stack, frame{fn: fn, cont: nd.B, site: blk.ID}) //bigmap:alloc-ok bounded by maxCallDepth and reuses ip.stack backing across runs
-			if batched {
-				flushRing() // keep Visit/EnterCall order for batch consumers
+			if batched && len(ring) > 0 {
+				bt.VisitBatch(ring) // keep Visit/EnterCall order for batch consumers
+				ring = ring[:0]
 			}
 			tracer.EnterCall(blk.ID)
 			fn, bi = callee, 0
+			blocks = prog.Funcs[fn].Blocks
 
 		case KindCrash:
 			res.CrashSite = blk.ID
-			return finish(StatusCrash)
+			status = StatusCrash
+			break exec
 
 		case KindHang:
 			// An infinite loop under a timeout: the rest of the budget is
 			// consumed with no further coverage.
 			cycles = budget
-			return finish(StatusHang)
+			status = StatusHang
+			break exec
 
 		case KindReturn:
 			if len(stack) == 0 {
-				return finish(StatusOK)
+				break exec
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if batched {
-				flushRing() // keep Visit/LeaveCall order for batch consumers
+			if batched && len(ring) > 0 {
+				bt.VisitBatch(ring) // keep Visit/LeaveCall order for batch consumers
+				ring = ring[:0]
 			}
 			tracer.LeaveCall()
 			fn, bi = top.fn, top.cont
+			blocks = prog.Funcs[fn].Blocks
 
 		default:
-			return finish(StatusOK)
+			break exec
 		}
 	}
+
+	if batched {
+		if len(ring) > 0 {
+			bt.VisitBatch(ring)
+		}
+		ip.ring = ring[:0]
+	}
+	res.Status = status
+	res.Cycles = cycles
+	res.Blocks = visits
+	if len(stack) > 0 {
+		res.Stack = make([]uint32, len(stack)) //bigmap:alloc-ok abnormal-exit reporting: a clean run ends with an empty call stack
+		for i := range stack {
+			res.Stack[i] = stack[i].site
+		}
+	}
+	ip.stack = stack[:0]
+	return res
 }
