@@ -85,10 +85,10 @@ fuzz-all:
 	FUZZTIME=$(FUZZTIME) ./scripts/fuzz-all.sh
 
 # Hot-path benchmark sweep (word kernels, batched exec loop, havoc and
-# splice, Fig. 3 map ops) with allocation counts, printed as `go test -bench`
-# text.
-BENCH_PKGS    := ./internal/core/ ./internal/executor/ ./internal/mutation/ .
-BENCH_FILTER  := 'Kernel|ExecLoop|Havoc|Fig3MapOps'
+# splice, whole fuzz rounds on the bigmap-steady shape, Fig. 3 map ops) with
+# allocation counts, printed as `go test -bench` text.
+BENCH_PKGS    := ./internal/core/ ./internal/executor/ ./internal/mutation/ ./internal/fuzzer/ .
+BENCH_FILTER  := 'Kernel|ExecLoop|Havoc|Step|Fig3MapOps'
 BENCH_TIME    ?= 200x
 
 bench:

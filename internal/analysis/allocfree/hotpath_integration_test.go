@@ -30,8 +30,9 @@ var execLoopFunctions = []string{
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).flush",
 	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).Visit",
 	"(*github.com/bigmap/bigmap/internal/core.BigMap).AddBatch",
-	// Call events: the generated program has calls, so the tracer relays
-	// them to the metric.
+	// Call events: the interpreter asks the tracer whether it needs them;
+	// the edge metric does not, but a call-aware metric gets them relayed.
+	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).CallBlind",
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).EnterCall",
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).LeaveCall",
 	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).EnterCall",

@@ -50,15 +50,18 @@ const keyBufLen = 4096
 //
 // When the metric is the common *core.EdgeMetric, key derivation goes
 // through a concrete (inlinable) method call instead of the Metric
-// interface — the second devirtualization in the loop.
+// interface — the second devirtualization in the loop. When the metric
+// ignores call events (edge, N-gram), the tracer says so, and the
+// interpreter skips the events and the ring flushes around them.
 type mapTracer struct {
-	metric core.Metric
-	edge   *core.EdgeMetric // non-nil fast path when metric is the edge metric
-	cov    core.Map
-	keys   []uint32 // buffered coverage keys, flushed via cov.AddBatch
+	metric    core.Metric
+	edge      *core.EdgeMetric // non-nil fast path when metric is the edge metric
+	callBlind bool             // the metric's EnterCall and LeaveCall are no-ops
+	cov       core.Map
+	keys      []uint32 // buffered coverage keys, flushed via cov.AddBatch
 }
 
-var _ target.BatchTracer = (*mapTracer)(nil)
+var _ target.CallBlindTracer = (*mapTracer)(nil)
 
 // Visit handles the scalar path (kept for Tracer conformance and for any
 // non-batching interpreter).
@@ -101,6 +104,20 @@ func (t *mapTracer) flush() {
 func (t *mapTracer) EnterCall(site uint32) { t.metric.EnterCall(site) }
 func (t *mapTracer) LeaveCall()            { t.metric.LeaveCall() }
 
+// CallBlind reports whether the metric ignores call events.
+func (t *mapTracer) CallBlind() bool { return t.callBlind }
+
+// ignoresCalls reports whether m's coverage keys do not depend on call
+// events: the edge and N-gram metrics, whose EnterCall and LeaveCall are
+// no-ops. Every other metric gets the events.
+func ignoresCalls(m core.Metric) bool {
+	switch m.(type) {
+	case *core.EdgeMetric, *core.NGramMetric:
+		return true
+	}
+	return false
+}
+
 // New creates an executor running the clean interpreter. budget is the
 // per-execution cycle budget; pass 0 for DefaultBudget.
 func New(prog *target.Program, metric core.Metric, cov core.Map, budget uint64) (*Executor, error) {
@@ -127,10 +144,11 @@ func NewWithRunner(runner target.Runner, metric core.Metric, cov core.Map, budge
 		cov:    cov,
 		budget: budget,
 		tracer: mapTracer{
-			metric: metric,
-			edge:   edge,
-			cov:    cov,
-			keys:   make([]uint32, 0, keyBufLen),
+			metric:    metric,
+			edge:      edge,
+			callBlind: ignoresCalls(metric),
+			cov:       cov,
+			keys:      make([]uint32, 0, keyBufLen),
 		},
 	}, nil
 }

@@ -38,6 +38,7 @@ type Fuzzer struct {
 	crashes *crash.Deduper
 	cmp     *cmplog.Collector
 	paths   *pathStats
+	pipe    *havocPipe // the havoc stage's pipeline, built on first use
 
 	execs          uint64
 	deadline       time.Time        // non-zero during RunFor: abort stages when past
@@ -57,6 +58,10 @@ type Fuzzer struct {
 	calibExecs      uint64          // executions spent on calibration and verification
 	spuriousCrashes uint64          // one-off crash verdicts quarantined
 	spuriousHangs   uint64          // one-off hang verdicts quarantined
+
+	// testMutants, when set, replaces mut as the havoc pipeline's generator
+	// (a test seam; it must share mut's RNG source).
+	testMutants mutantSource
 
 	// tel holds the optional observability handles (telemetry.go); the zero
 	// value is the disabled fast path.
@@ -271,18 +276,17 @@ func (f *Fuzzer) fuzzEntry(e *corpus.Entry) {
 		}
 	}
 	h0 := f.tel.stageHavoc.Start()
-	for i := 0; i < rounds; i++ {
-		if i&63 == 63 && f.pastDeadline() {
-			f.tel.stageHavoc.Done(h0)
-			e.FuzzLevel++
-			return
-		}
-		before := f.queue.Len()
-		f.evaluate(f.mut.Havoc(e.Input), "havoc", depth)
-		f.mut.RewardLast(f.queue.Len() > before)
+	var completed bool
+	if f.mut.AdaptiveEnabled() {
+		completed = f.havocAdaptive(e.Input, rounds, depth)
+	} else {
+		completed = f.havocPipelined(e.Input, rounds, depth)
 	}
 	f.tel.stageHavoc.Done(h0)
 	e.FuzzLevel++
+	if !completed {
+		return
+	}
 
 	if f.queue.Len() > 1 {
 		s0 := f.tel.stageSplice.Start()

@@ -74,7 +74,8 @@ func at(input []byte, pos int) byte {
 // interpreter's trace ring and delivered through VisitBatch — one virtual
 // call per ring's worth of blocks instead of one per block. The ring is
 // flushed around call events and before returning, so batch consumers see
-// the same event order (see BatchTracer).
+// the same event order (see BatchTracer). A CallBlindTracer that reports
+// CallBlind gets no call events and no flushes around them.
 //
 //bigmap:hotpath the target execution loop itself
 func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
@@ -96,6 +97,10 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 	blocks := prog.Funcs[0].Blocks
 
 	bt, batched := tracer.(BatchTracer)
+	callEvents := true
+	if cb, ok := tracer.(CallBlindTracer); ok && cb.CallBlind() {
+		callEvents = false
+	}
 	if batched && cap(ip.ring) == 0 {
 		ip.ring = make([]uint32, 0, traceRingLen) //bigmap:alloc-ok one-time lazy ring allocation, reused across every subsequent run
 	}
@@ -218,11 +223,13 @@ exec:
 				break exec
 			}
 			stack = append(stack, frame{fn: fn, cont: nd.B, site: blk.ID}) //bigmap:alloc-ok bounded by maxCallDepth and reuses ip.stack backing across runs
-			if batched && len(ring) > 0 {
-				bt.VisitBatch(ring) // keep Visit/EnterCall order for batch consumers
-				ring = ring[:0]
+			if callEvents {
+				if batched && len(ring) > 0 {
+					bt.VisitBatch(ring) // keep Visit/EnterCall order for batch consumers
+					ring = ring[:0]
+				}
+				tracer.EnterCall(blk.ID)
 			}
-			tracer.EnterCall(blk.ID)
 			fn, bi = callee, 0
 			blocks = prog.Funcs[fn].Blocks
 
@@ -244,11 +251,13 @@ exec:
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if batched && len(ring) > 0 {
-				bt.VisitBatch(ring) // keep Visit/LeaveCall order for batch consumers
-				ring = ring[:0]
+			if callEvents {
+				if batched && len(ring) > 0 {
+					bt.VisitBatch(ring) // keep Visit/LeaveCall order for batch consumers
+					ring = ring[:0]
+				}
+				tracer.LeaveCall()
 			}
-			tracer.LeaveCall()
 			fn, bi = top.fn, top.cont
 			blocks = prog.Funcs[fn].Blocks
 

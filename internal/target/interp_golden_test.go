@@ -17,7 +17,9 @@ import (
 // — the Result and the ordered Visit/EnterCall/LeaveCall/compare-hook event
 // stream, with batch boundaries for BatchTracer consumers — over hand-built
 // programs that reach every edge of its contract, plus a digest over
-// generated programs. Regenerate testdata/interp_golden.txt with
+// generated programs. The hand-built programs also pin the call-blind batch
+// stream (CallBlindTracer), whose visits the test checks against the plain
+// stream. Regenerate testdata/interp_golden.txt with
 //
 //	go test ./internal/target/ -run TestInterpGolden -update
 //
@@ -52,6 +54,60 @@ func (r *batchGoldenRecorder) VisitBatch(blocks []uint32) {
 	for _, b := range blocks {
 		r.Visit(b)
 	}
+}
+
+// blindGoldenRecorder is a batch recorder that reports CallBlind, making
+// the interpreter drop call events and the ring flushes around them.
+type blindGoldenRecorder struct{ batchGoldenRecorder }
+
+func (r *blindGoldenRecorder) CallBlind() bool { return true }
+
+// blindRun executes input in call-blind batch mode, compare hook off.
+func blindRun(ip *Interp, input []byte, budget uint64) (Result, []string) {
+	rec := &blindGoldenRecorder{}
+	ip.SetCompareHook(nil)
+	res := ip.Run(input, rec, budget)
+	return res, rec.tokens
+}
+
+// callBlindMismatch runs input in plain scalar mode and in call-blind batch
+// mode and describes how they differ, or returns "". The blind run must have
+// the same Result and the same Visit stream minus the call events, in
+// batches that are all full rings but the last.
+func callBlindMismatch(ip *Interp, input []byte, budget uint64) string {
+	plain := &goldenRecorder{}
+	ip.SetCompareHook(nil)
+	want := ip.Run(input, plain, budget)
+	got, tokens := blindRun(ip, input, budget)
+	if g, w := formatResult(got), formatResult(want); g != w {
+		return fmt.Sprintf("result %s, plain %s", g, w)
+	}
+	var visits, batches []string
+	for _, tok := range tokens {
+		switch tok[0] {
+		case 'v':
+			visits = append(visits, tok)
+		case 'b':
+			batches = append(batches, tok)
+		default:
+			return fmt.Sprintf("call-blind run delivered event %s", tok)
+		}
+	}
+	var plainVisits []string
+	for _, tok := range plain.tokens {
+		if tok[0] == 'v' {
+			plainVisits = append(plainVisits, tok)
+		}
+	}
+	if g, w := strings.Join(visits, " "), strings.Join(plainVisits, " "); g != w {
+		return fmt.Sprintf("visits %s, plain %s", abbreviate(visits), abbreviate(plainVisits))
+	}
+	for i := 0; i+1 < len(batches); i++ {
+		if batches[i] != fmt.Sprintf("b%d", traceRingLen) {
+			return fmt.Sprintf("batch %d of %d is %s, not a full ring", i, len(batches), batches[i])
+		}
+	}
+	return ""
 }
 
 // abbreviate prints short token lists in full and long ones as a count and
@@ -268,6 +324,9 @@ func interpGolden() []byte {
 				for _, l := range goldenRun(ip, in, b) {
 					fmt.Fprintln(&out, l)
 				}
+				res, tokens := blindRun(ip, in, b)
+				fmt.Fprintf(&out, "  in=%x budget=%d batch+blind: %s events=%s\n",
+					in, b, formatResult(res), abbreviate(tokens))
 			}
 		}
 	}
@@ -278,8 +337,10 @@ func interpGolden() []byte {
 }
 
 // TestInterpGolden compares the interpreter's results and event streams
-// with the recorded golden file.
+// with the recorded golden file, then checks the call-blind mode against
+// the plain one on every hand-built case and on generated programs.
 func TestInterpGolden(t *testing.T) {
+	t.Run("call-blind", testCallBlind)
 	got := interpGolden()
 	if *updateGolden {
 		if err := os.WriteFile(interpGoldenPath, got, 0o644); err != nil {
@@ -305,6 +366,44 @@ func TestInterpGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", interpGoldenPath, i+1, g, w)
+		}
+	}
+}
+
+func testCallBlind(t *testing.T) {
+	for _, c := range goldenCases() {
+		inputs := c.inputs
+		if inputs == nil {
+			inputs = [][]byte{nil}
+		}
+		budgets := c.budgets
+		if budgets == nil {
+			budgets = []uint64{0}
+		}
+		ip := NewInterp(c.prog)
+		for _, in := range inputs {
+			for _, b := range budgets {
+				if msg := callBlindMismatch(ip, in, b); msg != "" {
+					t.Errorf("%s in=%x budget=%d: %s", c.name, in, b, msg)
+				}
+			}
+		}
+	}
+	src := rng.New(0xb11d)
+	for _, p := range Profiles() {
+		prog, err := Generate(p.Spec(0.02))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip := NewInterp(prog)
+		for trial := 0; trial < 20; trial++ {
+			input := make([]byte, src.Intn(2*prog.InputLen+1))
+			for i := range input {
+				input[i] = byte(src.Uint32())
+			}
+			if msg := callBlindMismatch(ip, input, 0); msg != "" {
+				t.Errorf("generated %s trial %d: %s", p.Name, trial, msg)
+			}
 		}
 	}
 }

@@ -293,6 +293,16 @@ type BatchTracer interface {
 	VisitBatch(blocks []uint32)
 }
 
+// CallBlindTracer is an optional BatchTracer extension for consumers that
+// ignore call events, such as a tracer feeding the edge or N-gram metric.
+// When CallBlind reports true, Interp.Run neither delivers EnterCall and
+// LeaveCall nor flushes the trace ring around them, so every VisitBatch but
+// the last carries a full ring. The concatenated Visit stream is unchanged.
+type CallBlindTracer interface {
+	BatchTracer
+	CallBlind() bool
+}
+
 // NopTracer discards all events.
 type NopTracer struct{}
 
