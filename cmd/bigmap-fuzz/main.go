@@ -234,14 +234,9 @@ func run(args []string) error {
 		} else {
 			corpusIn = prog.SampleSeeds(rng.New(*seed^0x5eed), *seeds)
 		}
-		accepted := 0
-		for _, s := range corpusIn {
-			if err := f.AddSeed(s); err == nil {
-				accepted++
-			}
-		}
-		if accepted == 0 {
-			return fmt.Errorf("all seeds crashed or hung")
+		accepted, err := f.AddSeeds(corpusIn)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("  %d/%d seeds accepted\n", accepted, len(corpusIn))
 	}
@@ -368,6 +363,7 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 			nextStats = time.Now().Add(statsTick) //bigmap:nondeterministic-ok stats cadence is wall-clock; fuzzing state never reads it
 		}
 		var err error
+		before := f.Execs()
 		if execs > 0 {
 			if f.Execs() >= execs {
 				return nil
@@ -390,8 +386,11 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 		if err != nil {
 			return err
 		}
+		// A slice overshoots its exec target by up to a fuzz round, and a
+		// -seconds slice runs however many execs fit: count what ran.
+		ran := f.Execs() - before
 		if chkPath != "" && chkEvery > 0 {
-			sinceChk += slice
+			sinceChk += ran
 			if sinceChk >= chkEvery {
 				sinceChk = 0
 				if err := bigmap.SaveFuzzerCheckpoint(chkPath, f); err != nil {
@@ -400,7 +399,7 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 			}
 		}
 		if peer != nil && syncEvery > 0 {
-			sinceSync += slice
+			sinceSync += ran
 			if sinceSync >= syncEvery {
 				sinceSync = 0
 				// A sync failure degrades to independent fuzzing; the

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/bigmap/bigmap"
 	"github.com/bigmap/bigmap/internal/checkpoint"
+	"github.com/bigmap/bigmap/internal/dist"
 )
 
 func TestRunSmallCampaign(t *testing.T) {
@@ -183,5 +185,66 @@ func TestRunWithDictionaryFile(t *testing.T) {
 	}
 	if err := run([]string{"-bench", "zlib", "-execs", "10", "-x", dir + "/missing"}); err == nil {
 		t.Error("missing dictionary accepted")
+	}
+}
+
+// pushLog is a Hub that records the fuzzer's exec count at every push.
+type pushLog struct {
+	*dist.Hub
+	f  *bigmap.Fuzzer
+	at []uint64
+}
+
+func (p *pushLog) Push(worker string, b dist.Batch) (dist.Receipt, error) {
+	p.at = append(p.at, p.f.Execs())
+	return p.Hub.Push(worker, b)
+}
+
+// TestFuzzLoopSyncsByExecs: -sync-every counts the execs that actually ran,
+// not the slices. A -checkpoint-every of 1 shrinks every slice to a single
+// fuzz round (no checkpoint path, so nothing is written); a round runs many
+// execs, so counting slices would sync only after syncEvery rounds.
+func TestFuzzLoopSyncsByExecs(t *testing.T) {
+	p, ok := bigmap.ProfileByName("zlib")
+	if !ok {
+		t.Fatal("zlib profile missing")
+	}
+	prog, err := bigmap.Generate(p.Spec(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := bigmap.NewFuzzer(prog, bigmap.WithScheme(bigmap.SchemeBigMap), bigmap.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddSeeds(bigmap.SynthesizeSeeds(prog, 1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	size := f.Map().Size()
+	hub, err := dist.NewHub(size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushes := &pushLog{Hub: hub, f: f}
+	peer, err := dist.NewWorker(f, "w", pushes, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const syncEvery, execs = 2000, 20000
+	start := f.Execs()
+	if err := fuzzLoop(f, peer, execs, 0, "", 1, syncEvery, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A sync lands at most one round past each syncEvery mark; a round
+	// here is far shorter than syncEvery.
+	if ran := f.Execs() - start; uint64(len(pushes.at)) < ran/(2*syncEvery) {
+		t.Fatalf("%d syncs over %d execs at -sync-every %d", len(pushes.at), ran, syncEvery)
+	}
+	prev := start
+	for i, at := range pushes.at {
+		if at-prev < syncEvery {
+			t.Errorf("sync %d after %d execs, want >= %d", i, at-prev, syncEvery)
+		}
+		prev = at
 	}
 }

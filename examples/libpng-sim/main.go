@@ -64,14 +64,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		accepted := 0
-		for _, s := range seeds {
-			if err := f.AddSeed(s); err == nil {
-				accepted++
-			}
-		}
-		if accepted == 0 {
-			return fmt.Errorf("%s: no usable seeds", scheme)
+		if _, err := f.AddSeeds(seeds); err != nil {
+			return fmt.Errorf("%s: %w", scheme, err)
 		}
 
 		start := time.Now()

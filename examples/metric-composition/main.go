@@ -68,14 +68,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		accepted := 0
-		for _, s := range seeds {
-			if err := f.AddSeed(s); err == nil {
-				accepted++
-			}
-		}
-		if accepted == 0 {
-			return fmt.Errorf("no usable seeds")
+		if _, err := f.AddSeeds(seeds); err != nil {
+			return err
 		}
 		if err := f.RunExecs(250000); err != nil {
 			return err

@@ -61,15 +61,8 @@ func run() error {
 
 	// Seed corpus: the target type can synthesize plausible seeds, the
 	// stand-in for the seed files of a real campaign.
-	seeds := bigmap.SynthesizeSeeds(prog, 7, 8)
-	accepted := 0
-	for _, s := range seeds {
-		if err := f.AddSeed(s); err == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		return fmt.Errorf("no usable seeds")
+	if _, err := f.AddSeeds(bigmap.SynthesizeSeeds(prog, 7, 8)); err != nil {
+		return err
 	}
 
 	// Fuzz in bursts and report progress.

@@ -62,11 +62,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, s := range bigmap.SynthesizeSeeds(prog, 2, 8) {
-		_ = f.AddSeed(s)
-	}
-	if f.Queue().Len() == 0 {
-		return errors.New("no seeds accepted")
+	if _, err := f.AddSeeds(bigmap.SynthesizeSeeds(prog, 2, 8)); err != nil {
+		return err
 	}
 	for burst := 0; burst < 5; burst++ {
 		if err := f.RunExecs(30000); err != nil {

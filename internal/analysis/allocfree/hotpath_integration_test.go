@@ -30,9 +30,11 @@ var execLoopFunctions = []string{
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).flush",
 	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).Visit",
 	"(*github.com/bigmap/bigmap/internal/core.BigMap).AddBatch",
-	// Call events: the interpreter asks the tracer whether it needs them;
-	// the edge metric does not, but a call-aware metric gets them relayed.
+	// Call events: the interpreter asks the tracer whether it needs them,
+	// the tracer asks its metric; the edge metric does not, but a
+	// call-aware metric gets them relayed.
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).CallBlind",
+	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).CallBlind",
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).EnterCall",
 	"(*github.com/bigmap/bigmap/internal/executor.mapTracer).LeaveCall",
 	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).EnterCall",

@@ -69,7 +69,7 @@ func Ablation(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := addSeeds(f, b.seeds); err != nil {
+			if _, err := f.AddSeeds(b.seeds); err != nil {
 				return nil, err
 			}
 			cell, err := timeRun(f, opts.ExecsPerRun)

@@ -75,7 +75,7 @@ func CollAFL(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := addSeeds(f, b.seeds); err != nil {
+			if _, err := f.AddSeeds(b.seeds); err != nil {
 				return nil, err
 			}
 			throughput, err := timeRun(f, opts.ExecsPerRun)

@@ -65,7 +65,7 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := addSeeds(stacked, b.seeds); err != nil {
+		if _, err := stacked.AddSeeds(b.seeds); err != nil {
 			return nil, err
 		}
 		if err := stacked.RunExecs(budget); err != nil {

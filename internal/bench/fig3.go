@@ -61,7 +61,7 @@ func Fig3(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := addSeeds(f, b.seeds); err != nil {
+			if _, err := f.AddSeeds(b.seeds); err != nil {
 				return nil, err
 			}
 			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
@@ -88,19 +88,4 @@ func Fig3(opts Options) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// addSeeds dry-runs a corpus into a fuzzer, requiring at least one usable
-// seed.
-func addSeeds(f *fuzzer.Fuzzer, seeds [][]byte) error {
-	accepted := 0
-	for _, s := range seeds {
-		if err := f.AddSeed(s); err == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		return fuzzer.ErrNoSeeds
-	}
-	return nil
 }

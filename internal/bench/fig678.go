@@ -175,7 +175,7 @@ func Fig7TimeBudget(opts Options, secondsPerCell float64) (*Table, *Table, error
 				if err != nil {
 					return nil, nil, err
 				}
-				if err := addSeeds(f, b.seeds); err != nil {
+				if _, err := f.AddSeeds(b.seeds); err != nil {
 					return nil, nil, err
 				}
 				if err := f.RunFor(secondsToDuration(secondsPerCell)); err != nil {

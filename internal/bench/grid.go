@@ -222,14 +222,8 @@ func (b *bencher) runTrial(scheme fuzzer.Scheme, mapSize int, opts Options, seed
 	if err != nil {
 		return Cell{}, err
 	}
-	accepted := 0
-	for _, s := range b.seeds {
-		if err := f.AddSeed(s); err == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		return Cell{}, fmt.Errorf("bench %s: %w", b.profile.Name, fuzzer.ErrNoSeeds)
+	if _, err := f.AddSeeds(b.seeds); err != nil {
+		return Cell{}, fmt.Errorf("bench %s: %w", b.profile.Name, err)
 	}
 
 	start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product

@@ -76,7 +76,7 @@ func Roadblocks(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := addSeeds(f, b.seeds); err != nil {
+			if _, err := f.AddSeeds(b.seeds); err != nil {
 				return nil, err
 			}
 			if err := f.RunExecs(opts.ExecsPerRun); err != nil {

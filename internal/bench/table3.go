@@ -67,7 +67,7 @@ func Table3(opts Options) (*Table, error) {
 			if err != nil {
 				return fuzzer.Stats{}, 0, err
 			}
-			if err := addSeeds(f, b.seeds); err != nil {
+			if _, err := f.AddSeeds(b.seeds); err != nil {
 				return fuzzer.Stats{}, 0, err
 			}
 			if err := f.RunExecs(opts.ExecsPerRun); err != nil {

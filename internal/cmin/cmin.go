@@ -30,7 +30,7 @@ type Result struct {
 // traceSet is one input's exact edge set.
 type traceSet struct {
 	idx   int
-	edges map[covreport.Edge]struct{}
+	edges map[covreport.Edge]uint64
 }
 
 // Minimize selects a coverage-preserving subset of corpus for prog. budget
@@ -45,10 +45,10 @@ func Minimize(prog *target.Program, corpus [][]byte, budget uint64) Result {
 	sets := make([]traceSet, 0, len(corpus))
 	union := make(map[covreport.Edge]struct{})
 	for i, input := range corpus {
-		tr := &edgeSetTracer{edges: make(map[covreport.Edge]struct{})}
-		interp.Run(input, tr, budget)
-		sets = append(sets, traceSet{idx: i, edges: tr.edges})
-		for e := range tr.edges {
+		tr := covreport.EdgeTracer{Edges: make(map[covreport.Edge]uint64)}
+		interp.Run(input, &tr, budget)
+		sets = append(sets, traceSet{idx: i, edges: tr.Edges})
+		for e := range tr.Edges {
 			union[e] = struct{}{}
 		}
 	}
@@ -94,23 +94,3 @@ func Minimize(prog *target.Program, corpus [][]byte, budget uint64) Result {
 	res.EdgesAfter = len(covered)
 	return res
 }
-
-// edgeSetTracer records one execution's exact edges.
-type edgeSetTracer struct {
-	edges map[covreport.Edge]struct{}
-	prev  uint32
-	has   bool
-}
-
-var _ target.Tracer = (*edgeSetTracer)(nil)
-
-func (t *edgeSetTracer) Visit(block uint32) {
-	if t.has {
-		t.edges[covreport.Edge{From: t.prev, To: block}] = struct{}{}
-	}
-	t.prev = block
-	t.has = true
-}
-
-func (t *edgeSetTracer) EnterCall(uint32) {}
-func (t *edgeSetTracer) LeaveCall()       {}

@@ -192,6 +192,9 @@ func (m *Metric) EnterCall(uint32) {}
 // LeaveCall is a no-op.
 func (m *Metric) LeaveCall() {}
 
+// CallBlind reports true: keys depend only on block transitions.
+func (m *Metric) CallBlind() bool { return true }
+
 // Misses reports how many runtime transitions missed the static table
 // (zero for well-formed programs; the fallback hash handled them).
 func (m *Metric) Misses() uint64 { return m.misses }

@@ -187,9 +187,14 @@ type metricTracer struct {
 	cov core.Map
 }
 
-func (t *metricTracer) Visit(b uint32)   { t.cov.Add(t.m.Visit(b)) }
+func (t *metricTracer) VisitBatch(bs []uint32) {
+	for _, b := range bs {
+		t.cov.Add(t.m.Visit(b))
+	}
+}
 func (t *metricTracer) EnterCall(uint32) {}
 func (t *metricTracer) LeaveCall()       {}
+func (t *metricTracer) CallBlind() bool  { return true }
 
 // transition is a (from, to) block pair observed at runtime.
 type transition struct{ from, to uint32 }
@@ -203,17 +208,20 @@ type recordingTracer struct {
 	conflict bool
 }
 
-func (t *recordingTracer) Visit(b uint32) {
-	key := t.metric.Visit(b)
-	if t.prevSet {
-		p := transition{t.prev, b}
-		if old, ok := t.keyOf[p]; ok && old != key {
-			t.conflict = true
+func (t *recordingTracer) VisitBatch(bs []uint32) {
+	for _, b := range bs {
+		key := t.metric.Visit(b)
+		if t.prevSet {
+			p := transition{t.prev, b}
+			if old, ok := t.keyOf[p]; ok && old != key {
+				t.conflict = true
+			}
+			t.keyOf[p] = key
 		}
-		t.keyOf[p] = key
+		t.prev = b
+		t.prevSet = true
 	}
-	t.prev = b
-	t.prevSet = true
 }
 func (t *recordingTracer) EnterCall(uint32) {}
 func (t *recordingTracer) LeaveCall()       {}
+func (t *recordingTracer) CallBlind() bool  { return true }

@@ -22,6 +22,10 @@ type Metric interface {
 	// call stack. Other metrics ignore them.
 	EnterCall(callsite uint32)
 	LeaveCall()
+	// CallBlind reports whether EnterCall and LeaveCall are no-ops, i.e.
+	// the keys do not depend on call events. A tracer feeding a call-blind
+	// metric lets the interpreter skip call delivery (see target.Tracer).
+	CallBlind() bool
 }
 
 // EdgeMetric is AFL's classic edge hit-count key: E_XY = (B_X >> 1) ^ B_Y,
@@ -65,6 +69,9 @@ func (m *EdgeMetric) EnterCall(uint32) {}
 
 // LeaveCall is a no-op for the edge metric.
 func (m *EdgeMetric) LeaveCall() {}
+
+// CallBlind reports true: edge keys ignore call events.
+func (m *EdgeMetric) CallBlind() bool { return true }
 
 // NGramMetric hashes the IDs of the last N basic blocks into the coverage
 // key, yielding partial path coverage (Wang et al., RAID'19; paper §V-C uses
@@ -139,6 +146,9 @@ func (m *NGramMetric) EnterCall(uint32) {}
 // LeaveCall is a no-op for the N-gram metric.
 func (m *NGramMetric) LeaveCall() {}
 
+// CallBlind reports true: N-gram keys ignore call events.
+func (m *NGramMetric) CallBlind() bool { return true }
+
 // ContextMetric is Angora-style context-sensitive edge coverage: the AFL edge
 // key XORed with a hash of the current call stack, so the same edge reached
 // through different calling contexts yields distinct keys.
@@ -198,3 +208,6 @@ func (m *ContextMetric) LeaveCall() {
 		m.stack = m.stack[:n-1]
 	}
 }
+
+// CallBlind reports false: the context hash is built from call events.
+func (m *ContextMetric) CallBlind() bool { return false }

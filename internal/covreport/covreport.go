@@ -49,31 +49,45 @@ func New(prog *target.Program, budget uint64) *Report {
 	}
 }
 
-// edgeTracer records exact transitions.
-type edgeTracer struct {
-	r    *Report
-	prev uint32
-	has  bool
+// EdgeTracer is the exact-edge target.Tracer: it counts each (previous
+// block, current block) transition of one execution in Edges and, when
+// Blocks is non-nil, marks each visited block there. Use a fresh value per
+// execution; the first visit of a run starts no edge.
+type EdgeTracer struct {
+	Edges  map[Edge]uint64
+	Blocks map[uint32]bool
+	prev   uint32
+	has    bool
 }
 
-var _ target.Tracer = (*edgeTracer)(nil)
+var _ target.Tracer = (*EdgeTracer)(nil)
 
-func (t *edgeTracer) Visit(block uint32) {
-	t.r.blocks[block] = true
-	if t.has {
-		t.r.edges[Edge{From: t.prev, To: block}]++
+// VisitBatch records the transitions into and within blocks.
+func (t *EdgeTracer) VisitBatch(blocks []uint32) {
+	for _, b := range blocks {
+		if t.Blocks != nil {
+			t.Blocks[b] = true
+		}
+		if t.has {
+			t.Edges[Edge{From: t.prev, To: b}]++
+		}
+		t.prev, t.has = b, true
 	}
-	t.prev = block
-	t.has = true
 }
 
-func (t *edgeTracer) EnterCall(uint32) {}
-func (t *edgeTracer) LeaveCall()       {}
+// EnterCall ignores the event: call transitions are block transitions.
+func (t *EdgeTracer) EnterCall(uint32) {}
+
+// LeaveCall ignores the event.
+func (t *EdgeTracer) LeaveCall() {}
+
+// CallBlind reports true.
+func (t *EdgeTracer) CallBlind() bool { return true }
 
 // Add replays one input and folds its exact coverage into the report,
 // returning the execution result.
 func (r *Report) Add(input []byte) target.Result {
-	tr := edgeTracer{r: r}
+	tr := EdgeTracer{Edges: r.edges, Blocks: r.blocks}
 	res := r.interp.Run(input, &tr, r.budget)
 	r.inputs++
 	switch res.Status {

@@ -123,8 +123,9 @@ func TestExecLoopZeroAllocs(t *testing.T) {
 }
 
 // TestBatchedTracerMatchesScalarCoverage replays the same inputs through the
-// batched executor pipeline and a hand-rolled scalar tracer and requires
-// identical coverage maps — the executor-level differential check.
+// batched, call-blind executor pipeline and a hand-rolled tracer that adds
+// one key at a time and takes every call event, and requires identical
+// coverage maps — the executor-level differential check.
 func TestBatchedTracerMatchesScalarCoverage(t *testing.T) {
 	prog := testProgram(t)
 	size := core.MapSize64K
@@ -161,12 +162,18 @@ func TestBatchedTracerMatchesScalarCoverage(t *testing.T) {
 	}
 }
 
-// scalarTracer is the pre-batching pipeline: one virtual Add per edge event.
+// scalarTracer is the reference pipeline: one virtual Map.Add per edge
+// event, with every call event relayed to the metric.
 type scalarTracer struct {
 	metric core.Metric
 	cov    core.Map
 }
 
-func (t *scalarTracer) Visit(block uint32) { t.cov.Add(t.metric.Visit(block)) }
+func (t *scalarTracer) VisitBatch(blocks []uint32) {
+	for _, b := range blocks {
+		t.cov.Add(t.metric.Visit(b))
+	}
+}
 func (t *scalarTracer) EnterCall(s uint32) { t.metric.EnterCall(s) }
 func (t *scalarTracer) LeaveCall()         { t.metric.LeaveCall() }
+func (t *scalarTracer) CallBlind() bool    { return false }

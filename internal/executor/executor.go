@@ -40,40 +40,33 @@ type Executor struct {
 // once or twice.
 const keyBufLen = 4096
 
-// mapTracer adapts a Metric + Map pair to the target.BatchTracer interface.
+// mapTracer adapts a Metric + Map pair to the target.Tracer interface.
 // This is the hot path. The interpreter delivers visited blocks a ring at a
 // time through VisitBatch; keys are derived and buffered, then flushed into
 // the map through one AddBatch call when the buffer fills and once at the
-// end of each execution — so the per-edge virtual Map.Add of the scalar
-// pipeline disappears, while the recorded coverage is exactly Listing 1
-// (AFL) or Listing 2 (BigMap) per edge event.
+// end of each execution — so no virtual Map.Add runs per edge event, while
+// the recorded coverage is exactly Listing 1 (AFL) or Listing 2 (BigMap)
+// per edge event.
 //
 // When the metric is the common *core.EdgeMetric, key derivation goes
 // through a concrete (inlinable) method call instead of the Metric
-// interface — the second devirtualization in the loop. When the metric
-// ignores call events (edge, N-gram), the tracer says so, and the
-// interpreter skips the events and the ring flushes around them.
+// interface — the second devirtualization in the loop. The tracer is as
+// call-blind as its metric, so for the edge, N-gram and CollAFL metrics the
+// interpreter skips call events and the ring flushes around them.
 type mapTracer struct {
-	metric    core.Metric
-	edge      *core.EdgeMetric // non-nil fast path when metric is the edge metric
-	callBlind bool             // the metric's EnterCall and LeaveCall are no-ops
-	cov       core.Map
-	keys      []uint32 // buffered coverage keys, flushed via cov.AddBatch
+	metric core.Metric
+	edge   *core.EdgeMetric // non-nil fast path when metric is the edge metric
+	cov    core.Map
+	keys   []uint32 // buffered coverage keys, flushed via cov.AddBatch
 }
 
-var _ target.CallBlindTracer = (*mapTracer)(nil)
-
-// Visit handles the scalar path (kept for Tracer conformance and for any
-// non-batching interpreter).
-func (t *mapTracer) Visit(block uint32) {
-	t.cov.Add(t.metric.Visit(block))
-}
+var _ target.Tracer = (*mapTracer)(nil)
 
 // VisitBatch derives one coverage key per visited block and buffers them.
 // The interpreter's ring never exceeds the buffer capacity, so after a flush
 // the whole batch always fits.
 //
-//bigmap:hotpath BatchTracer callback, runs once per trace-ring flush inside every execution
+//bigmap:hotpath Tracer callback, runs once per trace-ring flush inside every execution
 func (t *mapTracer) VisitBatch(blocks []uint32) {
 	keys := t.keys
 	if len(keys)+len(blocks) > cap(keys) {
@@ -104,19 +97,8 @@ func (t *mapTracer) flush() {
 func (t *mapTracer) EnterCall(site uint32) { t.metric.EnterCall(site) }
 func (t *mapTracer) LeaveCall()            { t.metric.LeaveCall() }
 
-// CallBlind reports whether the metric ignores call events.
-func (t *mapTracer) CallBlind() bool { return t.callBlind }
-
-// ignoresCalls reports whether m's coverage keys do not depend on call
-// events: the edge and N-gram metrics, whose EnterCall and LeaveCall are
-// no-ops. Every other metric gets the events.
-func ignoresCalls(m core.Metric) bool {
-	switch m.(type) {
-	case *core.EdgeMetric, *core.NGramMetric:
-		return true
-	}
-	return false
-}
+// CallBlind forwards the metric's declaration.
+func (t *mapTracer) CallBlind() bool { return t.metric.CallBlind() }
 
 // New creates an executor running the clean interpreter. budget is the
 // per-execution cycle budget; pass 0 for DefaultBudget.
@@ -144,11 +126,10 @@ func NewWithRunner(runner target.Runner, metric core.Metric, cov core.Map, budge
 		cov:    cov,
 		budget: budget,
 		tracer: mapTracer{
-			metric:    metric,
-			edge:      edge,
-			callBlind: ignoresCalls(metric),
-			cov:       cov,
-			keys:      make([]uint32, 0, keyBufLen),
+			metric: metric,
+			edge:   edge,
+			cov:    cov,
+			keys:   make([]uint32, 0, keyBufLen),
 		},
 	}, nil
 }

@@ -89,7 +89,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		},
 		"bigmap-cmplog-det": {
 			Scheme: SchemeBigMap, MapSize: core.MapSize2M, Seed: 13,
-			EnableCmpLog: true, RunDeterministic: true, DisableTrim: true,
+			EnableCmpLog: true, RunDeterministic: true,
 			HavocRounds: 16, SpliceRounds: 4,
 		},
 		"bigmap-calibrated-faulty": {

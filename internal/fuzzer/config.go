@@ -38,11 +38,6 @@ const (
 	SchemeBigMap Scheme = "bigmap"
 )
 
-// NewMap constructs a coverage map of the scheme.
-func (s Scheme) NewMap(size int) (core.Map, error) {
-	return s.NewMapSlots(size, 0)
-}
-
 // NewMapSlots constructs a coverage map with a bounded dense-slot region
 // (BigMap only; slotCap <= 0 means unbounded, and the AFL scheme ignores it
 // — a flat bitmap has no slot assignment to saturate).
@@ -87,8 +82,6 @@ type Config struct {
 	// (§IV-E) and runs the two passes separately, as vanilla AFL does.
 	// Required to attribute time to the two phases separately (Figure 3).
 	SplitClassifyCompare bool
-	// DisableTrim turns off AFL's test-case trimming of new queue entries.
-	DisableTrim bool
 	// Schedule selects the AFLFast power schedule (default: exploit, no
 	// per-exec path accounting).
 	Schedule PowerSchedule

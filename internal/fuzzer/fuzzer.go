@@ -161,6 +161,20 @@ func (f *Fuzzer) AddSeed(input []byte) error {
 	return nil
 }
 
+// AddSeeds dry-runs a seed corpus through AddSeed and returns how many
+// seeds were accepted. It fails, wrapping ErrNoSeeds, when none was.
+func (f *Fuzzer) AddSeeds(seeds [][]byte) (accepted int, err error) {
+	for _, s := range seeds {
+		if f.AddSeed(s) == nil {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		return 0, fmt.Errorf("%w: none of %d seeds passed the dry run", ErrNoSeeds, len(seeds))
+	}
+	return accepted, nil
+}
+
 // RunExecs fuzzes until at least n test cases have been executed since the
 // call. Returns ErrNoSeeds if the queue is empty.
 func (f *Fuzzer) RunExecs(n uint64) error {
@@ -204,7 +218,7 @@ func (f *Fuzzer) Step() error {
 	}
 	f.queue.Cull()
 	e := f.selectEntry()
-	if !f.cfg.DisableTrim && !e.WasTrimmed {
+	if !e.WasTrimmed {
 		t0 := f.tel.stageTrim.Start()
 		f.trim(e)
 		f.tel.stageTrim.Done(t0)

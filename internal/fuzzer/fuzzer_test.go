@@ -113,6 +113,36 @@ func TestAddSeedRejectsCrashingInput(t *testing.T) {
 	}
 }
 
+// TestAddSeedsCountsAccepted: AddSeeds reports how many seeds entered the
+// queue, skips a crashing one, and wraps ErrNoSeeds when none is usable.
+func TestAddSeedsCountsAccepted(t *testing.T) {
+	prog := fuzzTarget(t)
+	src := rng.New(1000)
+	var witness []byte
+	for attempt := 0; attempt < 500 && witness == nil; attempt++ {
+		witness, _ = prog.SynthesizeCrashWitness(src)
+	}
+	if witness == nil {
+		t.Fatal("no crash witness")
+	}
+	f, err := New(prog, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.AddSeeds([][]byte{witness}); n != 0 || !errors.Is(err, ErrNoSeeds) {
+		t.Fatalf("AddSeeds(crash witness) = %d, %v; want 0, ErrNoSeeds", n, err)
+	}
+	seeds := append(prog.SampleSeeds(src, 4), witness)
+	n, err := f.AddSeeds(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || n == len(seeds) || n != f.Queue().Len() {
+		t.Errorf("accepted %d of %d seeds, queue holds %d; want the crash witness skipped",
+			n, len(seeds), f.Queue().Len())
+	}
+}
+
 func TestFuzzingDiscoversNewPaths(t *testing.T) {
 	prog := fuzzTarget(t)
 	f, err := New(prog, Config{Seed: 2, Scheme: SchemeBigMap})

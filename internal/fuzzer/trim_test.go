@@ -123,26 +123,6 @@ func TestStepTrimsNewEntriesOnce(t *testing.T) {
 	}
 }
 
-func TestDisableTrim(t *testing.T) {
-	prog := trimTarget(t)
-	f, err := New(prog, Config{Seed: 2, DisableTrim: true, HavocRounds: 4, SpliceRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := make([]byte, 64)
-	copy(seed, "ABCDEFGH")
-	if err := f.AddSeed(seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	e := f.Queue().Get(0)
-	if e.WasTrimmed || len(e.Input) != 64 {
-		t.Error("trim ran despite DisableTrim")
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 64: 64, 65: 128, 1000: 1024}
 	for in, want := range cases {

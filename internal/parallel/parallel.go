@@ -318,14 +318,8 @@ func NewCampaign(prog *target.Program, cfg Config, seeds [][]byte) (*Campaign, e
 		if err != nil {
 			return nil, fmt.Errorf("instance %d: %w", i, err)
 		}
-		accepted := 0
-		for _, s := range seeds {
-			if err := f.AddSeed(s); err == nil {
-				accepted++
-			}
-		}
-		if accepted == 0 {
-			return nil, fmt.Errorf("instance %d: %w", i, fuzzer.ErrNoSeeds)
+		if _, err := f.AddSeeds(seeds); err != nil {
+			return nil, fmt.Errorf("instance %d: %w", i, err)
 		}
 		c.fuzzers[i] = f
 	}
@@ -724,14 +718,11 @@ type Report struct {
 	// FailedInstances counts instances abandoned after exhausting their
 	// restart budget.
 	FailedInstances int
-	// Errors holds each instance's terminal error, indexed by instance;
-	// nil for instances still live.
-	Errors []error
 	// Failures details every instance abandoned after exhausting its
 	// restart budget: which instance, how many revivals were burned, and
-	// the joined error chain. Empty when every instance is live — the
-	// structured view of Errors for callers (the serve control plane)
-	// that surface per-instance health instead of one campaign error.
+	// the joined error chain. Empty when every instance is live — for
+	// callers (the serve control plane) that surface per-instance health
+	// instead of one campaign error.
 	Failures []InstanceFailure
 }
 
@@ -751,7 +742,6 @@ type InstanceFailure struct {
 func (c *Campaign) Report() Report {
 	rep := Report{
 		PerInstance: make([]fuzzer.Stats, len(c.fuzzers)),
-		Errors:      append([]error(nil), c.failed...),
 	}
 	union := crash.NewDeduper()
 	for i, f := range c.fuzzers {

@@ -23,7 +23,7 @@ type FaultProfile struct {
 	// profile inject exactly the same faults at the same execution indexes.
 	Seed uint64
 	// FlakyEdgeFraction is the fraction of basic blocks (per mille, 0-1000)
-	// whose Visit events are dropped on some executions — coverage that
+	// whose visit events are dropped on some executions — coverage that
 	// appears only sometimes, the way racy instrumentation behaves.
 	FlakyEdgeFraction int
 	// DropRate is the per-execution probability (per mille) that this
@@ -161,7 +161,7 @@ func splitmix(x uint64) uint64 {
 }
 
 // dropTracer filters flaky block visits out of the event stream before they
-// reach the real tracer. Dropping a Visit also changes the next edge key the
+// reach the real tracer. Dropping a visit also changes the next edge key the
 // metric derives (its previous-block state goes stale), which is exactly how
 // lost instrumentation events corrupt edge coverage in a real binary.
 type dropTracer struct {
@@ -170,18 +170,9 @@ type dropTracer struct {
 	scratch []uint32
 }
 
-var _ BatchTracer = (*dropTracer)(nil)
+var _ Tracer = (*dropTracer)(nil)
 
-func (d *dropTracer) Visit(block uint32) {
-	if d.flaky[block] {
-		return
-	}
-	d.inner.Visit(block)
-}
-
-// VisitBatch filters the batch into a scratch buffer and forwards it. When
-// the inner tracer is not batch-capable the events are replayed one by one,
-// preserving the Tracer-only contract.
+// VisitBatch filters the batch into a scratch buffer and forwards it.
 func (d *dropTracer) VisitBatch(blocks []uint32) {
 	kept := d.scratch[:0]
 	for _, b := range blocks {
@@ -190,17 +181,14 @@ func (d *dropTracer) VisitBatch(blocks []uint32) {
 		}
 	}
 	d.scratch = kept[:0]
-	if len(kept) == 0 {
-		return
-	}
-	if bt, ok := d.inner.(BatchTracer); ok {
-		bt.VisitBatch(kept)
-		return
-	}
-	for _, b := range kept {
-		d.inner.Visit(b)
+	if len(kept) > 0 {
+		d.inner.VisitBatch(kept)
 	}
 }
 
 func (d *dropTracer) EnterCall(site uint32) { d.inner.EnterCall(site) }
 func (d *dropTracer) LeaveCall()            { d.inner.LeaveCall() }
+
+// CallBlind forwards the inner tracer's answer: dropping visits does not
+// change whether the consumer needs call events.
+func (d *dropTracer) CallBlind() bool { return d.inner.CallBlind() }

@@ -30,12 +30,12 @@ type Interp struct {
 	prog  *Program
 	hook  func(Compare)
 	stack []frame
-	ring  []uint32 // reusable trace ring for BatchTracer consumers
+	ring  []uint32 // reusable trace ring, delivered through VisitBatch
 }
 
 // NewInterp creates an interpreter for prog.
 func NewInterp(prog *Program) *Interp {
-	return &Interp{prog: prog}
+	return &Interp{prog: prog, ring: make([]uint32, 0, traceRingLen)}
 }
 
 // Program returns the interpreted program.
@@ -64,18 +64,16 @@ func at(input []byte, pos int) byte {
 // with StatusHang, exactly like a timeout kill — partial coverage stays
 // recorded.
 //
-// The Visit stream is the ground truth every coverage backend consumes: its
+// The visit stream is the ground truth every coverage backend consumes: its
 // consecutive pairs are exactly the transitions CollAFL's static assignment
 // enumerates (call sites are followed by the callee entry, callee Return
 // blocks by the caller's continuation), so a run produces no statically
 // unknown edges.
 //
-// When tracer implements BatchTracer, block IDs are buffered in the
-// interpreter's trace ring and delivered through VisitBatch — one virtual
-// call per ring's worth of blocks instead of one per block. The ring is
-// flushed around call events and before returning, so batch consumers see
-// the same event order (see BatchTracer). A CallBlindTracer that reports
-// CallBlind gets no call events and no flushes around them.
+// Block IDs are buffered in the interpreter's trace ring and delivered
+// through VisitBatch — one virtual call per ring's worth of blocks instead
+// of one per block. The ring is flushed before returning and, unless the
+// tracer is call-blind, around call events (see Tracer).
 //
 //bigmap:hotpath the target execution loop itself
 func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
@@ -96,14 +94,7 @@ func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 	fn, bi := 0, 0
 	blocks := prog.Funcs[0].Blocks
 
-	bt, batched := tracer.(BatchTracer)
-	callEvents := true
-	if cb, ok := tracer.(CallBlindTracer); ok && cb.CallBlind() {
-		callEvents = false
-	}
-	if batched && cap(ip.ring) == 0 {
-		ip.ring = make([]uint32, 0, traceRingLen) //bigmap:alloc-ok one-time lazy ring allocation, reused across every subsequent run
-	}
+	callEvents := !tracer.CallBlind()
 	ring := ip.ring[:0]
 
 	// Every exit sets status (and cycles, for hangs) and breaks out of the
@@ -121,15 +112,11 @@ exec:
 			status = StatusHang
 			break
 		}
-		if batched {
-			if len(ring) == cap(ring) {
-				bt.VisitBatch(ring)
-				ring = ring[:0]
-			}
-			ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
-		} else {
-			tracer.Visit(blk.ID)
+		if len(ring) == cap(ring) {
+			tracer.VisitBatch(ring)
+			ring = ring[:0]
 		}
+		ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
 		visits++
 
 		nd := &blk.Node
@@ -197,15 +184,11 @@ exec:
 						status = StatusHang
 						break exec
 					}
-					if batched {
-						if len(ring) == cap(ring) {
-							bt.VisitBatch(ring)
-							ring = ring[:0]
-						}
-						ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
-					} else {
-						tracer.Visit(blk.ID)
+					if len(ring) == cap(ring) {
+						tracer.VisitBatch(ring)
+						ring = ring[:0]
 					}
+					ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
 					visits++
 				}
 			}
@@ -224,8 +207,8 @@ exec:
 			}
 			stack = append(stack, frame{fn: fn, cont: nd.B, site: blk.ID}) //bigmap:alloc-ok bounded by maxCallDepth and reuses ip.stack backing across runs
 			if callEvents {
-				if batched && len(ring) > 0 {
-					bt.VisitBatch(ring) // keep Visit/EnterCall order for batch consumers
+				if len(ring) > 0 {
+					tracer.VisitBatch(ring) // keep visit/EnterCall order
 					ring = ring[:0]
 				}
 				tracer.EnterCall(blk.ID)
@@ -252,8 +235,8 @@ exec:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if callEvents {
-				if batched && len(ring) > 0 {
-					bt.VisitBatch(ring) // keep Visit/LeaveCall order for batch consumers
+				if len(ring) > 0 {
+					tracer.VisitBatch(ring) // keep visit/LeaveCall order
 					ring = ring[:0]
 				}
 				tracer.LeaveCall()
@@ -266,12 +249,10 @@ exec:
 		}
 	}
 
-	if batched {
-		if len(ring) > 0 {
-			bt.VisitBatch(ring)
-		}
-		ip.ring = ring[:0]
+	if len(ring) > 0 {
+		tracer.VisitBatch(ring)
 	}
+	ip.ring = ring[:0]
 	res.Status = status
 	res.Cycles = cycles
 	res.Blocks = visits

@@ -1,15 +1,16 @@
 package target
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/bigmap/bigmap/internal/rng"
 )
 
-// The batched tracing path must be observationally identical to the scalar
-// one: same blocks in the same order, with EnterCall/LeaveCall events at the
-// same positions, and the same Result. These tests replay generated programs
-// under both tracers and compare full event streams.
+// These tests check the batched delivery contract on generated and
+// hand-built programs: every executed block reaches the tracer exactly once,
+// in order, with EnterCall/LeaveCall events between the right batches. The
+// golden (interp_golden_test.go) pins the exact streams.
 
 // traceEvent is one tracer callback, tagged so ordering across the three
 // callback kinds is comparable.
@@ -18,25 +19,11 @@ type traceEvent struct {
 	id   uint32
 }
 
-// scalarRecorder records through the plain Tracer interface.
-type scalarRecorder struct {
-	events []traceEvent
-}
-
-func (r *scalarRecorder) Visit(b uint32)     { r.events = append(r.events, traceEvent{'v', b}) }
-func (r *scalarRecorder) EnterCall(s uint32) { r.events = append(r.events, traceEvent{'e', s}) }
-func (r *scalarRecorder) LeaveCall()         { r.events = append(r.events, traceEvent{'l', 0}) }
-
-// batchRecorder records through BatchTracer; its Visit must never fire.
+// batchRecorder records the event stream and counts batches and visits.
 type batchRecorder struct {
 	events  []traceEvent
 	batches int
 	visits  int
-	t       *testing.T
-}
-
-func (r *batchRecorder) Visit(uint32) {
-	r.t.Error("interpreter used scalar Visit on a BatchTracer")
 }
 
 func (r *batchRecorder) VisitBatch(blocks []uint32) {
@@ -49,54 +36,44 @@ func (r *batchRecorder) VisitBatch(blocks []uint32) {
 
 func (r *batchRecorder) EnterCall(s uint32) { r.events = append(r.events, traceEvent{'e', s}) }
 func (r *batchRecorder) LeaveCall()         { r.events = append(r.events, traceEvent{'l', 0}) }
+func (r *batchRecorder) CallBlind() bool    { return false }
 
-func sameEvents(a, b []traceEvent) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestBatchTracerMatchesScalarTracer(t *testing.T) {
+// TestBatchVisitsMatchResult replays generated programs on a reused and a
+// fresh interpreter: the results and event streams must agree, and the
+// tracer must see exactly Result.Blocks visits.
+func TestBatchVisitsMatchResult(t *testing.T) {
 	src := rng.New(0xba7c41)
 	for _, profile := range Profiles() {
 		prog, err := Generate(profile.Spec(0.02))
 		if err != nil {
 			t.Fatalf("%s: %v", profile.Name, err)
 		}
-		interpA := NewInterp(prog)
-		interpB := NewInterp(prog)
+		reused := NewInterp(prog)
 		for trial := 0; trial < 30; trial++ {
 			input := make([]byte, src.Intn(64))
 			for i := range input {
 				input[i] = byte(src.Uint32())
 			}
-			var sr scalarRecorder
-			br := batchRecorder{t: t}
-			resA := interpA.Run(input, &sr, 0)
-			resB := interpB.Run(input, &br, 0)
+			var ra, rb batchRecorder
+			resA := reused.Run(input, &ra, 0)
+			resB := NewInterp(prog).Run(input, &rb, 0)
 			if resA.Status != resB.Status || resA.Cycles != resB.Cycles || resA.Blocks != resB.Blocks {
 				t.Fatalf("%s trial %d: results diverged: %+v vs %+v", profile.Name, trial, resA, resB)
 			}
-			if !sameEvents(sr.events, br.events) {
+			if !slices.Equal(ra.events, rb.events) {
 				t.Fatalf("%s trial %d: event streams diverged (%d vs %d events)",
-					profile.Name, trial, len(sr.events), len(br.events))
+					profile.Name, trial, len(ra.events), len(rb.events))
 			}
-			if br.visits != resB.Blocks {
-				t.Fatalf("%s trial %d: batch delivered %d visits, result says %d blocks",
-					profile.Name, trial, br.visits, resB.Blocks)
+			if ra.visits != resA.Blocks {
+				t.Fatalf("%s trial %d: batches delivered %d visits, result says %d blocks",
+					profile.Name, trial, ra.visits, resA.Blocks)
 			}
 		}
 	}
 }
 
 // TestBatchTracerFlushesAcrossRingBoundary forces more visits than the ring
-// holds (three chained 255-iteration self-loops, ~769 visits against a
+// holds (three chained 255-iteration self-loops, 769 visits against a
 // 512-entry ring), so the mid-run capacity flush is exercised.
 func TestBatchTracerFlushesAcrossRingBoundary(t *testing.T) {
 	prog := &Program{Funcs: []Func{{Blocks: []Block{
@@ -105,24 +82,28 @@ func TestBatchTracerFlushesAcrossRingBoundary(t *testing.T) {
 		{ID: 3, Node: Node{Kind: KindSelfLoop, Pos: 0, Val: 256, A: 3}},
 		{ID: 4, Node: Node{Kind: KindReturn}},
 	}}}}
-	var sr scalarRecorder
-	br := batchRecorder{t: t}
-	in := []byte{255}
-	resA := NewInterp(prog).Run(in, &sr, 0)
-	resB := NewInterp(prog).Run(in, &br, 0)
-	if resA.Blocks != resB.Blocks || !sameEvents(sr.events, br.events) {
-		t.Fatalf("self-loop streams diverged: %d vs %d events", len(sr.events), len(br.events))
+	var want []traceEvent
+	for id := uint32(1); id <= 3; id++ {
+		for i := 0; i < 256; i++ {
+			want = append(want, traceEvent{'v', id})
+		}
 	}
-	if resB.Blocks <= traceRingLen {
-		t.Fatalf("test program too short to cross the ring: %d blocks", resB.Blocks)
+	want = append(want, traceEvent{'v', 4})
+	var br batchRecorder
+	res := NewInterp(prog).Run([]byte{255}, &br, 0)
+	if res.Blocks != len(want) || !slices.Equal(br.events, want) {
+		t.Fatalf("self-loop stream: %d blocks, %d events, want %d", res.Blocks, len(br.events), len(want))
+	}
+	if res.Blocks <= traceRingLen {
+		t.Fatalf("test program too short to cross the ring: %d blocks", res.Blocks)
 	}
 	if br.batches < 2 {
 		t.Fatalf("expected >= 2 batches for %d visits, got %d", br.visits, br.batches)
 	}
 }
 
-// TestBatchTracerZeroAllocSteadyState: after the first run warms the ring
-// and stack, batched runs must not allocate.
+// TestBatchTracerZeroAllocSteadyState: after the first run warms the call
+// stack, batched runs must not allocate.
 func TestBatchTracerZeroAllocSteadyState(t *testing.T) {
 	profile := Profiles()[0]
 	prog, err := Generate(profile.Spec(0.02))
@@ -142,11 +123,12 @@ func TestBatchTracerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// countingBatchTracer is the cheapest possible BatchTracer: it only counts,
-// so the alloc test measures the interpreter, not the consumer.
+// countingBatchTracer is the cheapest possible tracer that still takes call
+// events: it only counts, so the alloc test measures the interpreter, not
+// the consumer.
 type countingBatchTracer struct{ n *int }
 
-func (c countingBatchTracer) Visit(uint32)           {}
 func (c countingBatchTracer) VisitBatch(bs []uint32) { *c.n += len(bs) }
 func (c countingBatchTracer) EnterCall(uint32)       {}
 func (c countingBatchTracer) LeaveCall()             {}
+func (c countingBatchTracer) CallBlind() bool        { return false }

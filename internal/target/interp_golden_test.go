@@ -14,12 +14,12 @@ import (
 )
 
 // The interpreter golden pins the full observable behaviour of Interp.Run
-// — the Result and the ordered Visit/EnterCall/LeaveCall/compare-hook event
-// stream, with batch boundaries for BatchTracer consumers — over hand-built
-// programs that reach every edge of its contract, plus a digest over
-// generated programs. The hand-built programs also pin the call-blind batch
-// stream (CallBlindTracer), whose visits the test checks against the plain
-// stream. Regenerate testdata/interp_golden.txt with
+// — the Result and the ordered VisitBatch/EnterCall/LeaveCall/compare-hook
+// event stream, batch boundaries included — over hand-built programs that
+// reach every edge of its contract, plus a digest over generated programs.
+// The hand-built programs also pin the call-blind stream, whose visits the
+// test checks against the stream with call events. Regenerate
+// testdata/interp_golden.txt with
 //
 //	go test ./internal/target/ -run TestInterpGolden -update
 //
@@ -29,78 +29,73 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/interp_golden.tx
 
 const interpGoldenPath = "testdata/interp_golden.txt"
 
-// goldenRecorder logs every tracer and hook event as a token. In batch mode
-// each VisitBatch call starts with a b<size> token, so ring flush points are
-// part of the stream.
+// goldenRecorder logs every tracer and hook event as a token. Each
+// VisitBatch call starts with a b<size> token, so ring flush points are
+// part of the stream. A blind recorder reports CallBlind, making the
+// interpreter drop call events and the ring flushes around them.
 type goldenRecorder struct {
 	tokens []string
+	blind  bool
 }
 
-func (r *goldenRecorder) Visit(b uint32) { r.tokens = append(r.tokens, fmt.Sprintf("v%d", b)) }
+func (r *goldenRecorder) VisitBatch(blocks []uint32) {
+	r.tokens = append(r.tokens, fmt.Sprintf("b%d", len(blocks)))
+	for _, b := range blocks {
+		r.tokens = append(r.tokens, fmt.Sprintf("v%d", b))
+	}
+}
 func (r *goldenRecorder) EnterCall(s uint32) {
 	r.tokens = append(r.tokens, fmt.Sprintf("e%d", s))
 }
-func (r *goldenRecorder) LeaveCall() { r.tokens = append(r.tokens, "l") }
+func (r *goldenRecorder) LeaveCall()      { r.tokens = append(r.tokens, "l") }
+func (r *goldenRecorder) CallBlind() bool { return r.blind }
 func (r *goldenRecorder) compare(c Compare) {
 	r.tokens = append(r.tokens, fmt.Sprintf("c%d:%x:%d", c.Pos, c.Val, c.Width))
 }
 
-// batchGoldenRecorder adds VisitBatch, making the interpreter take its
-// ring-buffered path.
-type batchGoldenRecorder struct{ goldenRecorder }
-
-func (r *batchGoldenRecorder) VisitBatch(blocks []uint32) {
-	r.tokens = append(r.tokens, fmt.Sprintf("b%d", len(blocks)))
-	for _, b := range blocks {
-		r.Visit(b)
-	}
-}
-
-// blindGoldenRecorder is a batch recorder that reports CallBlind, making
-// the interpreter drop call events and the ring flushes around them.
-type blindGoldenRecorder struct{ batchGoldenRecorder }
-
-func (r *blindGoldenRecorder) CallBlind() bool { return true }
-
-// blindRun executes input in call-blind batch mode, compare hook off.
-func blindRun(ip *Interp, input []byte, budget uint64) (Result, []string) {
-	rec := &blindGoldenRecorder{}
+// recordRun executes input with the compare hook off and returns the
+// result and the recorded tokens.
+func recordRun(ip *Interp, input []byte, budget uint64, blind bool) (Result, []string) {
+	rec := &goldenRecorder{blind: blind}
 	ip.SetCompareHook(nil)
 	res := ip.Run(input, rec, budget)
 	return res, rec.tokens
 }
 
-// callBlindMismatch runs input in plain scalar mode and in call-blind batch
-// mode and describes how they differ, or returns "". The blind run must have
-// the same Result and the same Visit stream minus the call events, in
-// batches that are all full rings but the last.
-func callBlindMismatch(ip *Interp, input []byte, budget uint64) string {
-	plain := &goldenRecorder{}
-	ip.SetCompareHook(nil)
-	want := ip.Run(input, plain, budget)
-	got, tokens := blindRun(ip, input, budget)
-	if g, w := formatResult(got), formatResult(want); g != w {
-		return fmt.Sprintf("result %s, plain %s", g, w)
+// visitsOnly keeps the v<id> tokens of a stream.
+func visitsOnly(tokens []string) []string {
+	var visits []string
+	for _, tok := range tokens {
+		if tok[0] == 'v' {
+			visits = append(visits, tok)
+		}
 	}
-	var visits, batches []string
+	return visits
+}
+
+// callBlindMismatch runs input with call events and call-blind and
+// describes how they differ, or returns "". The blind run must have the
+// same Result and the same visit stream minus the call events, in batches
+// that are all full rings but the last.
+func callBlindMismatch(ip *Interp, input []byte, budget uint64) string {
+	want, plain := recordRun(ip, input, budget, false)
+	got, tokens := recordRun(ip, input, budget, true)
+	if g, w := formatResult(got), formatResult(want); g != w {
+		return fmt.Sprintf("result %s, with calls %s", g, w)
+	}
+	var batches []string
 	for _, tok := range tokens {
 		switch tok[0] {
 		case 'v':
-			visits = append(visits, tok)
 		case 'b':
 			batches = append(batches, tok)
 		default:
 			return fmt.Sprintf("call-blind run delivered event %s", tok)
 		}
 	}
-	var plainVisits []string
-	for _, tok := range plain.tokens {
-		if tok[0] == 'v' {
-			plainVisits = append(plainVisits, tok)
-		}
-	}
+	visits, plainVisits := visitsOnly(tokens), visitsOnly(plain)
 	if g, w := strings.Join(visits, " "), strings.Join(plainVisits, " "); g != w {
-		return fmt.Sprintf("visits %s, plain %s", abbreviate(visits), abbreviate(plainVisits))
+		return fmt.Sprintf("visits %s, with calls %s", abbreviate(visits), abbreviate(plainVisits))
 	}
 	for i := 0; i+1 < len(batches); i++ {
 		if batches[i] != fmt.Sprintf("b%d", traceRingLen) {
@@ -129,26 +124,18 @@ func formatResult(res Result) string {
 		res.Status, res.Cycles, res.Blocks, res.CrashSite, abbreviate(stack))
 }
 
-// goldenRun executes input on ip in the four tracer modes (scalar or batch,
-// compare hook off or on) and returns one line per mode.
+// goldenRun executes input on ip with call events, compare hook off and
+// on, and returns one line per mode.
 func goldenRun(ip *Interp, input []byte, budget uint64) []string {
 	var lines []string
-	for _, mode := range []string{"scalar", "batch", "scalar+hook", "batch+hook"} {
-		var rec *goldenRecorder
-		var tr Tracer
-		if strings.HasPrefix(mode, "batch") {
-			b := &batchGoldenRecorder{}
-			rec, tr = &b.goldenRecorder, b
-		} else {
-			rec = &goldenRecorder{}
-			tr = rec
-		}
-		if strings.HasSuffix(mode, "+hook") {
+	for _, mode := range []string{"batch", "batch+hook"} {
+		rec := &goldenRecorder{}
+		if mode == "batch+hook" {
 			ip.SetCompareHook(rec.compare)
 		} else {
 			ip.SetCompareHook(nil)
 		}
-		res := ip.Run(input, tr, budget)
+		res := ip.Run(input, rec, budget)
 		lines = append(lines, fmt.Sprintf("  in=%x budget=%d %s: %s events=%s",
 			input, budget, mode, formatResult(res), abbreviate(rec.tokens)))
 	}
@@ -277,7 +264,7 @@ func goldenCases() []goldenCase {
 }
 
 // generatedDigest runs every profile's generated program on seeded random
-// inputs in all four modes and digests the golden lines.
+// inputs in both goldenRun modes and digests the golden lines.
 func generatedDigest() []string {
 	var lines []string
 	src := rng.New(0x601d)
@@ -324,7 +311,7 @@ func interpGolden() []byte {
 				for _, l := range goldenRun(ip, in, b) {
 					fmt.Fprintln(&out, l)
 				}
-				res, tokens := blindRun(ip, in, b)
+				res, tokens := recordRun(ip, in, b, true)
 				fmt.Fprintf(&out, "  in=%x budget=%d batch+blind: %s events=%s\n",
 					in, b, formatResult(res), abbreviate(tokens))
 			}
@@ -338,7 +325,8 @@ func interpGolden() []byte {
 
 // TestInterpGolden compares the interpreter's results and event streams
 // with the recorded golden file, then checks the call-blind mode against
-// the plain one on every hand-built case and on generated programs.
+// the one with call events on every hand-built case and on generated
+// programs.
 func TestInterpGolden(t *testing.T) {
 	t.Run("call-blind", testCallBlind)
 	got := interpGolden()

@@ -233,7 +233,8 @@ type Result struct {
 	// Cycles is the virtual cycle cost consumed (the sum of executed
 	// block costs; a hang consumes the whole budget).
 	Cycles uint64
-	// Blocks is the number of block executions (tracer Visit events).
+	// Blocks is the number of block executions (blocks delivered through
+	// the tracer's VisitBatch).
 	Blocks int
 	// CrashSite is the ID of the crashing block when Status is
 	// StatusCrash, zero otherwise.
@@ -265,52 +266,40 @@ type Runner interface {
 	Program() *Program
 }
 
-// Tracer observes an execution. Visit fires once per executed block with the
-// block's ID — the exact event stream coverage instrumentation would emit.
-// EnterCall/LeaveCall bracket function calls with the call-site block ID, for
-// context-sensitive metrics; they carry no edge information of their own
-// (call and return transitions appear in the Visit stream).
+// Tracer observes an execution: the exact block event stream coverage
+// instrumentation would emit. The interpreter buffers visited block IDs in
+// a reusable trace ring and delivers them through VisitBatch, one call per
+// ring's worth of blocks; the slice is only valid for the duration of the
+// call, and implementations must not retain it. EnterCall/LeaveCall bracket
+// function calls with the call-site block ID, for context-sensitive
+// metrics; they carry no edge information of their own (call and return
+// transitions appear in the visit stream).
+//
+// Ordering contract: when CallBlind reports false, the ring is flushed
+// before every EnterCall and LeaveCall, so visits and call events arrive in
+// execution order. When it reports true, call events are not delivered and
+// the ring is not flushed around them, so every VisitBatch but the last
+// carries a full ring. Either way the concatenated visit stream is the
+// same, and the ring is flushed before Run returns.
 type Tracer interface {
-	Visit(block uint32)
+	VisitBatch(blocks []uint32)
 	EnterCall(site uint32)
 	LeaveCall()
-}
-
-// BatchTracer is an optional Tracer extension. When the tracer passed to
-// Interp.Run implements it, the interpreter buffers visited block IDs in a
-// reusable trace ring and delivers them through VisitBatch in chunks instead
-// of paying one virtual Visit call per executed block — the devirtualization
-// half of the batched coverage pipeline (the other half is the coverage
-// map's AddBatch).
-//
-// Ordering contract: the ring is flushed before every EnterCall and
-// LeaveCall event and before Run returns, so a BatchTracer observes exactly
-// the event sequence a plain Tracer would, with Visit events grouped into
-// batches. The slice passed to VisitBatch is only valid for the duration of
-// the call; implementations must not retain it.
-type BatchTracer interface {
-	Tracer
-	VisitBatch(blocks []uint32)
-}
-
-// CallBlindTracer is an optional BatchTracer extension for consumers that
-// ignore call events, such as a tracer feeding the edge or N-gram metric.
-// When CallBlind reports true, Interp.Run neither delivers EnterCall and
-// LeaveCall nor flushes the trace ring around them, so every VisitBatch but
-// the last carries a full ring. The concatenated Visit stream is unchanged.
-type CallBlindTracer interface {
-	BatchTracer
 	CallBlind() bool
 }
 
-// NopTracer discards all events.
+// NopTracer discards all events. It is call-blind, so a run under it pays
+// one no-op call per ring of blocks and nothing per call event.
 type NopTracer struct{}
 
-// Visit discards the event.
-func (NopTracer) Visit(uint32) {}
+// VisitBatch discards the events.
+func (NopTracer) VisitBatch([]uint32) {}
 
 // EnterCall discards the event.
 func (NopTracer) EnterCall(uint32) {}
 
 // LeaveCall discards the event.
 func (NopTracer) LeaveCall() {}
+
+// CallBlind reports true: no call events are needed.
+func (NopTracer) CallBlind() bool { return true }

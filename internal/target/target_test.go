@@ -8,14 +8,15 @@ import (
 	"github.com/bigmap/bigmap/internal/target"
 )
 
-// traceTracer records the Visit stream.
+// traceTracer records the visit stream.
 type traceTracer struct {
 	ids []uint32
 }
 
-func (t *traceTracer) Visit(b uint32)   { t.ids = append(t.ids, b) }
-func (t *traceTracer) EnterCall(uint32) {}
-func (t *traceTracer) LeaveCall()       {}
+func (t *traceTracer) VisitBatch(bs []uint32) { t.ids = append(t.ids, bs...) }
+func (t *traceTracer) EnterCall(uint32)       {}
+func (t *traceTracer) LeaveCall()             {}
+func (t *traceTracer) CallBlind() bool        { return true }
 
 // goldenSpec is the fixed program every pinning test below runs against.
 var goldenSpec = target.GenSpec{
