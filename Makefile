@@ -1,7 +1,7 @@
 # Development targets; CI (.github/workflows/ci.yml) runs `make check`'s
 # steps verbatim, and scripts/bench-gate.sh as its own job.
 
-.PHONY: check fmt build test vet vet-json race dbg serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench-smoke bench-all bench-gate results
+.PHONY: check fmt build test vet vet-json race dbg serve-smoke dist-smoke fuzz fuzz-checkpoint fuzz-selffuzz fuzz-all bench bench-smoke bench-all bench-gate results results-check
 
 check: fmt vet build test race dbg
 
@@ -114,3 +114,12 @@ bench-gate:
 # byte-identical; schema or header drift fails the run.
 results:
 	go run ./cmd/bigmap-bench grid -config experiments.json -out results
+
+# Check the checked-in results/ against the grid: regenerate it from
+# experiments.json into a temporary directory and diff (README.md and the
+# hand-kept recorded/ runs excepted). CI's results-smoke job runs this target.
+results-check:
+	tmp=$$(mktemp -d) && \
+	go run ./cmd/bigmap-bench grid -config experiments.json -out $$tmp -q >/dev/null && \
+	diff -r -x README.md -x recorded $$tmp results; \
+	status=$$?; rm -rf "$$tmp"; exit $$status

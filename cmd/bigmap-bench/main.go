@@ -7,10 +7,12 @@
 //	bigmap-bench fig2                        # collision-rate curves (Eq. 1)
 //	bigmap-bench fig3  [flags]               # runtime composition
 //	bigmap-bench table2 [flags]              # benchmark characteristics
-//	bigmap-bench fig6|fig7|fig8 [flags]      # throughput / coverage / crashes grid
+//	bigmap-bench fig6 [flags]                # throughput, coverage and crash grids (Figs 6-8)
+//	bigmap-bench fig7|fig8|fig78 [flags]     # coverage and/or crash grid alone
 //	bigmap-bench fig7t [flags]               # fig7+fig8 under a TIME budget
 //	bigmap-bench table3 [flags]              # laf-intel + N-gram composition
-//	bigmap-bench fig9|fig10 [flags]          # parallel scaling
+//	bigmap-bench fig9 [flags]                # parallel scaling (Figs 9(a), 9(b), 10)
+//	bigmap-bench fig10 [flags]               # parallel scaling crashes alone
 //	bigmap-bench ablation [flags]            # §IV-E design-choice ablations
 //	bigmap-bench dedup [flags]               # §V-A3 dedup-bias demonstration
 //	bigmap-bench roadblocks [flags]          # extension: dict vs laf vs cmplog
@@ -18,7 +20,7 @@
 //	bigmap-bench metrics [flags]             # §VI metric map-pressure sweep
 //	bigmap-bench ensemble [flags]            # §VI future work: ensemble vs stacking
 //	bigmap-bench schedules [flags]           # AFLFast power schedules on BigMap
-//	bigmap-bench all [flags]                 # everything above
+//	bigmap-bench all [flags]                 # every artifact once in paper order (not fig7t)
 //	bigmap-bench grid [-config f] [-out dir] # declarative reproducible grid -> results/
 //
 // Common flags:
@@ -28,9 +30,16 @@
 //	-seconds f   wall-clock budget per cell for time-budget experiments (default 2)
 //	-benchmarks  comma-separated subset (default: experiment's own set)
 //	-seed n      campaign seed (default 1)
-//	-trials n    average grid cells over n runs (the paper averages 3)
 //	-csv         emit CSV instead of an aligned table
 //	-q           suppress per-cell progress lines
+//
+// Wall-clock tables (fig3, fig6, fig7t, fig9, fig10, ablation) end with a
+// note naming the CPU, nproc, GOMAXPROCS, the commit and the seed. To repeat
+// a measurement and report its spread, list the experiment in a grid config
+// with "repeats": n (repeat r runs with seed+r; cells become mean±stddev),
+// and build with VCS stamping so the note names the commit:
+//
+//	go run -buildvcs=true ./cmd/bigmap-bench grid -config fig6.json -out /tmp/fig6
 package main
 
 import (
@@ -69,7 +78,6 @@ func run(args []string) error {
 	seconds := fs.Float64("seconds", 2, "seconds per cell for time-budget experiments")
 	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark subset")
 	seed := fs.Uint64("seed", 1, "campaign seed")
-	trials := fs.Int("trials", 1, "average grid cells over this many runs (paper uses 3)")
 	csv := fs.Bool("csv", false, "emit CSV")
 	quiet := fs.Bool("q", false, "suppress progress")
 	httpAddr := fs.String("http", "", "serve /debug/pprof/ on this address during the run")
@@ -93,7 +101,6 @@ func run(args []string) error {
 		Scale:       *scale,
 		ExecsPerRun: *execs,
 		Seed:        *seed,
-		Trials:      *trials,
 	}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
@@ -124,18 +131,31 @@ func run(args []string) error {
 	return dispatch(sub, opts, *seconds, emit)
 }
 
-// dispatch runs one experiment subcommand through emit. Every per-figure
-// subcommand resolves through the experiment registry, so the CLI, the `all`
-// sweep and the grid runner cannot drift apart.
+// allExperiments is the `all` sweep in paper order: one grid pass (fig6
+// prints Figures 6-8) and one scaling pass (fig9 prints 9(a), 9(b), 10).
+var allExperiments = []string{
+	"fig2", "fig3", "table2", "fig6", "table3", "fig9", "ablation", "dedup",
+	"collafl", "metrics", "roadblocks", "schedules", "ensemble",
+}
+
+// dispatch runs one experiment subcommand, or every experiment of `all`,
+// through emit. Every name resolves through the experiment registry, so the
+// CLI, the `all` sweep and the grid runner cannot drift apart.
 func dispatch(sub string, opts bench.Options, seconds float64, emit func(...*bench.Table) error) error {
+	names := []string{sub}
 	if sub == "all" {
-		return runAll(opts, seconds, emit)
+		names = allExperiments
 	}
-	tables, err := bench.RunExperiment(sub, opts, seconds)
-	if err != nil {
-		return err
+	for _, name := range names {
+		tables, err := bench.RunExperiment(name, opts, seconds)
+		if err != nil {
+			return err
+		}
+		if err := emit(tables...); err != nil {
+			return err
+		}
 	}
-	return emit(tables...)
+	return nil
 }
 
 // runGrid implements the grid subcommand: execute a declarative
@@ -162,86 +182,6 @@ func runGrid(args []string) error {
 	}
 	for _, f := range res.Files {
 		fmt.Println(filepath.Join(*out, f))
-	}
-	return nil
-}
-
-// runAll regenerates every artifact in paper order.
-func runAll(opts bench.Options, seconds float64, emit func(...*bench.Table) error) error {
-	fig2, err := bench.Fig2()
-	if err != nil {
-		return err
-	}
-	if err := emit(fig2); err != nil {
-		return err
-	}
-
-	fig3, err := bench.Fig3(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(fig3); err != nil {
-		return err
-	}
-
-	table2, err := bench.Table2(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(table2); err != nil {
-		return err
-	}
-
-	grid, err := bench.RunFig678Grid(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(grid.Fig6(), grid.Fig7(), grid.Fig8()); err != nil {
-		return err
-	}
-
-	table3, err := bench.Table3(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(table3); err != nil {
-		return err
-	}
-
-	scaling, err := bench.RunScaling(opts, seconds)
-	if err != nil {
-		return err
-	}
-	if err := emit(scaling.Fig9a(), scaling.Fig9b(), scaling.Fig10()); err != nil {
-		return err
-	}
-
-	ablation, err := bench.Ablation(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(ablation); err != nil {
-		return err
-	}
-
-	dedup, err := bench.DedupBias(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit(dedup); err != nil {
-		return err
-	}
-
-	for _, extra := range []func(bench.Options) (*bench.Table, error){
-		bench.CollAFL, bench.Metrics, bench.Roadblocks, bench.Schedules, bench.EnsembleVsStacking,
-	} {
-		t, err := extra(opts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"github.com/bigmap/bigmap/internal/fuzzer"
 	"github.com/bigmap/bigmap/internal/target"
 )
@@ -59,44 +57,23 @@ func Ablation(opts Options) (*Table, error) {
 			return nil, err
 		}
 		for _, v := range variants {
-			f, err := fuzzer.New(b.prog, fuzzer.Config{
+			f, secs, err := b.run(b.prog, fuzzer.Config{
 				Scheme:               v.scheme,
 				MapSize:              v.size,
-				Seed:                 opts.Seed,
-				ExecCostFactor:       b.costFactor,
 				SplitClassifyCompare: v.split,
 			})
 			if err != nil {
 				return nil, err
 			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			cell, err := timeRun(f, opts.ExecsPerRun)
-			if err != nil {
-				return nil, err
-			}
+			throughput := perSecond(f.Execs(), secs)
 			mode := "merged"
 			if v.split {
 				mode = "split"
 			}
-			t.AddRow(p.Name, string(v.scheme), fmtSize(v.size), mode, fmtFloat(cell, 0))
+			t.AddRow(p.Name, string(v.scheme), fmtSize(v.size), mode, fmtFloat(throughput, 0))
 			opts.progressf("  ablation %-10s %-7s %-4s %-6s %8.0f execs/s\n",
-				p.Name, v.scheme, fmtSize(v.size), mode, cell)
+				p.Name, v.scheme, fmtSize(v.size), mode, throughput)
 		}
 	}
 	return t, nil
-}
-
-// timeRun measures the throughput of one configured fuzzer.
-func timeRun(f *fuzzer.Fuzzer, execs uint64) (float64, error) {
-	start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
-	if err := f.RunExecs(execs); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start).Seconds() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
-	if elapsed <= 0 {
-		return 0, nil
-	}
-	return float64(f.Execs()) / elapsed, nil
 }

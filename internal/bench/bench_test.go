@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/bigmap/bigmap/internal/checkpoint"
+	"github.com/bigmap/bigmap/internal/core"
+	"github.com/bigmap/bigmap/internal/dictionary"
 	"github.com/bigmap/bigmap/internal/fuzzer"
+	"github.com/bigmap/bigmap/internal/lafintel"
 	"github.com/bigmap/bigmap/internal/target"
 )
 
@@ -293,20 +297,54 @@ func parseFloat(s string, out *float64) (int, error) {
 	return 1, nil
 }
 
-func TestRunGridTrialsAveraging(t *testing.T) {
-	profiles, err := selectProfiles(target.Profiles(), []string{"zlib"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestBencherRunMatchesHandBuiltFuzzer pins the cell runner to the
+// sequence every driver used to write out: fuzzer.New with the campaign seed
+// and cost factor, AddSeeds, RunExecs. The campaigns must end in the same
+// checkpoint bytes, so the timing drivers (fig3, ablation, fig7t), which
+// results/ does not cover, still run the campaigns they ran before.
+func TestBencherRunMatchesHandBuiltFuzzer(t *testing.T) {
 	opts := quickOpts()
-	opts.Trials = 2
-	opts.ExecsPerRun = testExecs(800)
-	cells, err := RunGrid(profiles, []fuzzer.Scheme{fuzzer.SchemeBigMap}, []int{64 << 10}, opts)
+	opts.CostFactor = 2
+	opts.ExecsPerRun = testExecs(1000)
+	b, err := prepare(target.Profiles()[0], opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Execs < opts.ExecsPerRun || cells[0].Throughput <= 0 {
-		t.Errorf("averaged cell wrong: %+v", cells)
+	laf, _ := lafintel.Transform(b.prog, opts.Seed)
+	cfg := fuzzer.Config{
+		Scheme:  fuzzer.SchemeBigMap,
+		MapSize: 1 << 20,
+		Metric: func(size int) (core.Metric, error) {
+			return core.NewNGramMetric(size, 3)
+		},
+		SplitClassifyCompare: true,
+		EnableCmpLog:         true,
+		Dict:                 dictionary.Data(dictionary.Extract(laf)),
+	}
+
+	hand := cfg
+	hand.Seed = opts.Seed
+	hand.ExecCostFactor = 2
+	want, err := fuzzer.New(laf, hand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.AddSeeds(b.seeds); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.RunExecs(opts.ExecsPerRun); err != nil {
+		t.Fatal(err)
+	}
+
+	got, secs, err := b.run(laf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Execs() < opts.ExecsPerRun || secs <= 0 {
+		t.Fatalf("run: execs=%d seconds=%v, want >= %d execs in positive time", got.Execs(), secs, opts.ExecsPerRun)
+	}
+	if !bytes.Equal(checkpoint.EncodeFuzzer(got.Snapshot()), checkpoint.EncodeFuzzer(want.Snapshot())) {
+		t.Fatal("bencher.run campaign diverged from the hand-built fuzzer's")
 	}
 }
 

@@ -64,25 +64,12 @@ func CollAFL(opts Options) (*Table, error) {
 			{name: "afl-hash/bigmap-2M", scheme: fuzzer.SchemeBigMap, mapSize: 2 << 20},
 		}
 		for _, c := range configs {
-			cfg := fuzzer.Config{
-				Scheme:         c.scheme,
-				MapSize:        c.mapSize,
-				Seed:           opts.Seed,
-				ExecCostFactor: b.costFactor,
-				Metric:         c.metric,
-			}
-			f, err := fuzzer.New(b.prog, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			throughput, err := timeRun(f, opts.ExecsPerRun)
+			f, secs, err := b.run(b.prog, fuzzer.Config{Scheme: c.scheme, MapSize: c.mapSize, Metric: c.metric})
 			if err != nil {
 				return nil, err
 			}
 			st := f.Stats()
+			throughput := perSecond(st.Execs, secs)
 			collisions := "hash"
 			if c.metric != nil {
 				collisions = "none"

@@ -53,22 +53,14 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 
 		// Stacked: laf + 3-gram, one instance, full budget.
 		lafProg, _ := lafintel.Transform(b.prog, opts.Seed)
-		stacked, err := fuzzer.New(lafProg, fuzzer.Config{
-			Scheme:         fuzzer.SchemeBigMap,
-			MapSize:        2 << 20,
-			Seed:           opts.Seed,
-			ExecCostFactor: b.costFactor,
+		stacked, _, err := b.run(lafProg, fuzzer.Config{
+			Scheme:  fuzzer.SchemeBigMap,
+			MapSize: 2 << 20,
 			Metric: func(size int) (core.Metric, error) {
 				return core.NewNGramMetric(size, 3)
 			},
 		})
 		if err != nil {
-			return nil, err
-		}
-		if _, err := stacked.AddSeeds(b.seeds); err != nil {
-			return nil, err
-		}
-		if err := stacked.RunExecs(budget); err != nil {
 			return nil, err
 		}
 		// Exact coverage of the stacked corpus, replayed on the ORIGINAL
@@ -88,12 +80,8 @@ func EnsembleVsStacking(opts Options) (*Table, error) {
 			{"ensemble/64k", fuzzer.SchemeAFL, 64 << 10},
 			{"ensemble/2M-bigmap", fuzzer.SchemeBigMap, 2 << 20},
 		} {
-			ens, err := newEnsemble(b.prog, b.seeds, ensembleMembers(), budget/6, fuzzer.Config{
-				Scheme:         variant.scheme,
-				MapSize:        variant.mapSize,
-				Seed:           opts.Seed,
-				ExecCostFactor: b.costFactor,
-			})
+			ens, err := newEnsemble(b.prog, b.seeds, ensembleMembers(), budget/6,
+				b.config(fuzzer.Config{Scheme: variant.scheme, MapSize: variant.mapSize}))
 			if err != nil {
 				return nil, err
 			}

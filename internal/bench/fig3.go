@@ -50,21 +50,13 @@ func Fig3(opts Options) (*Table, error) {
 		}
 		for _, size := range Fig3Sizes {
 			reg := telemetry.New()
-			f, err := fuzzer.New(b.prog, fuzzer.Config{
+			f, _, err := b.run(b.prog, fuzzer.Config{
 				Scheme:               fuzzer.SchemeAFL,
 				MapSize:              size,
-				Seed:                 opts.Seed,
-				ExecCostFactor:       b.costFactor,
 				SplitClassifyCompare: true,
 				Telemetry:            reg,
 			})
 			if err != nil {
-				return nil, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return nil, err
 			}
 			st := f.Stats()

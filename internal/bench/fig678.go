@@ -16,7 +16,6 @@ var GridSchemes = []fuzzer.Scheme{fuzzer.SchemeAFL, fuzzer.SchemeBigMap}
 // configuration feeds all three plots in the paper.
 type GridResult struct {
 	Cells []Cell
-	opts  Options
 }
 
 // RunFig678Grid measures the full (benchmark, scheme, size) grid once.
@@ -30,7 +29,7 @@ func RunFig678Grid(opts Options) (*GridResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GridResult{Cells: cells, opts: opts}, nil
+	return &GridResult{Cells: cells}, nil
 }
 
 // cell looks up one measurement.
@@ -168,14 +167,8 @@ func Fig7TimeBudget(opts Options, secondsPerCell float64) (*Table, *Table, error
 			stats := map[fuzzer.Scheme]fuzzer.Stats{}
 			exact := map[fuzzer.Scheme]int{}
 			for _, scheme := range GridSchemes {
-				f, err := fuzzer.New(b.prog, fuzzer.Config{
-					Scheme: scheme, MapSize: size, Seed: opts.Seed,
-					ExecCostFactor: b.costFactor,
-				})
+				f, err := b.fuzzer(b.prog, fuzzer.Config{Scheme: scheme, MapSize: size})
 				if err != nil {
-					return nil, nil, err
-				}
-				if _, err := f.AddSeeds(b.seeds); err != nil {
 					return nil, nil, err
 				}
 				if err := f.RunFor(secondsToDuration(secondsPerCell)); err != nil {

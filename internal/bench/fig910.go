@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/bigmap/bigmap/internal/fuzzer"
@@ -30,10 +28,7 @@ type scalingCell struct {
 }
 
 func (c scalingCell) throughput() float64 {
-	if c.seconds <= 0 {
-		return 0
-	}
-	return float64(c.totalExecs) / c.seconds
+	return perSecond(c.totalExecs, c.seconds)
 }
 
 // ScalingResult carries the shared measurements behind Figures 9a, 9b
@@ -69,12 +64,7 @@ func RunScaling(opts Options, secondsPerCell float64) (*ScalingResult, error) {
 					Instances:           n,
 					SyncEvery:           opts.ExecsPerRun / 4,
 					MasterDeterministic: false, // short runs skip deterministic (§V-A1)
-					Fuzzer: fuzzer.Config{
-						Scheme:         scheme,
-						MapSize:        ScalingMapSize,
-						Seed:           opts.Seed,
-						ExecCostFactor: b.costFactor,
-					},
+					Fuzzer:              b.config(fuzzer.Config{Scheme: scheme, MapSize: ScalingMapSize}),
 				}, b.seeds)
 				if err != nil {
 					return nil, err
@@ -130,7 +120,7 @@ func (r *ScalingResult) Fig9a() *Table {
 		Title: "Figure 9(a): normalized throughput vs concurrent instances (2MB map)",
 		Notes: []string{
 			"paper shape: both sub-linear; BigMap scales much closer to 1:1",
-			fmt.Sprintf("host has %d CPU core(s); scaling beyond that is physically impossible", runtime.NumCPU()),
+			"scaling beyond the host's core count (nproc) is physically impossible",
 		},
 		Header: []string{"benchmark", "instances", "ideal", "afl", "bigmap"},
 	}
@@ -164,7 +154,6 @@ func (r *ScalingResult) Fig9b() *Table {
 		Notes: []string{
 			"paper averages: 4.9x/9.2x/13.8x for 4/8/12 instances (super-linear);",
 			"super-linearity needs as many physical cores as instances",
-			fmt.Sprintf("host has %d CPU core(s)", runtime.NumCPU()),
 		},
 		Header: []string{"benchmark", "instances", "speedup"},
 	}

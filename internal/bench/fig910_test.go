@@ -80,7 +80,7 @@ func syntheticGrid() *GridResult {
 	mk := func(scheme fuzzer.Scheme, size int, tput float64, edges, crashes int) Cell {
 		return Cell{
 			Benchmark: "demo", Scheme: scheme, MapSize: size,
-			Execs: 1000, Seconds: 1, Throughput: tput,
+			Execs: 1000, Throughput: tput,
 			Edges: edges, UniqueCrashes: crashes,
 		}
 	}

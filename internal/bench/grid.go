@@ -37,9 +37,6 @@ type Options struct {
 	// dominates map operations at a 64kB map. Negative disables the
 	// simulation entirely.
 	CostFactor int
-	// Trials averages each grid cell over this many runs with different
-	// seeds (default 1; the paper uses an average of three runs, §V-B).
-	Trials int
 	// Benchmarks filters profiles by name (nil = experiment default set).
 	Benchmarks []string
 	// Progress, when non-nil, receives one line per completed cell.
@@ -58,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSeeds == 0 {
 		o.MaxSeeds = 32
-	}
-	if o.Trials == 0 {
-		o.Trials = 1
 	}
 	return o
 }
@@ -92,12 +86,15 @@ func selectProfiles(all []target.Profile, names []string) ([]target.Profile, err
 	return out, nil
 }
 
-// bencher caches a generated program, its seed corpus, and the calibrated
-// execution-cost factor shared by every cell of the benchmark.
+// bencher caches a generated program, its seed corpus, and the campaign
+// seed, exec budget and calibrated execution-cost factor shared by every
+// cell of the benchmark. Every driver builds its fuzzers through it.
 type bencher struct {
 	profile    target.Profile
 	prog       *target.Program
 	seeds      [][]byte
+	seed       uint64
+	execs      uint64
 	costFactor int
 }
 
@@ -121,9 +118,54 @@ func prepare(p target.Profile, opts Options) (*bencher, error) {
 		profile: p,
 		prog:    prog,
 		seeds:   prog.SampleSeeds(src, nSeeds),
+		seed:    opts.Seed,
+		execs:   opts.ExecsPerRun,
 	}
 	b.costFactor = calibrateCost(prog, b.seeds, opts)
 	return b, nil
+}
+
+// config completes a cell's configuration with the fields every cell of
+// the benchmark shares: the campaign seed and the execution cost.
+func (b *bencher) config(cfg fuzzer.Config) fuzzer.Config {
+	cfg.Seed = b.seed
+	cfg.ExecCostFactor = b.costFactor
+	return cfg
+}
+
+// fuzzer builds a fuzzer over prog (the benchmark program or a transform
+// of it) and dry-runs the benchmark's seed corpus.
+func (b *bencher) fuzzer(prog *target.Program, cfg fuzzer.Config) (*fuzzer.Fuzzer, error) {
+	f, err := fuzzer.New(prog, b.config(cfg))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.AddSeeds(b.seeds); err != nil {
+		return nil, fmt.Errorf("bench %s: %w", b.profile.Name, err)
+	}
+	return f, nil
+}
+
+// run builds a seeded fuzzer, runs the exec budget and returns the fuzzer
+// with the wall-clock seconds the budget took.
+func (b *bencher) run(prog *target.Program, cfg fuzzer.Config) (*fuzzer.Fuzzer, float64, error) {
+	f, err := b.fuzzer(prog, cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
+	if err := f.RunExecs(b.execs); err != nil {
+		return nil, 0, err
+	}
+	return f, time.Since(start).Seconds(), nil //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
+}
+
+// perSecond is a rate over a wall-clock interval, 0 for an empty one.
+func perSecond(n uint64, secs float64) float64 {
+	if secs <= 0 {
+		return 0
+	}
+	return float64(n) / secs
 }
 
 // exactEdges is the bias-free exact-edge coverage of the fuzzers' combined
@@ -171,83 +213,9 @@ type Cell struct {
 	Scheme        fuzzer.Scheme
 	MapSize       int
 	Execs         uint64
-	Seconds       float64
 	Throughput    float64 // execs per second
 	Edges         int
-	Paths         int
 	UniqueCrashes int
-	UsedKeys      int
-}
-
-// runCell measures one fuzzing configuration, averaging opts.Trials runs
-// with distinct seeds (the paper's three-run averaging, §V-B).
-func (b *bencher) runCell(scheme fuzzer.Scheme, mapSize int, opts Options) (Cell, error) {
-	var acc Cell
-	for trial := 0; trial < opts.Trials; trial++ {
-		cell, err := b.runTrial(scheme, mapSize, opts, opts.Seed+uint64(trial)*1009)
-		if err != nil {
-			return Cell{}, err
-		}
-		acc.Benchmark = cell.Benchmark
-		acc.Scheme = cell.Scheme
-		acc.MapSize = cell.MapSize
-		acc.Execs += cell.Execs
-		acc.Seconds += cell.Seconds
-		acc.Throughput += cell.Throughput
-		acc.Edges += cell.Edges
-		acc.Paths += cell.Paths
-		acc.UniqueCrashes += cell.UniqueCrashes
-		acc.UsedKeys += cell.UsedKeys
-	}
-	n := opts.Trials
-	acc.Execs /= uint64(n)
-	acc.Seconds /= float64(n)
-	acc.Throughput /= float64(n)
-	acc.Edges /= n
-	acc.Paths /= n
-	acc.UniqueCrashes /= n
-	acc.UsedKeys /= n
-	return acc, nil
-}
-
-// runTrial runs one fuzzing configuration once for the exec budget and
-// measures wall-clock throughput.
-func (b *bencher) runTrial(scheme fuzzer.Scheme, mapSize int, opts Options, seed uint64) (Cell, error) {
-	f, err := fuzzer.New(b.prog, fuzzer.Config{
-		Scheme:         scheme,
-		MapSize:        mapSize,
-		Seed:           seed,
-		ExecCostFactor: b.costFactor,
-	})
-	if err != nil {
-		return Cell{}, err
-	}
-	if _, err := f.AddSeeds(b.seeds); err != nil {
-		return Cell{}, fmt.Errorf("bench %s: %w", b.profile.Name, err)
-	}
-
-	start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
-	if err := f.RunExecs(opts.ExecsPerRun); err != nil {
-		return Cell{}, err
-	}
-	elapsed := time.Since(start).Seconds() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
-
-	st := f.Stats()
-	cell := Cell{
-		Benchmark:     b.profile.Name,
-		Scheme:        scheme,
-		MapSize:       mapSize,
-		Execs:         st.Execs,
-		Seconds:       elapsed,
-		Edges:         st.EdgesDiscovered,
-		Paths:         st.Paths,
-		UniqueCrashes: st.UniqueCrashes,
-		UsedKeys:      st.UsedKeys,
-	}
-	if elapsed > 0 {
-		cell.Throughput = float64(st.Execs) / elapsed
-	}
-	return cell, nil
 }
 
 // RunGrid measures every (benchmark, scheme, map size) combination. The
@@ -264,9 +232,19 @@ func RunGrid(profiles []target.Profile, schemes []fuzzer.Scheme, sizes []int, op
 		}
 		for _, scheme := range schemes {
 			for _, size := range sizes {
-				cell, err := b.runCell(scheme, size, opts)
+				f, secs, err := b.run(b.prog, fuzzer.Config{Scheme: scheme, MapSize: size})
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/%s: %w", p.Name, scheme, fmtSize(size), err)
+				}
+				st := f.Stats()
+				cell := Cell{
+					Benchmark:     p.Name,
+					Scheme:        scheme,
+					MapSize:       size,
+					Execs:         st.Execs,
+					Throughput:    perSecond(st.Execs, secs),
+					Edges:         st.EdgesDiscovered,
+					UniqueCrashes: st.UniqueCrashes,
 				}
 				opts.progressf("  %-16s %-7s %-5s %8.0f execs/s  edges=%d crashes=%d\n",
 					cell.Benchmark, cell.Scheme, fmtSize(cell.MapSize), cell.Throughput,

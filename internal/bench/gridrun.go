@@ -235,22 +235,19 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 	for _, e := range cfg.Experiments {
 		exp, _ := Lookup(e.Name) // validated by ParseGridConfig
 		opts, seconds, repeats := cfg.resolve(e)
+		baseSeed := opts.withDefaults().Seed
 		if exp.Timing {
 			logf("grid: warning: %s measures wall clock; its artifacts will not be reproducible\n", e.Name)
 		}
 		logf("grid: %s (repeats=%d seed=%d execs=%d scale=%g)\n",
-			e.Name, repeats, opts.Seed, opts.ExecsPerRun, opts.Scale)
+			e.Name, repeats, baseSeed, opts.ExecsPerRun, opts.Scale)
 
 		// One run per repeat, consecutive seeds, each producing the same
 		// list of tables.
 		perRepeat := make([][]benchjson.TableJSON, repeats)
-		baseSeed := opts.Seed
 		for r := 0; r < repeats; r++ {
 			ropts := opts
 			ropts.Seed = baseSeed + uint64(r)
-			if ropts.Seed == 0 { // Options.withDefaults treats 0 as unset
-				ropts.Seed = 1
-			}
 			ropts.Progress = progress
 			ts, err := exp.Run(ropts, seconds)
 			if err != nil {
@@ -284,10 +281,11 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 			if err != nil {
 				return nil, fmt.Errorf("%s: aggregate table %d: %w", e.Name, ti, err)
 			}
-			if repeats > 1 {
-				agg.Notes = append(agg.Notes, fmt.Sprintf(
-					"aggregated over %d repeats (seeds %d..%d); ± is sample stddev",
-					repeats, baseSeed, baseSeed+uint64(repeats)-1))
+			switch {
+			case exp.Timing:
+				agg.Notes = append(agg.Notes, provenance(repeats, baseSeed))
+			case repeats > 1:
+				agg.Notes = append(agg.Notes, repeatNote(repeats, baseSeed))
 			}
 			aggregated = append(aggregated, agg)
 		}

@@ -3,6 +3,8 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,5 +168,106 @@ func TestRegistryLookup(t *testing.T) {
 	}
 	if _, err := RunExperiment("fig99", Options{}, 0); err == nil {
 		t.Error("RunExperiment on unknown name succeeded")
+	}
+}
+
+// TestRunGridConfigRepeats runs the only repeat path end to end: a wall-clock
+// experiment (fig6) and the deterministic experiment over the same campaigns
+// (fig78), each repeated over two seeds. Throughput aggregates to mean±stddev;
+// fig6's coverage and crash tables equal fig78's, so no wall-clock figure
+// leaks into a deterministic column; and only the wall-clock tables carry
+// the provenance note, naming both seeds, the machine and the commit.
+func TestRunGridConfigRepeats(t *testing.T) {
+	old := GridSizes
+	GridSizes = []int{64 << 10, 2 << 20}
+	defer func() { GridSizes = old }()
+
+	cfg, err := ParseGridConfig([]byte(`{
+		"schema": "bigmap-grid/v1",
+		"defaults": {"scale": 0.02, "execs": ` + strconv.FormatUint(testExecs(600), 10) + `, "seed": 5, "repeats": 2,
+			"max_seeds": 4, "benchmarks": ["zlib"]},
+		"experiments": [{"name": "fig6"}, {"name": "fig78"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunGridConfig(cfg, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := res.Report.Tables
+	if len(tables) != 5 {
+		t.Fatalf("tables = %d, want fig6's 3 and fig78's 2", len(tables))
+	}
+	fig6, fig78 := tables[:3], tables[3:]
+
+	spread := map[int]bool{}
+	for _, row := range fig6[0].Rows {
+		for _, col := range []int{2, 3} { // afl, bigmap execs/s
+			if strings.Contains(row[col], "±") {
+				spread[col] = true
+			}
+		}
+	}
+	if !spread[2] || !spread[3] {
+		t.Errorf("throughput columns carry no ±: %v", fig6[0].Rows)
+	}
+	for i, want := range fig78 {
+		if got := fig6[i+1]; got.Title != want.Title || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("fig6 table %q differs from fig78's:\n  fig6  %v\n  fig78 %v", got.Title, got.Rows, want.Rows)
+		}
+	}
+
+	stamp := provenance(2, 5)
+	for _, want := range []string{"seeds 5..6", cpuModel(), "commit " + buildCommit()} {
+		if !strings.Contains(stamp, want) {
+			t.Errorf("provenance note %q does not name %q", stamp, want)
+		}
+	}
+	for _, tbl := range fig6 {
+		if n := len(tbl.Notes); n == 0 || tbl.Notes[n-1] != stamp {
+			t.Errorf("%s: notes %q do not end with %q", tbl.Title, tbl.Notes, stamp)
+		}
+	}
+	for _, tbl := range fig78 {
+		for _, n := range tbl.Notes {
+			if strings.Contains(n, "commit") {
+				t.Errorf("%s: deterministic table stamped: %q", tbl.Title, n)
+			}
+		}
+	}
+}
+
+// TestRunExperimentStampsTimingOnly: RunExperiment, the path of every
+// per-figure CLI run and of `all`, stamps a wall-clock experiment's tables
+// and leaves a deterministic one's untouched.
+func TestRunExperimentStampsTimingOnly(t *testing.T) {
+	old := GridSizes
+	GridSizes = []int{64 << 10}
+	defer func() { GridSizes = old }()
+
+	opts := quickOpts()
+	opts.Benchmarks = []string{"zlib"}
+	timed, err := RunExperiment("fig7t", opts, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := provenance(1, opts.Seed)
+	for _, tbl := range timed {
+		if n := len(tbl.Notes); n == 0 || tbl.Notes[n-1] != stamp {
+			t.Errorf("%s: notes %q do not end with %q", tbl.Title, tbl.Notes, stamp)
+		}
+	}
+
+	plain, err := RunExperiment("fig2", opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Fig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain[0].Notes, want.Notes) {
+		t.Errorf("deterministic fig2 notes changed: %q, want %q", plain[0].Notes, want.Notes)
 	}
 }

@@ -56,20 +56,8 @@ func Metrics(opts Options) (*Table, error) {
 		}
 		baseline := 0
 		for _, m := range metrics {
-			f, err := fuzzer.New(b.prog, fuzzer.Config{
-				Scheme:         fuzzer.SchemeBigMap,
-				MapSize:        8 << 20,
-				Seed:           opts.Seed,
-				ExecCostFactor: b.costFactor,
-				Metric:         m.factory,
-			})
+			f, _, err := b.run(b.prog, fuzzer.Config{Scheme: fuzzer.SchemeBigMap, MapSize: 8 << 20, Metric: m.factory})
 			if err != nil {
-				return nil, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return nil, err
 			}
 			keys := f.Stats().EdgesDiscovered

@@ -54,12 +54,7 @@ func Roadblocks(opts Options) (*Table, error) {
 			prog *target.Program
 			cfg  fuzzer.Config
 		}
-		base := fuzzer.Config{
-			Scheme:         fuzzer.SchemeBigMap,
-			MapSize:        2 << 20,
-			Seed:           opts.Seed,
-			ExecCostFactor: b.costFactor,
-		}
+		base := fuzzer.Config{Scheme: fuzzer.SchemeBigMap, MapSize: 2 << 20}
 		withDict := base
 		withDict.Dict = dict
 		withCmp := base
@@ -72,14 +67,8 @@ func Roadblocks(opts Options) (*Table, error) {
 			{name: "cmplog", prog: b.prog, cfg: withCmp},
 		}
 		for _, s := range strategies {
-			f, err := fuzzer.New(s.prog, s.cfg)
+			f, _, err := b.run(s.prog, s.cfg)
 			if err != nil {
-				return nil, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return nil, err
 			}
 			st := f.Stats()

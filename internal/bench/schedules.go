@@ -43,20 +43,8 @@ func Schedules(opts Options) (*Table, error) {
 			return nil, err
 		}
 		for _, s := range schedules {
-			f, err := fuzzer.New(b.prog, fuzzer.Config{
-				Scheme:         fuzzer.SchemeBigMap,
-				MapSize:        2 << 20,
-				Seed:           opts.Seed,
-				ExecCostFactor: b.costFactor,
-				Schedule:       s,
-			})
+			f, _, err := b.run(b.prog, fuzzer.Config{Scheme: fuzzer.SchemeBigMap, MapSize: 2 << 20, Schedule: s})
 			if err != nil {
-				return nil, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return nil, err
-			}
-			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return nil, err
 			}
 			st := f.Stats()

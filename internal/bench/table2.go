@@ -39,19 +39,8 @@ func Table2(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := fuzzer.New(b.prog, fuzzer.Config{
-			Scheme:         fuzzer.SchemeBigMap,
-			MapSize:        2 << 20,
-			Seed:           opts.Seed,
-			ExecCostFactor: b.costFactor,
-		})
+		f, _, err := b.run(b.prog, fuzzer.Config{Scheme: fuzzer.SchemeBigMap, MapSize: 2 << 20})
 		if err != nil {
-			return nil, err
-		}
-		if _, err := f.AddSeeds(b.seeds); err != nil {
-			return nil, err
-		}
-		if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 			return nil, err
 		}
 		st := f.Stats()

@@ -55,22 +55,14 @@ func Table3(opts Options) (*Table, error) {
 		// independent coverage build") — the fuzzer's own virgin count is
 		// bounded by its map and useless for cross-size comparison.
 		run := func(size int) (fuzzer.Stats, int, error) {
-			f, err := fuzzer.New(laf, fuzzer.Config{
-				Scheme:         fuzzer.SchemeBigMap,
-				MapSize:        size,
-				Seed:           opts.Seed,
-				ExecCostFactor: b.costFactor,
+			f, _, err := b.run(laf, fuzzer.Config{
+				Scheme:  fuzzer.SchemeBigMap,
+				MapSize: size,
 				Metric: func(mapSize int) (core.Metric, error) {
 					return core.NewNGramMetric(mapSize, 3)
 				},
 			})
 			if err != nil {
-				return fuzzer.Stats{}, 0, err
-			}
-			if _, err := f.AddSeeds(b.seeds); err != nil {
-				return fuzzer.Stats{}, 0, err
-			}
-			if err := f.RunExecs(opts.ExecsPerRun); err != nil {
 				return fuzzer.Stats{}, 0, err
 			}
 			return f.Stats(), exactEdges(laf, f), nil
