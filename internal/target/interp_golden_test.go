@@ -260,6 +260,83 @@ func goldenCases() []goldenCase {
 			fn(loop256(1, 1), blk(2, 1, Node{Kind: KindCall, A: 1, B: 2}), loop256(3, 3), loop256(4, 4), blk(5, 1, ret)),
 			fn(loop256(10, 1), blk(11, 1, ret)),
 		}}, inputs: [][]byte{{255}, {100}}, budgets: []uint64{0, 700}},
+		// Costs past 32 bits, including ones whose sum wraps the cycle
+		// counter, against budgets on both sides of them.
+		{name: "cost-wide", prog: &Program{Funcs: []Func{fn(
+			blk(1, 1<<32, Node{Kind: KindJump, A: 1}),
+			blk(2, 1<<32+7, Node{Kind: KindSelfLoop, Pos: 0, Val: 4, A: 2}),
+			blk(3, 1<<40, Node{Kind: KindJump, A: 3}),
+			blk(4, 1<<63, Node{Kind: KindJump, A: 4}),
+			blk(5, 1<<63, Node{Kind: KindJump, A: 5}),
+			blk(6, ^uint64(0), ret),
+		)}}, inputs: [][]byte{{0}, {3}}, budgets: []uint64{0, 1 << 32, 1<<33 + 20, 1<<41 + 1<<35, 1<<63 + 1<<42, ^uint64(0)}},
+		// Input positions past 31 bits and below zero: every read observes
+		// zero, and the compare hook reports the position unchanged.
+		{name: "pos-wide", prog: &Program{Funcs: []Func{fn(
+			blk(1, 1, Node{Kind: KindCompareByte, Pos: 1 << 31, Val: 7, A: 1, B: 1}),
+			blk(2, 1, Node{Kind: KindCompareByte, Pos: 1 << 40, Val: 0, A: 2, B: 9}),
+			blk(3, 1, Node{Kind: KindCompareByte, Pos: -1, Val: 5, A: 3, B: 3}),
+			blk(4, 1, Node{Kind: KindCompareByte, Pos: -(1 << 40), Val: 6, A: 4, B: 4}),
+			blk(5, 1, Node{Kind: KindCompareWord, Pos: 1<<31 - 2, Val: 0x01020304, Width: 4, A: 5, B: 5}),
+			blk(6, 1, Node{Kind: KindCompareWord, Pos: -2, Val: 0x0b0a0000, Width: 4, A: 6, B: 6}),
+			blk(7, 1, Node{Kind: KindCompareWord, Pos: 1<<63 - 3, Val: 0x11, Width: 8, A: 7, B: 7}),
+			blk(8, 1, Node{Kind: KindCompareWord, Pos: -1 << 63, Val: 0x22, Width: 8, A: 8, B: 8}),
+			blk(9, 1, Node{Kind: KindSwitch, Pos: 1 << 33, Cases: []SwitchCase{{4, 11}, {0, 9}}, B: 11}),
+			blk(10, 1, Node{Kind: KindSwitch, Pos: -7, Cases: []SwitchCase{{1, 11}, {2, 11}}, B: 10}),
+			blk(11, 1, Node{Kind: KindSelfLoop, Pos: -5, Val: 3, A: 11}),
+			blk(12, 1, Node{Kind: KindSelfLoop, Pos: 1 << 35, Val: 3, A: 12}),
+			blk(13, 1, ret),
+		)}}, inputs: [][]byte{nil, {0x0a, 0x0b, 3, 4}, {1, 2, 3, 4, 5, 6, 7, 8, 9}}},
+		// Targets and operands past 31 bits: block indexes that would alias
+		// valid ones if truncated to 32 bits, and self-loop bounds that are
+		// huge or negative as int64.
+		{name: "operand-wide", prog: &Program{Funcs: []Func{
+			fn(
+				blk(1, 1, Node{Kind: KindCompareByte, Pos: 0, Val: 1, A: 1<<32 + 1, B: 1}),
+				blk(2, 1, Node{Kind: KindSelfLoop, Pos: 0, Val: 1<<32 + 3, A: 2}),
+				blk(3, 1, Node{Kind: KindSelfLoop, Pos: 0, Val: 1 << 63, A: 3}),
+				blk(4, 1, Node{Kind: KindSelfLoop, Pos: 0, Val: 1<<63 + 5, A: 4}),
+				blk(5, 1, Node{Kind: KindCall, A: 1<<32 + 1, B: 5}),
+				blk(6, 1, Node{Kind: KindCall, A: 1, B: 1<<32 + 6}),
+				blk(7, 1, ret),
+			),
+			fn(
+				blk(10, 1, Node{Kind: KindSwitch, Pos: 0, Cases: []SwitchCase{{2, 1<<31 + 1}, {3, -(1 << 40)}, {4, 1}}, B: 1 << 31}),
+				blk(11, 1, Node{Kind: KindCompareWord, Pos: 1, Val: 1 << 40, Width: 8, A: 2, B: -(1<<31 + 1)}),
+				blk(12, 1, Node{Kind: KindJump, A: 1<<32 + 3}),
+				blk(13, 1, ret),
+			),
+		}}, inputs: [][]byte{{0}, {1}, {2}, {4}, {4, 0, 0, 0, 0, 0, 1}, {9}}},
+		// Kinds past the last defined one end the run after visiting the
+		// block, even inside a call.
+		{name: "unknown-kinds", prog: &Program{Funcs: []Func{
+			fn(
+				blk(1, 1, Node{Kind: KindSwitch, Pos: 0, Cases: []SwitchCase{{1, 1}, {2, 2}, {3, 3}}, B: 4}),
+				blk(2, 1, Node{Kind: NodeKind(9)}),
+				blk(3, 1, Node{Kind: NodeKind(255)}),
+				blk(4, 1, Node{Kind: NodeKind(128), A: 4, B: 4}),
+				blk(5, 1, Node{Kind: KindCall, A: 1, B: 5}),
+				blk(6, 1, ret),
+			),
+			fn(blk(10, 1, Node{Kind: KindJump, A: 1}), blk(11, 1, Node{Kind: NodeKind(254), A: 0})),
+		}}, inputs: [][]byte{{1}, {2}, {3}, {4}}},
+		// An empty function between non-empty ones: calls to it fall
+		// through, and targets one past a function's end must not reach
+		// the next function's blocks.
+		{name: "empty-callee-mid", prog: &Program{Funcs: []Func{
+			fn(
+				blk(1, 1, Node{Kind: KindCall, A: 2, B: 1}),
+				blk(2, 1, Node{Kind: KindCall, A: 1, B: 2}),
+				blk(3, 1, Node{Kind: KindCall, A: 3, B: 3}),
+				blk(4, 1, Node{Kind: KindCall, A: 4, B: 4}),
+				blk(5, 1, Node{Kind: KindCompareByte, Pos: 0, Val: 1, A: 5, B: 6}),
+				blk(6, 1, ret),
+			),
+			{},
+			fn(blk(20, 2, Node{Kind: KindCompareByte, Pos: 0, Val: 1, A: 1, B: 2}), blk(21, 2, ret)),
+			{},
+			fn(blk(40, 3, Node{Kind: KindJump, A: 1}), blk(41, 3, Node{Kind: KindCompareByte, Pos: 0, Val: 2, A: 2, B: 0})),
+		}}, inputs: [][]byte{{0}, {1}, {2}}, budgets: []uint64{60, 1000}},
 	}
 }
 
