@@ -12,8 +12,7 @@ const maxCallDepth = 4096
 
 // frame is one suspended caller.
 type frame struct {
-	fn   int    // caller function index
-	cont int    // caller block index to resume at
+	cont int32  // instruction index to resume at
 	site uint32 // call-site block ID (for Result.Stack)
 }
 
@@ -28,14 +27,16 @@ const traceRingLen = 512
 // concurrent use.
 type Interp struct {
 	prog  *Program
+	code  *compiled
 	hook  func(Compare)
 	stack []frame
 	ring  []uint32 // reusable trace ring, delivered through VisitBatch
 }
 
-// NewInterp creates an interpreter for prog.
+// NewInterp creates an interpreter for prog. The first NewInterp of a
+// program compiles it; prog must not change afterwards (see Program).
 func NewInterp(prog *Program) *Interp {
-	return &Interp{prog: prog, ring: make([]uint32, 0, traceRingLen)}
+	return &Interp{prog: prog, code: prog.code(), ring: make([]uint32, 0, traceRingLen)}
 }
 
 // Program returns the interpreted program.
@@ -75,38 +76,33 @@ func at(input []byte, pos int) byte {
 // of one per block. The ring is flushed before returning and, unless the
 // tracer is call-blind, around call events (see Tracer).
 //
+// The loop runs the program's compiled form (compile.go): one flat
+// instruction array with absolute targets, where index 0 is the sentinel
+// every out-of-range target resolves to.
+//
 //bigmap:hotpath the target execution loop itself
 func (ip *Interp) Run(input []byte, tracer Tracer, budget uint64) Result {
 	if budget == 0 {
 		budget = DefaultBudget
 	}
 	var res Result
-	prog := ip.prog
-	if len(prog.Funcs) == 0 || len(prog.Funcs[0].Blocks) == 0 {
-		return res
-	}
+	c := ip.code
+	code, words, arms := c.code, c.words, c.arms
 	stack := ip.stack[:0]
 	var cycles uint64
 	visits := 0
 	status := StatusOK
-	// blocks is the current function's block list; it changes only on call
-	// and return, where fn changes with it.
-	fn, bi := 0, 0
-	blocks := prog.Funcs[0].Blocks
 
 	callEvents := !tracer.CallBlind()
 	ring := ip.ring[:0]
 
 	// Every exit sets status (and cycles, for hangs) and breaks out of the
-	// loop; an out-of-range block index ends the run cleanly.
+	// loop; reaching the sentinel ends the run cleanly.
+	pc := c.entry
 exec:
-	for bi >= 0 && bi < len(blocks) {
-		blk := &blocks[bi]
-		cost := blk.Cost
-		if cost == 0 {
-			cost = 1 // zero-cost hand-built programs cannot loop for free
-		}
-		cycles += cost
+	for pc != 0 {
+		in := &code[pc]
+		cycles += in.cost
 		if cycles > budget {
 			cycles = budget
 			status = StatusHang
@@ -116,69 +112,58 @@ exec:
 			tracer.VisitBatch(ring)
 			ring = ring[:0]
 		}
-		ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
+		ring = append(ring, in.id) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
 		visits++
 
-		nd := &blk.Node
-		switch nd.Kind {
-		case KindJump:
-			bi = nd.A
+		switch in.op {
+		case opJump:
+			pc = in.a
 
-		case KindCompareByte:
-			if at(input, nd.Pos) == byte(nd.Val) {
-				bi = nd.A
+		case opCompareByte:
+			if at(input, in.arg) == byte(in.val) {
+				pc = in.a
 			} else {
 				if ip.hook != nil {
-					ip.hook(Compare{Pos: nd.Pos, Val: uint64(byte(nd.Val)), Width: 1})
+					ip.hook(Compare{Pos: in.arg, Val: uint64(byte(in.val)), Width: 1})
 				}
-				bi = nd.B
+				pc = in.b
 			}
 
-		case KindCompareWord:
-			w := nd.Width
-			if w < 1 {
-				w = 1
-			} else if w > 8 {
-				w = 8
-			}
+		case opCompareWord:
+			w := &words[in.arg]
 			var got uint64
-			for i := 0; i < w; i++ {
-				got |= uint64(at(input, nd.Pos+i)) << (8 * i)
+			for i := 0; i < w.width; i++ {
+				got |= uint64(at(input, w.pos+i)) << (8 * i)
 			}
-			want := nd.Val
-			if w < 8 {
-				want &= 1<<(8*w) - 1
-			}
-			if got == want {
-				bi = nd.A
+			if got == w.want {
+				pc = in.a
 			} else {
 				if ip.hook != nil {
-					ip.hook(Compare{Pos: nd.Pos, Val: want, Width: w})
+					ip.hook(Compare{Pos: w.pos, Val: w.want, Width: w.width})
 				}
-				bi = nd.B
+				pc = in.b
 			}
 
-		case KindSwitch:
-			got := at(input, nd.Pos)
-			next := nd.B
-			for i := range nd.Cases {
-				if got == nd.Cases[i].Value {
-					next = nd.Cases[i].Target
+		case opSwitch:
+			got := at(input, in.arg)
+			k := in.a
+			for ; k < in.b; k++ {
+				if got == arms[k].value {
 					break
 				}
 				if ip.hook != nil {
-					ip.hook(Compare{Pos: nd.Pos, Val: uint64(nd.Cases[i].Value), Width: 1})
+					ip.hook(Compare{Pos: in.arg, Val: uint64(arms[k].value), Width: 1})
 				}
 			}
-			bi = next
+			pc = arms[k].target // arms[in.b] is the default
 
-		case KindSelfLoop:
-			// input[Pos] % Val extra iterations of this block: the tight
-			// back edge re-visits the same ID, then control exits to A.
-			if bound := int64(nd.Val); bound > 0 {
-				n := int(int64(at(input, nd.Pos)) % bound)
+		case opSelfLoop:
+			// input[Pos] % bound extra iterations of this block: the tight
+			// back edge re-visits the same ID, then control exits to a.
+			if in.val > 0 {
+				n := int(at(input, in.arg)) % int(in.val)
 				for i := 0; i < n; i++ {
-					cycles += cost
+					cycles += in.cost
 					if cycles > budget {
 						cycles = budget
 						status = StatusHang
@@ -188,47 +173,41 @@ exec:
 						tracer.VisitBatch(ring)
 						ring = ring[:0]
 					}
-					ring = append(ring, blk.ID) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
+					ring = append(ring, in.id) //bigmap:alloc-ok never reallocates: the ring is flushed at capacity on the line above
 					visits++
 				}
 			}
-			bi = nd.A
+			pc = in.a
 
-		case KindCall:
-			callee := nd.A
-			if callee < 0 || callee >= len(prog.Funcs) || len(prog.Funcs[callee].Blocks) == 0 {
-				bi = nd.B // degenerate call: fall through to the continuation
-				break
-			}
+		case opCall:
 			if len(stack) >= maxCallDepth {
 				cycles = budget
 				status = StatusHang
 				break exec
 			}
-			stack = append(stack, frame{fn: fn, cont: nd.B, site: blk.ID}) //bigmap:alloc-ok bounded by maxCallDepth and reuses ip.stack backing across runs
+			stack = append(stack, frame{cont: in.b, site: in.id}) //bigmap:alloc-ok bounded by maxCallDepth and reuses ip.stack backing across runs
 			if callEvents {
 				if len(ring) > 0 {
 					tracer.VisitBatch(ring) // keep visit/EnterCall order
 					ring = ring[:0]
 				}
-				tracer.EnterCall(blk.ID)
+				tracer.EnterCall(in.id)
 			}
-			fn, bi = callee, 0
-			blocks = prog.Funcs[fn].Blocks
+			pc = in.a
 
-		case KindCrash:
-			res.CrashSite = blk.ID
+		case opCrash:
+			res.CrashSite = in.id
 			status = StatusCrash
 			break exec
 
-		case KindHang:
+		case opHang:
 			// An infinite loop under a timeout: the rest of the budget is
 			// consumed with no further coverage.
 			cycles = budget
 			status = StatusHang
 			break exec
 
-		case KindReturn:
+		case opReturn:
 			if len(stack) == 0 {
 				break exec
 			}
@@ -241,10 +220,9 @@ exec:
 				}
 				tracer.LeaveCall()
 			}
-			fn, bi = top.fn, top.cont
-			blocks = prog.Funcs[fn].Blocks
+			pc = top.cont
 
-		default:
+		default: // opEnd
 			break exec
 		}
 	}

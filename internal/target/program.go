@@ -22,7 +22,10 @@
 // timeout.
 package target
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // NodeKind enumerates block terminator types.
 type NodeKind uint8
@@ -123,10 +126,24 @@ type Func struct {
 // Program is a complete synthetic target. Funcs[0].Blocks[0] is the program
 // entry; InputLen is the natural input size (reads past the end of an input
 // observe zero bytes, so shorter inputs are implicitly zero-padded).
+//
+// A Program must not change after its first NewInterp: the interpreter runs
+// a compiled copy of Funcs (see compile.go), built once on first use and
+// shared by every Interp of the program, so later edits to Funcs would not
+// be seen. Build a new Program instead, as lafintel.Transform does.
 type Program struct {
 	Name     string
 	Funcs    []Func
 	InputLen int
+
+	compileOnce sync.Once
+	compiled    *compiled
+}
+
+// code returns the program's compiled form, building it on first use.
+func (p *Program) code() *compiled {
+	p.compileOnce.Do(func() { p.compiled = compile(p) })
+	return p.compiled
 }
 
 // NumBlocks returns the total basic-block count.
