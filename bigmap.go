@@ -237,14 +237,6 @@ func WithCmpLog() Option {
 	return func(c *fuzzer.Config) { c.EnableCmpLog = true }
 }
 
-// WithExecCostFactor simulates native target execution cost: the executor
-// performs this many units of CPU work per virtual cycle after each run,
-// restoring the paper's regime where execution time dominates map
-// operations at small map sizes.
-func WithExecCostFactor(factor int) Option {
-	return func(c *fuzzer.Config) { c.ExecCostFactor = factor }
-}
-
 // WithCalibration re-executes every new queue entry n times to measure
 // target stability: edges that flicker across the runs are recorded as
 // variable and excluded from coverage verdicts, AFL's calibrate_case.

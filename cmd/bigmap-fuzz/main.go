@@ -277,6 +277,7 @@ func run(args []string) error {
 	defer signal.Stop(stop)
 
 	start := time.Now() //bigmap:nondeterministic-ok wall-clock campaign timing for the stats banner only
+	startExecs := f.Execs()
 	runErr := fuzzLoop(f, peer, *execs, *seconds, *chkPath, *chkEvery, *syncEvery, *statsEvery, stop)
 	elapsed := time.Since(start) //bigmap:nondeterministic-ok wall-clock campaign timing for the stats banner only
 
@@ -293,7 +294,7 @@ func run(args []string) error {
 
 	// Stats and the final checkpoint are flushed on the error path too — a
 	// failed or interrupted campaign is exactly when the snapshot matters.
-	printStats(f, *scheme, size, elapsed)
+	printStats(f, *scheme, size, f.Execs()-startExecs, elapsed)
 	if *chkPath != "" {
 		if err := bigmap.SaveFuzzerCheckpoint(*chkPath, f); err != nil {
 			runErr = errors.Join(runErr, err)
@@ -342,6 +343,7 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 		deadline = time.Now().Add(time.Duration(seconds * float64(time.Second))) //bigmap:nondeterministic-ok -seconds is a wall-clock budget by definition
 	}
 	loopStart := time.Now() //bigmap:nondeterministic-ok wall-clock base for periodic stats lines; never persisted
+	loopExecs := f.Execs()  // a resumed campaign's earlier execs are not this session's rate
 	var statsTick time.Duration
 	if statsEvery > 0 {
 		statsTick = time.Duration(statsEvery * float64(time.Second))
@@ -358,7 +360,7 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 			el := time.Since(loopStart).Seconds() //bigmap:nondeterministic-ok elapsed seconds feed the printed execs/s rate only
 			fmt.Fprintf(os.Stderr,
 				"[stats] t=%.0fs execs=%d (%.0f/s) paths=%d edges=%d crashes=%d/%d hangs=%d\n",
-				el, st.Execs, float64(st.Execs)/el, st.Paths, st.EdgesDiscovered,
+				el, st.Execs, float64(st.Execs-loopExecs)/el, st.Paths, st.EdgesDiscovered,
 				st.UniqueCrashes, st.Crashes, st.Hangs)
 			nextStats = time.Now().Add(statsTick) //bigmap:nondeterministic-ok stats cadence is wall-clock; fuzzing state never reads it
 		}
@@ -412,11 +414,13 @@ func fuzzLoop(f *bigmap.Fuzzer, peer *dist.Worker, execs uint64, seconds float64
 	}
 }
 
-func printStats(f *bigmap.Fuzzer, scheme string, size int, elapsed time.Duration) {
+// printStats prints the final banner. Its rate counts only the execs this
+// process ran: a resumed campaign's total includes earlier sessions'.
+func printStats(f *bigmap.Fuzzer, scheme string, size int, sessionExecs uint64, elapsed time.Duration) {
 	st := f.Stats()
 	fmt.Printf("\ncampaign finished in %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  execs           : %d (%.0f/sec)\n", st.Execs,
-		float64(st.Execs)/elapsed.Seconds())
+	fmt.Printf("  execs           : %d (%d this session, %.0f/sec)\n", st.Execs, sessionExecs,
+		float64(sessionExecs)/elapsed.Seconds())
 	fmt.Printf("  queue paths     : %d\n", st.Paths)
 	fmt.Printf("  edges discovered: %d\n", st.EdgesDiscovered)
 	fmt.Printf("  used_key        : %d / %d map slots\n", st.UsedKeys, size)

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/bigmap/bigmap"
 	"github.com/bigmap/bigmap/internal/checkpoint"
@@ -103,6 +106,79 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunResumeRatesThisSession: a resumed campaign's execs/s is built from
+// the execs this process ran, not the campaign total its checkpoint carried
+// in, which would inflate the rate.
+func TestRunResumeRatesThisSession(t *testing.T) {
+	chk := t.TempDir() + "/campaign.bmcp"
+	args := []string{"-bench", "zlib", "-scheme", "bigmap", "-map", "64k", "-scale", "0.05", "-checkpoint", chk}
+	if err := run(append(args, "-execs", "20000", "-seeds", "4")); err != nil {
+		t.Fatal(err)
+	}
+	first := checkpointExecs(t, chk)
+	out, err := captureStdout(t, func() error { return run(append(args, "-execs", "40000", "-resume")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := checkpointExecs(t, chk)
+
+	var finished string
+	var gotTotal, session uint64
+	var rate float64
+	for _, line := range strings.Split(out, "\n") {
+		if d, ok := strings.CutPrefix(line, "campaign finished in "); ok {
+			finished = d
+		}
+		if strings.HasPrefix(line, "  execs ") {
+			if _, err := fmt.Sscanf(line, "  execs           : %d (%d this session, %f/sec)", &gotTotal, &session, &rate); err != nil {
+				t.Fatalf("execs line %q: %v", line, err)
+			}
+		}
+	}
+	elapsed, err := time.ParseDuration(finished)
+	if err != nil || elapsed <= 0 {
+		t.Fatalf("no campaign duration in the output (%q: %v):\n%s", finished, err, out)
+	}
+	if gotTotal != total || session != total-first {
+		t.Fatalf("execs line reads %d total, %d this session; the checkpoints say %d total, %d before the resume",
+			gotTotal, session, total, first)
+	}
+	// The banner's duration is rounded to the millisecond.
+	if want := float64(session) / elapsed.Seconds(); rate < want/1.25 || rate > want*1.25 {
+		t.Errorf("rate %.0f/sec, want about %d session execs in %v = %.0f/sec", rate, session, elapsed, want)
+	}
+}
+
+// checkpointExecs reads the campaign exec count of a saved checkpoint.
+func checkpointExecs(t *testing.T, path string) uint64 {
+	t.Helper()
+	st, err := bigmap.LoadFuzzerCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Execs
+}
+
+// captureStdout runs fn with os.Stdout sent to a file and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	data, rerr := os.ReadFile(f.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(data), err
 }
 
 func TestRunResumeValidation(t *testing.T) {

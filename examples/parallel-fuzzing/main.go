@@ -60,16 +60,15 @@ func run() error {
 		return err
 	}
 
-	start := time.Now()
-	if err := camp.RunFor(3 * time.Second); err != nil {
+	counted, err := camp.RunFor(3 * time.Second)
+	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start).Seconds()
 
 	rep := camp.Report()
-	fmt.Printf("campaign: 4 instances, 2MB BigMap, %.1fs wall clock\n", elapsed)
+	fmt.Printf("campaign: 4 instances, 2MB BigMap, %.1fs wall clock\n", counted.Seconds())
 	fmt.Printf("  total execs   : %d (%.0f/sec aggregate)\n",
-		rep.TotalExecs, float64(rep.TotalExecs)/elapsed)
+		rep.TotalExecs, float64(rep.TotalExecs)/counted.Seconds())
 	fmt.Printf("  best coverage : %d edges\n", rep.MaxEdges)
 	fmt.Printf("  unique crashes: %d (union across instances)\n", rep.UniqueCrashes)
 	for i, st := range rep.PerInstance {

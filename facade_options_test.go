@@ -20,7 +20,6 @@ func TestAllOptionsCompose(t *testing.T) {
 		bigmap.WithSplitClassifyCompare(),
 		bigmap.WithDictionary([][]byte{[]byte("tok")}),
 		bigmap.WithExecBudget(1<<20),
-		bigmap.WithExecCostFactor(1),
 		bigmap.WithPowerSchedule("fast"),
 		bigmap.WithCmpLog(),
 	)

@@ -22,7 +22,6 @@ func quickOpts() Options {
 		ExecsPerRun: testExecs(1500),
 		Seed:        1,
 		MaxSeeds:    4,
-		CostFactor:  -1, // disable exec-cost simulation: tests check shapes, not calibration
 	}
 }
 
@@ -125,32 +124,34 @@ func TestRunGridSmall(t *testing.T) {
 
 // TestThroughputShape asserts the paper's headline result on a small grid:
 // growing the map from 64kB to 2MB collapses the AFL scheme's throughput but
-// barely touches BigMap's, so BigMap's relative speedup at 2MB is large.
+// barely touches BigMap's, so BigMap's relative speedup at 2MB is large. The
+// cells run without the execution charge: the shape is about the fuzzer's
+// own per-exec work, which the map operations are part of, and a charge
+// would only add the same time to every cell.
 func TestThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput shape needs a timed run")
 	}
 	opts := quickOpts()
 	opts.ExecsPerRun = testExecs(4000)
-	profiles, err := selectProfiles(target.Profiles(), []string{"libpng"})
+	p, ok := target.ProfileByName("libpng")
+	if !ok {
+		t.Fatal("no libpng profile")
+	}
+	b, err := prepare(p, opts.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := RunGrid(profiles, GridSchemes, []int{64 << 10, 2 << 20}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(s fuzzer.Scheme, size int) Cell {
-		for _, c := range cells {
-			if c.Scheme == s && c.MapSize == size {
-				return c
-			}
+	b.costNs = 0
+	throughput := func(s fuzzer.Scheme, size int) float64 {
+		f, secs, err := b.run(b.prog, fuzzer.Config{Scheme: s, MapSize: size})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("missing cell %s/%d", s, size)
-		return Cell{}
+		return perSecond(f.Execs(), secs)
 	}
-	aflDrop := get(fuzzer.SchemeAFL, 64<<10).Throughput / get(fuzzer.SchemeAFL, 2<<20).Throughput
-	bigDrop := get(fuzzer.SchemeBigMap, 64<<10).Throughput / get(fuzzer.SchemeBigMap, 2<<20).Throughput
+	aflDrop := throughput(fuzzer.SchemeAFL, 64<<10) / throughput(fuzzer.SchemeAFL, 2<<20)
+	bigDrop := throughput(fuzzer.SchemeBigMap, 64<<10) / throughput(fuzzer.SchemeBigMap, 2<<20)
 	if aflDrop < 2 {
 		t.Errorf("AFL 64k->2M slowdown = %.2fx, want >= 2x", aflDrop)
 	}
@@ -298,13 +299,12 @@ func parseFloat(s string, out *float64) (int, error) {
 }
 
 // TestBencherRunMatchesHandBuiltFuzzer pins the cell runner to the
-// sequence every driver used to write out: fuzzer.New with the campaign seed
-// and cost factor, AddSeeds, RunExecs. The campaigns must end in the same
+// sequence every driver used to write out: fuzzer.New with the campaign
+// seed, AddSeeds, RunExecs. The campaigns must end in the same
 // checkpoint bytes, so the timing drivers (fig3, ablation, fig7t), which
 // results/ does not cover, still run the campaigns they ran before.
 func TestBencherRunMatchesHandBuiltFuzzer(t *testing.T) {
 	opts := quickOpts()
-	opts.CostFactor = 2
 	opts.ExecsPerRun = testExecs(1000)
 	b, err := prepare(target.Profiles()[0], opts.withDefaults())
 	if err != nil {
@@ -324,7 +324,6 @@ func TestBencherRunMatchesHandBuiltFuzzer(t *testing.T) {
 
 	hand := cfg
 	hand.Seed = opts.Seed
-	hand.ExecCostFactor = 2
 	want, err := fuzzer.New(laf, hand)
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +341,11 @@ func TestBencherRunMatchesHandBuiltFuzzer(t *testing.T) {
 	}
 	if got.Execs() < opts.ExecsPerRun || secs <= 0 {
 		t.Fatalf("run: execs=%d seconds=%v, want >= %d execs in positive time", got.Execs(), secs, opts.ExecsPerRun)
+	}
+	// All but the few seed dry runs' share of the charge falls inside the
+	// budget, so the seconds must count it.
+	if got.Charged() <= 0 || secs < 0.9*got.Charged().Seconds() {
+		t.Fatalf("run charged %v in %vs: want the calibrated charge, counted in the seconds", got.Charged(), secs)
 	}
 	if !bytes.Equal(checkpoint.EncodeFuzzer(got.Snapshot()), checkpoint.EncodeFuzzer(want.Snapshot())) {
 		t.Fatal("bencher.run campaign diverged from the hand-built fuzzer's")

@@ -21,7 +21,9 @@ var Fig3Sizes = []int{64 << 10, 2 << 20, 8 << 20}
 //
 // The phases are read from the telemetry histograms (fuzzer_exec_ns and
 // map_afl_<op>_ns) of a registry private to each cell, so every counted
-// execution, trim runs included, is timed exactly once.
+// execution, trim runs included, is timed exactly once. The execution
+// column adds the cell's charged execution time (Fuzzer.Charged) to the
+// interpreter's measured fuzzer_exec_ns.
 func Fig3(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	names := opts.Benchmarks
@@ -62,7 +64,7 @@ func Fig3(opts Options) (*Table, error) {
 			st := f.Stats()
 			hist := reg.Snapshot().Histograms
 			phases := []uint64{
-				hist["fuzzer_exec_ns"].Sum,
+				hist["fuzzer_exec_ns"].Sum + uint64(f.Charged()),
 				hist["map_afl_classify_ns"].Sum,
 				hist["map_afl_compare_ns"].Sum,
 				hist["map_afl_reset_ns"].Sum,

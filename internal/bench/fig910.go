@@ -38,9 +38,10 @@ type ScalingResult struct {
 }
 
 // RunScaling measures parallel campaigns for both schemes across the
-// instance sweep, each campaign running for the same wall-clock budget
-// (secondsPerCell), master–secondary configuration, 2MB maps — the setup of
-// §V-D.
+// instance sweep, each campaign running for the same time budget
+// (secondsPerCell, counted by parallel.Campaign.RunFor: instance wall time
+// plus the charged execution time), master–secondary configuration, 2MB
+// maps — the setup of §V-D.
 func RunScaling(opts Options, secondsPerCell float64) (*ScalingResult, error) {
 	opts = opts.withDefaults()
 	names := opts.Benchmarks
@@ -69,18 +70,17 @@ func RunScaling(opts Options, secondsPerCell float64) (*ScalingResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
-				if err := camp.RunFor(secondsToDuration(secondsPerCell)); err != nil {
+				counted, err := camp.RunFor(secondsToDuration(secondsPerCell))
+				if err != nil {
 					return nil, err
 				}
-				elapsed := time.Since(start).Seconds() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
 				rep := camp.Report()
 				cell := scalingCell{
 					bench:      p.Name,
 					scheme:     scheme,
 					instances:  n,
 					totalExecs: rep.TotalExecs,
-					seconds:    elapsed,
+					seconds:    counted.Seconds(),
 					crashes:    rep.UniqueCrashes,
 				}
 				res.cells = append(res.cells, cell)

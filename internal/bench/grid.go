@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"github.com/bigmap/bigmap/internal/covreport"
 	"github.com/bigmap/bigmap/internal/fuzzer"
@@ -12,9 +11,12 @@ import (
 	"github.com/bigmap/bigmap/internal/target"
 )
 
-// execWorkUnits is the cost auto-calibration target: about 24,000 work
-// units per average seed execution, roughly 15us of CPU.
-const execWorkUnits = 24000
+// seedExecNs is the virtual execution time charged to an average seed
+// execution of every benchmark, whatever its scale: the paper's regime,
+// where execution dominates map work at a 64kB map (Figure 3). It is 24,000
+// units of the former CPU spin at its measured 2.73 ns per unit (2-vCPU
+// Intel Xeon VM, Go 1.24).
+const seedExecNs = 24000 * 2.73
 
 // Options tune experiment cost. Zero values select quick defaults suitable
 // for a laptop run; the CLI exposes flags for full-scale sweeps.
@@ -30,13 +32,6 @@ type Options struct {
 	// MaxSeeds caps the synthesized seed corpus per benchmark (default 32;
 	// Table II corpora reach 2,782 seeds, which quick runs cannot afford).
 	MaxSeeds int
-	// CostFactor simulates native execution cost per virtual cycle.
-	// 0 (the default) auto-calibrates per benchmark so that an average
-	// seed execution costs about execWorkUnits of CPU work regardless of
-	// program scale — restoring the paper's regime where execution
-	// dominates map operations at a 64kB map. Negative disables the
-	// simulation entirely.
-	CostFactor int
 	// Benchmarks filters profiles by name (nil = experiment default set).
 	Benchmarks []string
 	// Progress, when non-nil, receives one line per completed cell.
@@ -87,20 +82,20 @@ func selectProfiles(all []target.Profile, names []string) ([]target.Profile, err
 }
 
 // bencher caches a generated program, its seed corpus, and the campaign
-// seed, exec budget and calibrated execution-cost factor shared by every
-// cell of the benchmark. Every driver builds its fuzzers through it.
+// seed, exec budget and calibrated execution charge shared by every cell of
+// the benchmark. Every driver builds its fuzzers through it.
 type bencher struct {
-	profile    target.Profile
-	prog       *target.Program
-	seeds      [][]byte
-	seed       uint64
-	execs      uint64
-	costFactor int
+	profile target.Profile
+	prog    *target.Program
+	seeds   [][]byte
+	seed    uint64
+	execs   uint64
+	costNs  float64 // fuzzer.Config.ExecCostNs
 }
 
 // prepare generates the benchmark program, synthesizes its seed corpus, and
-// calibrates the simulated execution cost so an average seed execution
-// costs execWorkUnits of CPU work whatever the program's scale.
+// calibrates the execution charge so an average seed execution is charged
+// seedExecNs whatever the program's scale.
 func prepare(p target.Profile, opts Options) (*bencher, error) {
 	prog, err := target.Generate(p.Spec(opts.Scale))
 	if err != nil {
@@ -121,15 +116,15 @@ func prepare(p target.Profile, opts Options) (*bencher, error) {
 		seed:    opts.Seed,
 		execs:   opts.ExecsPerRun,
 	}
-	b.costFactor = calibrateCost(prog, b.seeds, opts)
+	b.costNs = calibrateCost(prog, b.seeds)
 	return b, nil
 }
 
 // config completes a cell's configuration with the fields every cell of
-// the benchmark shares: the campaign seed and the execution cost.
+// the benchmark shares: the campaign seed and the execution charge.
 func (b *bencher) config(cfg fuzzer.Config) fuzzer.Config {
 	cfg.Seed = b.seed
-	cfg.ExecCostFactor = b.costFactor
+	cfg.ExecCostNs = b.costNs
 	return cfg
 }
 
@@ -147,20 +142,21 @@ func (b *bencher) fuzzer(prog *target.Program, cfg fuzzer.Config) (*fuzzer.Fuzze
 }
 
 // run builds a seeded fuzzer, runs the exec budget and returns the fuzzer
-// with the wall-clock seconds the budget took.
+// with the seconds the budget took on its clock: the fuzzer's wall time plus
+// the execution time charged.
 func (b *bencher) run(prog *target.Program, cfg fuzzer.Config) (*fuzzer.Fuzzer, float64, error) {
 	f, err := b.fuzzer(prog, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	start := time.Now() //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
+	start := f.Clock()
 	if err := f.RunExecs(b.execs); err != nil {
 		return nil, 0, err
 	}
-	return f, time.Since(start).Seconds(), nil //bigmap:nondeterministic-ok wall-clock throughput measurement is the product
+	return f, f.Clock().Sub(start).Seconds(), nil
 }
 
-// perSecond is a rate over a wall-clock interval, 0 for an empty one.
+// perSecond is a rate over an interval, 0 for an empty one.
 func perSecond(n uint64, secs float64) float64 {
 	if secs <= 0 {
 		return 0
@@ -182,15 +178,9 @@ func exactEdges(prog *target.Program, fuzzers ...*fuzzer.Fuzzer) int {
 	return cov.Edges()
 }
 
-// calibrateCost derives the per-cycle work factor from the average seed
-// execution cost.
-func calibrateCost(prog *target.Program, seeds [][]byte, opts Options) int {
-	switch {
-	case opts.CostFactor > 0:
-		return opts.CostFactor
-	case opts.CostFactor < 0:
-		return 0
-	}
+// calibrateCost derives the per-cycle execution charge from the average
+// seed execution's cycles.
+func calibrateCost(prog *target.Program, seeds [][]byte) float64 {
 	ip := target.NewInterp(prog)
 	var total uint64
 	for _, s := range seeds {
@@ -200,11 +190,7 @@ func calibrateCost(prog *target.Program, seeds [][]byte, opts Options) int {
 	if avg == 0 {
 		avg = 1
 	}
-	factor := execWorkUnits / int(avg)
-	if factor < 1 {
-		factor = 1
-	}
-	return factor
+	return seedExecNs / float64(avg)
 }
 
 // Cell is one measured fuzzing configuration.

@@ -332,25 +332,53 @@ func FuzzCullEquivalence(f *testing.F) {
 	})
 }
 
-// growthQueue builds a deterministic queue shaped like a BigMap 8M campaign
-// after coverage has grown: about 1.4k entries over about 13.6k dense slots,
-// most of them favored.
+// growthQueue builds a deterministic queue shaped like a recorded BigMap 8M
+// campaign (sqlite3 at scale 0.25 after 150k execs, the bigmap-growth
+// workload): 1,400 entries, about 1,080 of them favored, each touching about
+// 2,390 slots in about 50 bitset words. Slots are dense in discovery order.
+// Every entry touches most of a shared core (the paths all inputs take), a
+// quarter of the words of a common region (code many inputs reach), three
+// times in four the slots one earlier entry discovered, and slots of its
+// own.
 func growthQueue() *Queue {
+	const (
+		coreSlots   = 2048 // touched with probability 9/10 each
+		commonWords = 64   // each word touched with probability 1/4, half its slots
+		entries     = 1400
+	)
 	r := rng.New(1)
 	q := NewQueue()
-	next := uint32(8) // dense slots in discovery order; 0-7 are the entry path
-	for i := 0; i < 1400; i++ {
-		fresh := 1 + r.Uint32n(18)
-		// The shared entry path, a sparse sample of older slots, then the
-		// slots this entry discovered.
-		touched := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-		for s := uint32(8); s < next; s += 1 + r.Uint32n(450) {
+	found := make([][2]uint32, 0, entries) // each entry's own slots, [lo, hi)
+	next := uint32(coreSlots + commonWords*64)
+	for i := 0; i < entries; i++ {
+		var touched []uint32
+		for s := uint32(0); s < coreSlots; s++ {
+			if r.Uint32n(10) != 0 {
+				touched = append(touched, s)
+			}
+		}
+		for w := uint32(0); w < commonWords; w++ {
+			if r.Uint32n(4) != 0 {
+				continue
+			}
+			for s := coreSlots + w*64; s < coreSlots+(w+1)*64; s++ {
+				if r.Uint32n(2) == 0 {
+					touched = append(touched, s)
+				}
+			}
+		}
+		if len(found) > 0 && r.Uint32n(4) != 0 {
+			b := found[r.Intn(len(found))]
+			for s := b[0]; s < b[1]; s++ {
+				touched = append(touched, s)
+			}
+		}
+		own := 1 + r.Uint32n(40)
+		for s := next; s < next+own; s++ {
 			touched = append(touched, s)
 		}
-		for s := next; s < next+fresh; s++ {
-			touched = append(touched, s)
-		}
-		next += fresh
+		found = append(found, [2]uint32{next, next + own})
+		next += own
 		q.Add(&Entry{
 			Input:     make([]byte, 8+r.Intn(200)),
 			Cycles:    100 + uint64(r.Intn(5000)),
@@ -360,6 +388,19 @@ func growthQueue() *Queue {
 	}
 	q.Cull()
 	return q
+}
+
+// favoredShape is the favored entries' mean slot and bitset-word counts.
+func favoredShape(q *Queue) (slots, words float64) {
+	n := 0
+	for _, e := range q.entries {
+		if e.Favored {
+			n++
+			slots += float64(len(e.Touched))
+			words += float64(len(e.coverWords))
+		}
+	}
+	return slots / float64(n), words / float64(n)
 }
 
 func TestCullDoesNotAllocate(t *testing.T) {
@@ -375,7 +416,9 @@ func TestCullDoesNotAllocate(t *testing.T) {
 // BenchmarkQueueCull times one dirty Cull of a growth-shaped queue.
 func BenchmarkQueueCull(b *testing.B) {
 	q := growthQueue()
-	b.Logf("%d entries, %d slots, %d favored", q.Len(), len(q.slots), q.FavoredCount())
+	slots, words := favoredShape(q)
+	b.Logf("%d entries, %d slots, %d favored touching %.0f slots in %.1f words each",
+		q.Len(), len(q.slots), q.FavoredCount(), slots, words)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

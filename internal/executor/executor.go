@@ -25,13 +25,12 @@ var ErrNilDependency = errors.New("executor: program, metric and map are require
 // Executor executes inputs against one program with one metric and one
 // coverage map. Not safe for concurrent use; each fuzzing instance owns one.
 type Executor struct {
-	runner     target.Runner
-	metric     core.Metric
-	cov        core.Map
-	budget     uint64
-	costFactor int
-	costSink   uint64
-	tracer     mapTracer
+	runner target.Runner
+	metric core.Metric
+	cov    core.Map
+	budget uint64
+	cycles uint64 // virtual cycles consumed by every run so far
+	tracer mapTracer
 }
 
 // keyBufLen is the capacity of the tracer's coverage-key buffer. It must be
@@ -149,20 +148,9 @@ func (e *Executor) Runner() target.Runner { return e.runner }
 // Budget returns the per-execution cycle budget.
 func (e *Executor) Budget() uint64 { return e.budget }
 
-// SetCostFactor calibrates simulated execution cost: after each run the
-// executor performs costFactor units of CPU work per virtual cycle the
-// target consumed. The synthetic interpreter is far cheaper per basic block
-// than a real instrumented binary, which would make map operations look
-// disproportionately expensive at AFL's native 64kB size; a non-zero cost
-// factor restores the paper's regime, where target execution dominates on
-// small maps (Figure 3, 64kB bars) and the map operations only take over as
-// the map grows. Zero (the default) disables the simulation.
-func (e *Executor) SetCostFactor(factor int) {
-	if factor < 0 {
-		factor = 0
-	}
-	e.costFactor = factor
-}
+// Cycles returns the virtual cycles the target consumed across every
+// Execute so far, which a fuzzer charges to its clock as execution time.
+func (e *Executor) Cycles() uint64 { return e.cycles }
 
 // Execute runs one input, recording coverage into the map. The caller is
 // responsible for resetting the map beforehand and classifying/comparing it
@@ -175,21 +163,6 @@ func (e *Executor) Execute(input []byte) target.Result {
 	e.tracer.keys = e.tracer.keys[:0] // drop any keys a panicking prior run left behind
 	res := e.runner.Run(input, &e.tracer, e.budget)
 	e.tracer.flush()
-	if e.costFactor > 0 {
-		e.simulateWork(res.Cycles * uint64(e.costFactor))
-	}
+	e.cycles += res.Cycles
 	return res
-}
-
-// simulateWork burns CPU deterministically, standing in for the native
-// instructions a real target would execute between coverage updates. The
-// accumulated sink prevents the loop from being optimized away.
-func (e *Executor) simulateWork(units uint64) {
-	sink := e.costSink
-	for i := uint64(0); i < units; i++ {
-		sink ^= sink<<13 ^ i
-		sink ^= sink >> 7
-		sink ^= sink << 17
-	}
-	e.costSink = sink
 }

@@ -3,7 +3,6 @@ package executor
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/rng"
@@ -164,35 +163,42 @@ func TestExecuteWithNGramMetric(t *testing.T) {
 	}
 }
 
-func TestSetCostFactorSimulatesWork(t *testing.T) {
+// TestExecuteTotalsCycles: the executor's cycle total, which a fuzzer
+// charges to its virtual clock, is the sum of Result.Cycles over every run,
+// hangs cut at the budget included.
+func TestExecuteTotalsCycles(t *testing.T) {
 	m, _ := core.NewBigMap(core.MapSize64K)
-	e := newExec(t, m)
-
-	input := make([]byte, 32)
-	start := time.Now()
-	for i := 0; i < 200; i++ {
-		e.Execute(input)
+	metric, err := core.NewEdgeMetric(m.Size())
+	if err != nil {
+		t.Fatal(err)
 	}
-	baseline := time.Since(start)
-
-	e.SetCostFactor(2000)
-	start = time.Now()
-	for i := 0; i < 200; i++ {
-		e.Execute(input)
+	e, err := New(testProgram(t), metric, m, 200)
+	if err != nil {
+		t.Fatal(err)
 	}
-	simulated := time.Since(start)
-
-	if simulated < baseline*2 {
-		t.Errorf("cost factor had no effect: baseline %v, simulated %v", baseline, simulated)
+	if e.Cycles() != 0 {
+		t.Fatalf("fresh executor has %d cycles", e.Cycles())
 	}
-
-	// Negative factors clamp to off.
-	e.SetCostFactor(-5)
-	start = time.Now()
-	for i := 0; i < 200; i++ {
-		e.Execute(input)
+	src := rng.New(7)
+	var want uint64
+	hangs := 0
+	for i := 0; i < 300; i++ {
+		input := make([]byte, 1+src.Intn(64))
+		for j := range input {
+			input[j] = byte(src.Uint64())
+		}
+		m.Reset()
+		res := e.Execute(input)
+		if res.Status == target.StatusHang {
+			hangs++
+		}
+		want += res.Cycles
+		if got := e.Cycles(); got != want {
+			t.Fatalf("run %d: Cycles() = %d, want the sum of Result.Cycles %d", i, got, want)
+		}
 	}
-	if off := time.Since(start); off > simulated {
-		t.Errorf("negative factor did not disable simulation: %v > %v", off, simulated)
+	if want == 0 {
+		t.Fatal("no run consumed a cycle")
 	}
+	t.Logf("%d cycles over 300 runs, %d hangs", want, hangs)
 }

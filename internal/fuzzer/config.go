@@ -2,6 +2,7 @@ package fuzzer
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/target"
@@ -71,9 +72,12 @@ type Config struct {
 	Seed uint64
 	// ExecBudget is the per-execution cycle budget (0 = executor default).
 	ExecBudget uint64
-	// ExecCostFactor simulates native target execution cost: CPU work per
-	// virtual cycle after each run (0 = off). See executor.SetCostFactor.
-	ExecCostFactor int
+	// ExecCostNs is the virtual time, in nanoseconds, charged per target
+	// cycle executed: the native execution time a real target would take,
+	// which the interpreter's own cost does not model. The charge advances
+	// the instance's clock (Fuzzer.Clock, which RunFor reads) and never
+	// touches fuzzing state. 0 (the default) leaves the clock on wall time.
+	ExecCostNs float64
 	// RunDeterministic enables AFL's deterministic stages for entries not
 	// yet fuzzed. Off by default: the paper skips it for 24-hour runs, and
 	// parallel mode enables it on the master only.
@@ -140,6 +144,9 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SpliceRounds == 0 {
 		c.SpliceRounds = DefaultSpliceRounds
+	}
+	if !(c.ExecCostNs >= 0) {
+		return fmt.Errorf("fuzzer: ExecCostNs %v is not a non-negative number", c.ExecCostNs)
 	}
 	return validateSchedule(c.Schedule)
 }

@@ -41,8 +41,8 @@ type Fuzzer struct {
 	pipe    *havocPipe // the havoc stage's pipeline, built on first use
 
 	execs          uint64
-	deadline       time.Time        // non-zero during RunFor: abort stages when past
-	now            func() time.Time // clock behind RunFor deadlines; swappable in tests
+	deadline       time.Time        // non-zero during RunFor: abort stages when reached
+	now            func() time.Time // wall clock under Clock; swappable in tests
 	cyclesDone     int
 	totalCrashes   uint64
 	totalHangs     uint64
@@ -92,7 +92,6 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	exe.SetCostFactor(cfg.ExecCostFactor)
 	src := rng.New(cfg.Seed ^ 0xf022a11)
 	mut := mutation.New(src.Split(), cfg.Dict)
 	if cfg.AdaptiveHavoc {
@@ -124,10 +123,10 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 		touchedScratch: make([]uint32, 0, 4096),
 		varSlots:       make(map[uint32]bool),
 		tel:            newTelemetryHooks(cfg.Telemetry, cov),
-		// The clock feeds only the RunFor deadline (a wall-clock API by
-		// contract); nothing resume-relevant reads it. The field indirection
-		// keeps this the sole wall-clock site in the package.
-		now: time.Now, //bigmap:nondeterministic-ok sole audited clock source: RunFor deadline only
+		// The clock feeds only Clock and so the RunFor deadline; nothing
+		// resume-relevant reads it. The field indirection keeps this the
+		// sole wall-clock site in the package.
+		now: time.Now, //bigmap:nondeterministic-ok sole audited clock source: Clock and the RunFor deadline only
 	}
 	return f, nil
 }
@@ -187,15 +186,26 @@ func (f *Fuzzer) RunExecs(n uint64) error {
 	return nil
 }
 
-// RunFor fuzzes until d wall-clock time has elapsed. Unlike RunExecs, the
-// deadline is also honoured inside a fuzz round (checked every few dozen
-// executions), so slow configurations (large flat maps) cannot overshoot
-// the budget by a whole round — that matters for fair wall-clock
+// Clock is the instance's virtual clock: wall time plus the execution time
+// charged so far, Config.ExecCostNs for every target cycle the executor ran
+// (seeds, imports and calibration runs included). With no charge it is the
+// wall clock. The charge is not checkpointed, like wall time itself.
+func (f *Fuzzer) Clock() time.Time { return f.now().Add(f.Charged()) }
+
+// Charged is the execution time charged to the clock so far.
+func (f *Fuzzer) Charged() time.Duration {
+	return time.Duration(float64(f.exec.Cycles()) * f.cfg.ExecCostNs)
+}
+
+// RunFor fuzzes until d has passed on the instance's Clock. Unlike
+// RunExecs, the deadline is also honoured inside a fuzz round (checked every
+// few dozen executions), so slow configurations (large flat maps) cannot
+// overshoot the budget by a whole round — that matters for fair time-budget
 // comparisons like the scaling experiment.
 func (f *Fuzzer) RunFor(d time.Duration) error {
-	f.deadline = f.now().Add(d)
+	f.deadline = f.Clock().Add(d)
 	defer func() { f.deadline = time.Time{} }()
-	for f.now().Before(f.deadline) {
+	for f.Clock().Before(f.deadline) {
 		if err := f.Step(); err != nil {
 			return err
 		}
@@ -203,10 +213,10 @@ func (f *Fuzzer) RunFor(d time.Duration) error {
 	return nil
 }
 
-// pastDeadline reports whether a RunFor deadline has expired. The check is
-// amortized: callers invoke it every few dozen executions.
+// pastDeadline reports whether a RunFor deadline has been reached. The check
+// is amortized: callers invoke it every few dozen executions.
 func (f *Fuzzer) pastDeadline() bool {
-	return !f.deadline.IsZero() && f.now().After(f.deadline)
+	return !f.deadline.IsZero() && !f.Clock().Before(f.deadline)
 }
 
 // Step selects one queue entry (with AFL's favored-skip probabilities) and

@@ -2,7 +2,9 @@ package fuzzer
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"github.com/bigmap/bigmap/internal/core"
 	"github.com/bigmap/bigmap/internal/rng"
@@ -63,6 +65,16 @@ func TestNewAppliesDefaults(t *testing.T) {
 func TestNewRejectsUnknownScheme(t *testing.T) {
 	if _, err := New(fuzzTarget(t), Config{Scheme: "bogus"}); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestNewRejectsBadExecCost: a negative or NaN charge would stop the clock
+// or run it backwards, so RunFor would never reach its deadline.
+func TestNewRejectsBadExecCost(t *testing.T) {
+	for _, ns := range []float64{-1, math.NaN()} {
+		if _, err := New(fuzzTarget(t), Config{ExecCostNs: ns}); err == nil {
+			t.Errorf("ExecCostNs %v accepted", ns)
+		}
 	}
 }
 
@@ -361,5 +373,74 @@ func TestCmpLogSolvesMagicRoadblocks(t *testing.T) {
 	solved := edges(true)
 	if solved <= plain {
 		t.Errorf("cmplog did not help: %d edges with vs %d without", solved, plain)
+	}
+}
+
+// TestRunForStopsOnCharge: with the wall clock frozen, only the execution
+// charge moves an instance's Clock, and RunFor stops at the first deadline
+// check where it has passed the budget: no execution runs after that check.
+// The charge never touches fuzzing state, so the campaign is the one an
+// uncharged instance runs for the same execs.
+func TestRunForStopsOnCharge(t *testing.T) {
+	prog := fuzzTarget(t)
+	cfg := Config{Scheme: SchemeBigMap, Seed: 9, ExecCostNs: 1500}
+	f, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCorpus(t, f, prog, 4)
+
+	type check struct {
+		charged time.Duration
+		execs   uint64
+	}
+	var checks []check
+	frozen := time.Unix(0, 0)
+	f.now = func() time.Time {
+		checks = append(checks, check{f.Charged(), f.Execs()})
+		if len(checks) > 100000 {
+			return frozen.Add(24 * time.Hour) // the charge is ignored: end instead of spinning
+		}
+		return frozen
+	}
+	const budget = 50 * time.Millisecond
+	if err := f.RunFor(budget); err != nil {
+		t.Fatal(err)
+	}
+	start := checks[0].charged // the deadline's base
+	first := -1
+	for i, c := range checks[1:] {
+		if c.charged-start >= budget {
+			first = i + 1
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatalf("RunFor returned after %d checks, none with the budget charged", len(checks))
+	}
+	if first < 3 {
+		t.Fatalf("budget passed at check %d: too coarse to test a mid-round cut", first)
+	}
+	t.Logf("budget charged at check %d of %d, after %d execs", first, len(checks), checks[first].execs)
+	for _, c := range checks[first+1:] {
+		if c.execs != checks[first].execs {
+			t.Fatalf("%d execs ran after the check that found the budget charged", c.execs-checks[first].execs)
+		}
+	}
+
+	// An uncharged instance whose wall clock expires at the same check
+	// (call first+1) runs the same campaign: the charge is clock only.
+	ref, err := New(prog, Config{Scheme: SchemeBigMap, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCorpus(t, ref, prog, 4)
+	ref.now = (&scriptedClock{start: frozen, n: first}).now
+	if err := ref.RunFor(budget); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := checkpointDigest(f), checkpointDigest(ref); got != want || f.Execs() != ref.Execs() {
+		t.Fatalf("charged campaign (%d execs, %s) differs from the uncharged one cut at the same check (%d execs, %s)",
+			f.Execs(), got, ref.Execs(), want)
 	}
 }

@@ -10,9 +10,9 @@
 // in EnFuzz) an ordinary campaign: a find interesting under one metric is
 // re-judged under each peer's metric when the peer imports it.
 //
-// Instances run concurrently, one goroutine each, so wall-clock throughput
-// measurements capture the real scaling behaviour (shared last-level cache
-// and memory-bandwidth pressure included — the effect Figure 9 plots).
+// Instances run concurrently, one goroutine each, so throughput on their
+// clocks captures the real scaling behaviour (shared last-level cache and
+// memory-bandwidth pressure included — the effect Figure 9 plots).
 // Synchronization happens at round boundaries with no instance running,
 // which keeps every Fuzzer single-threaded, like AFL's on-disk sync. Every
 // multi-instance campaign syncs through a dist.Syncer — a private in-memory
@@ -445,29 +445,51 @@ func (c *Campaign) RunRounds(n int) error {
 	return nil
 }
 
-// RunFor fuzzes for roughly d of wall-clock time. Rounds are time-sliced
-// (at most half a second each) rather than exec-counted so that slow
-// configurations cannot overshoot the budget by a whole round, and corpora
-// still cross-pollinate between slices.
-func (c *Campaign) RunFor(d time.Duration) error {
-	deadline := time.Now().Add(d) //bigmap:nondeterministic-ok wall-clock API by contract
-	for {
-		remaining := time.Until(deadline) //bigmap:nondeterministic-ok wall-clock API by contract
-		if remaining <= 0 {
-			return nil
-		}
-		slice := remaining
-		if slice > 500*time.Millisecond {
-			slice = 500 * time.Millisecond
-		}
+// RunFor fuzzes until it has counted d and returns the time counted. Rounds
+// are time-sliced (at most half a second each) rather than exec-counted so
+// that slow configurations cannot overshoot the budget by a whole round, and
+// corpora still cross-pollinate between slices. A round counts the largest
+// advance of any instance's Clock over its slice and over the sync after it;
+// with no execution charge that is wall time.
+func (c *Campaign) RunFor(d time.Duration) (time.Duration, error) {
+	var counted time.Duration
+	for counted < d {
+		slice := min(d-counted, 500*time.Millisecond)
+		var mu sync.Mutex
+		var longest time.Duration
 		if err := c.round(func(f *fuzzer.Fuzzer) error {
-			return f.RunFor(slice)
-		}); err != nil {
+			start := f.Clock()
+			err := f.RunFor(slice)
+			mu.Lock()
+			defer mu.Unlock()
+			longest = max(longest, f.Clock().Sub(start))
 			return err
+		}); err != nil {
+			return counted, err
 		}
-		c.sync()
-		c.markBoundary()
+		counted += longest + c.longestAdvance(func() {
+			c.sync()
+			c.markBoundary()
+		})
 	}
+	return counted, nil
+}
+
+// longestAdvance runs fn and returns the largest advance of any live
+// instance's clock across it.
+func (c *Campaign) longestAdvance(fn func()) time.Duration {
+	before := make([]time.Time, len(c.fuzzers))
+	for i, f := range c.fuzzers {
+		before[i] = f.Clock()
+	}
+	fn()
+	var longest time.Duration
+	for i, f := range c.fuzzers {
+		if c.failed[i] == nil {
+			longest = max(longest, f.Clock().Sub(before[i]))
+		}
+	}
+	return longest
 }
 
 // round runs fn concurrently on every live instance, recovering panics.

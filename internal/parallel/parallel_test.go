@@ -211,15 +211,64 @@ func TestCampaignRunFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := c.RunFor(700 * time.Millisecond); err != nil {
+	counted, err := c.RunFor(700 * time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	if elapsed > 3*time.Second {
 		t.Errorf("RunFor(700ms) took %v; time slicing broken", elapsed)
 	}
+	// With no charge the instance clocks are the wall clock, and the
+	// count is made of intervals inside the call.
+	if counted < 700*time.Millisecond || counted > elapsed {
+		t.Errorf("RunFor(700ms) counted %v in %v of wall time", counted, elapsed)
+	}
 	if got := c.Report().TotalExecs; got == 0 {
 		t.Error("RunFor executed nothing")
+	}
+}
+
+// TestCampaignRunForChargedTime: with an execution charge, RunFor ends once
+// the budget has passed on the instance clocks, far sooner in wall time.
+// The count is at least any one instance's charge (each round counts the
+// largest clock advance) and at most all charges plus the wall time.
+func TestCampaignRunForChargedTime(t *testing.T) {
+	prog, seeds := campaignTarget(t)
+	c, err := NewCampaign(prog, Config{
+		Instances: 2,
+		SyncEvery: 100000,
+		Fuzzer:    fuzzer.Config{Seed: 6, Scheme: fuzzer.SchemeBigMap, ExecCostNs: 100e3},
+	}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 30 * time.Second
+	before := make([]time.Duration, len(c.Instances()))
+	for i, f := range c.Instances() {
+		before[i] = f.Charged()
+	}
+	start := time.Now()
+	counted, err := c.RunFor(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if counted < budget {
+		t.Fatalf("RunFor(%v) returned after counting %v", budget, counted)
+	}
+	if elapsed > budget/2 {
+		t.Errorf("RunFor(%v) took %v of wall time: the charge did not advance the clocks", budget, elapsed)
+	}
+	var most, all time.Duration
+	for i, f := range c.Instances() {
+		charged := f.Charged() - before[i]
+		most = max(most, charged)
+		all += charged
+	}
+	if counted < most || counted > all+elapsed {
+		t.Errorf("counted %v: want between the largest instance charge %v and all charges plus wall time %v",
+			counted, most, all+elapsed)
 	}
 }
 
