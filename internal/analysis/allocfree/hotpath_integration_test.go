@@ -41,6 +41,10 @@ var execLoopFunctions = []string{
 	"(*github.com/bigmap/bigmap/internal/core.EdgeMetric).LeaveCall",
 	// The merged word-level kernel behind ClassifyAndCompare.
 	"github.com/bigmap/bigmap/internal/core.classifyCompareRegion",
+	// TestRecordReplayZeroAllocs: the havoc helper's recording run and
+	// the fuzzer goroutine's replay of it.
+	"(*github.com/bigmap/bigmap/internal/executor.Recorder).Record",
+	"(*github.com/bigmap/bigmap/internal/executor.Executor).Replay",
 }
 
 // TestExecLoopIsCoveredByHotpathRoots builds the call graph over the real

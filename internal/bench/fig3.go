@@ -23,7 +23,9 @@ var Fig3Sizes = []int{64 << 10, 2 << 20, 8 << 20}
 // map_afl_<op>_ns) of a registry private to each cell, so every counted
 // execution, trim runs included, is timed exactly once. The execution
 // column adds the cell's charged execution time (Fuzzer.Charged) to the
-// interpreter's measured fuzzer_exec_ns.
+// measured fuzzer_exec_ns and fuzzer_helper_exec_ns: the havoc helper runs
+// the interpreter for the mutants it records, and fuzzer_exec_ns then
+// times only their replay (DESIGN §13.3).
 func Fig3(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	names := opts.Benchmarks
@@ -64,7 +66,7 @@ func Fig3(opts Options) (*Table, error) {
 			st := f.Stats()
 			hist := reg.Snapshot().Histograms
 			phases := []uint64{
-				hist["fuzzer_exec_ns"].Sum + uint64(f.Charged()),
+				hist["fuzzer_exec_ns"].Sum + hist["fuzzer_helper_exec_ns"].Sum + uint64(f.Charged()),
 				hist["map_afl_classify_ns"].Sum,
 				hist["map_afl_compare_ns"].Sum,
 				hist["map_afl_reset_ns"].Sum,

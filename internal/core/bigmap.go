@@ -358,6 +358,10 @@ func (m *BigMap) SlotForKey(key uint32) int {
 	return int(m.index[key]) - 1
 }
 
+// HighWater returns the high-water mark: the highest dense slot touched
+// since the last Reset, -1 when none was. A diagnostic aid for tests.
+func (m *BigMap) HighWater() int { return m.hw }
+
 // Snapshot returns a copy of the used region of the coverage bitmap.
 func (m *BigMap) Snapshot() []byte {
 	out := make([]byte, m.used)

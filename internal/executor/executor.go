@@ -52,33 +52,44 @@ const keyBufLen = 4096
 // interface — the second devirtualization in the loop. The tracer is as
 // call-blind as its metric, so for the edge, N-gram and CollAFL metrics the
 // interpreter skips call events and the ring flushes around them.
+//
+// A Recorder's tracer has no map: its keys are a caller-owned slice, and a
+// batch that does not fit marks the run overflowed instead of flushing.
 type mapTracer struct {
-	metric core.Metric
-	edge   *core.EdgeMetric // non-nil fast path when metric is the edge metric
-	cov    core.Map
-	keys   []uint32 // buffered coverage keys, flushed via cov.AddBatch
+	metric   core.Metric
+	edge     *core.EdgeMetric // non-nil fast path when metric is the edge metric
+	cov      core.Map         // nil in a Recorder
+	keys     []uint32         // buffered coverage keys, flushed via cov.AddBatch
+	overflow bool             // a Recorder's run outgrew cap(keys)
 }
 
 var _ target.Tracer = (*mapTracer)(nil)
 
 // VisitBatch derives one coverage key per visited block and buffers them.
 // The interpreter's ring never exceeds the buffer capacity, so after a flush
-// the whole batch always fits.
+// the whole batch always fits. Without a map, a batch that does not fit
+// overflows the run: the buffer is left full, so every later batch
+// overflows too and nothing more is derived.
 //
 //bigmap:hotpath Tracer callback, runs once per trace-ring flush inside every execution
 func (t *mapTracer) VisitBatch(blocks []uint32) {
 	keys := t.keys
 	if len(keys)+len(blocks) > cap(keys) {
+		if t.cov == nil {
+			t.overflow = true
+			t.keys = keys[:cap(keys)]
+			return
+		}
 		t.cov.AddBatch(keys)
 		keys = keys[:0]
 	}
 	if t.edge != nil {
 		for _, b := range blocks {
-			keys = append(keys, t.edge.Visit(b)) //bigmap:alloc-ok never reallocates: the flush above guarantees the batch fits keyBufLen capacity
+			keys = append(keys, t.edge.Visit(b)) //bigmap:alloc-ok never reallocates: the check above flushes or overflows before a batch could outgrow cap(keys)
 		}
 	} else {
 		for _, b := range blocks {
-			keys = append(keys, t.metric.Visit(b)) //bigmap:alloc-ok never reallocates: the flush above guarantees the batch fits keyBufLen capacity
+			keys = append(keys, t.metric.Visit(b)) //bigmap:alloc-ok never reallocates: the check above flushes or overflows before a batch could outgrow cap(keys)
 		}
 	}
 	t.keys = keys
@@ -118,19 +129,19 @@ func NewWithRunner(runner target.Runner, metric core.Metric, cov core.Map, budge
 	if budget == 0 {
 		budget = DefaultBudget
 	}
-	edge, _ := metric.(*core.EdgeMetric)
 	return &Executor{
 		runner: runner,
 		metric: metric,
 		cov:    cov,
 		budget: budget,
-		tracer: mapTracer{
-			metric: metric,
-			edge:   edge,
-			cov:    cov,
-			keys:   make([]uint32, 0, keyBufLen),
-		},
+		tracer: newMapTracer(metric, cov, make([]uint32, 0, keyBufLen)),
 	}, nil
+}
+
+// newMapTracer builds a tracer over keys; cov is nil for a Recorder's.
+func newMapTracer(metric core.Metric, cov core.Map, keys []uint32) mapTracer {
+	edge, _ := metric.(*core.EdgeMetric)
+	return mapTracer{metric: metric, edge: edge, cov: cov, keys: keys}
 }
 
 // Map returns the coverage map the executor records into.
@@ -165,4 +176,63 @@ func (e *Executor) Execute(input []byte) target.Result {
 	e.tracer.flush()
 	e.cycles += res.Cycles
 	return res
+}
+
+// Replay applies a run a Recorder recorded for this executor: it adds the
+// run's keys to the map and counts its cycles, leaving the map, the cycle
+// total and the returned Result exactly as Execute of the same input would.
+// Like Execute, it runs on the goroutine that owns the executor.
+//
+//bigmap:hotpath the per-exec loop for a run the havoc helper recorded
+func (e *Executor) Replay(res target.Result, keys []uint32) target.Result {
+	if len(keys) > 0 {
+		e.cov.AddBatch(keys)
+	}
+	e.cycles += res.Cycles
+	return res
+}
+
+// ErrNotRecordable is returned by NewRecorder when a run is not a pure
+// function of the program and its input, or the metric is the executor's own.
+var ErrNotRecordable = errors.New("executor: runs of this executor cannot be recorded")
+
+// Recorder runs inputs on its own interpreter and metric and records each
+// run's coverage-key stream instead of adding it to a map. That is the part
+// of an execution that depends only on the program and the input, so a
+// Recorder may run on another goroutine than its executor; Executor.Replay
+// then does the rest. Not safe for concurrent use.
+type Recorder struct {
+	runner target.Runner
+	budget uint64
+	tracer mapTracer
+}
+
+// NewRecorder returns a recorder for runs of e. metric must be a fresh
+// metric of e's kind, not e's own: the two run on different goroutines.
+// Only the clean interpreter is recordable; a fault-injecting runner picks
+// its faults by execution index.
+func (e *Executor) NewRecorder(metric core.Metric) (*Recorder, error) {
+	if _, clean := e.runner.(*target.Interp); !clean || metric == nil || metric == e.metric {
+		return nil, ErrNotRecordable
+	}
+	return &Recorder{
+		runner: target.NewInterp(e.Program()),
+		budget: e.budget,
+		tracer: newMapTracer(metric, nil, nil),
+	}, nil
+}
+
+// Record runs input and writes its coverage keys into keys[:cap(keys)],
+// which the caller owns, returning the run's result and its keys. ok is
+// false when the run derived more keys than cap(keys); its keys are then
+// incomplete and must not be replayed.
+//
+//bigmap:hotpath the havoc helper's execution: one call per recorded mutant
+func (r *Recorder) Record(input []byte, keys []uint32) (res target.Result, rec []uint32, ok bool) {
+	r.tracer.metric.Begin()
+	r.tracer.keys, r.tracer.overflow = keys[:0], false
+	res = r.runner.Run(input, &r.tracer, r.budget)
+	rec, ok = r.tracer.keys, !r.tracer.overflow
+	r.tracer.keys = nil // the slice is the caller's
+	return res, rec, ok
 }

@@ -149,7 +149,7 @@ func (f *Fuzzer) Crashes() *crash.Deduper { return f.crashes }
 // startup behaviour, seeds enter the queue whether or not they add coverage,
 // but crashing or hanging seeds are rejected.
 func (f *Fuzzer) AddSeed(input []byte) error {
-	res, _ := f.runOne(input) // seeds are enqueued regardless of verdict
+	res, _ := f.runOne(input, nil) // seeds are enqueued regardless of verdict
 	switch res.Status {
 	case target.StatusCrash, target.StatusHang:
 		f.rejectedSeeds++
@@ -283,7 +283,7 @@ func (f *Fuzzer) fuzzEntry(e *corpus.Entry) {
 		t0 := f.tel.stageDet.Start()
 		n := 0
 		f.mut.Deterministic(e.Input, func(candidate []byte) bool {
-			f.evaluate(candidate, "det", depth)
+			f.evaluate(candidate, nil, "det", depth)
 			n++
 			return n&255 != 255 || !f.pastDeadline()
 		})
@@ -327,7 +327,7 @@ func (f *Fuzzer) fuzzEntry(e *corpus.Entry) {
 			if spliced == nil {
 				continue
 			}
-			f.evaluate(f.mut.Havoc(spliced), "splice", depth)
+			f.evaluate(f.mut.Havoc(spliced), nil, "splice", depth)
 		}
 		f.tel.stageSplice.Done(s0)
 	}
@@ -340,7 +340,7 @@ func (f *Fuzzer) cmpLogStage(e *corpus.Entry, depth int) {
 	f.execs++ // the collection replay
 	f.tel.execs.Inc()
 	for _, p := range f.cmp.Collect(e.Input) {
-		f.evaluate(cmplog.Apply(e.Input, p), "cmplog", depth)
+		f.evaluate(cmplog.Apply(e.Input, p), nil, "cmplog", depth)
 	}
 }
 
@@ -365,9 +365,10 @@ func (f *Fuzzer) havocRounds(e *corpus.Entry) int {
 }
 
 // evaluate runs one candidate through the full coverage pipeline and files
-// it (queue, crash bucket, hang) according to the fitness function.
-func (f *Fuzzer) evaluate(candidate []byte, foundBy string, depth int) {
-	res, verdict := f.runOne(candidate)
+// it (queue, crash bucket, hang) according to the fitness function. rec is
+// the candidate's run as the havoc helper recorded it, or nil to execute it.
+func (f *Fuzzer) evaluate(candidate []byte, rec *recordedRun, foundBy string, depth int) {
+	res, verdict := f.runOne(candidate, rec)
 	switch res.Status {
 	case target.StatusOK:
 		if verdict != core.VerdictNone {
@@ -392,12 +393,13 @@ func (f *Fuzzer) evaluate(candidate []byte, foundBy string, depth int) {
 // classify + compare against the appropriate virgin map, and (for
 // interesting, non-crashing cases) hash. With calibration enabled the
 // pipeline adds crash/hang verification (see runVerified); otherwise it is
-// the merged fast path below.
-func (f *Fuzzer) runOne(input []byte) (target.Result, core.Verdict) {
+// the merged fast path below, where a recorded run (rec non-nil; never with
+// calibration, see newRecorder) is replayed instead of executed.
+func (f *Fuzzer) runOne(input []byte, rec *recordedRun) (target.Result, core.Verdict) {
 	if f.cfg.CalibrationRuns > 0 {
 		return f.runVerified(input)
 	}
-	res := f.execute(input)
+	res := f.execute(input, rec)
 	var verdict core.Verdict
 	if f.cfg.SplitClassifyCompare {
 		f.cov.Classify()
@@ -409,12 +411,17 @@ func (f *Fuzzer) runOne(input []byte) (target.Result, core.Verdict) {
 	return res, verdict
 }
 
-// execute is the one counted execution: reset the map, run input, count it.
-// The map holds the raw trace afterwards.
-func (f *Fuzzer) execute(input []byte) target.Result {
+// execute is the one counted execution: reset the map, run input (or replay
+// its recorded run rec), count it. The map holds the raw trace afterwards.
+func (f *Fuzzer) execute(input []byte, rec *recordedRun) target.Result {
 	f.cov.Reset()
 	e0 := f.tel.execNs.Start()
-	res := f.exec.Execute(input)
+	var res target.Result
+	if rec != nil {
+		res = f.exec.Replay(rec.res, rec.keys)
+	} else {
+		res = f.exec.Execute(input)
+	}
 	f.tel.execNs.Done(e0)
 	f.execs++
 	f.tel.execs.Inc()
@@ -427,7 +434,7 @@ func (f *Fuzzer) execute(input []byte) target.Result {
 // trim paths, which must be able to re-run an input before deciding which
 // virgin map (if any) the result may touch.
 func (f *Fuzzer) execClassify(input []byte) target.Result {
-	res := f.execute(input)
+	res := f.execute(input, nil)
 	f.cov.Classify()
 	return res
 }
@@ -561,7 +568,7 @@ func (f *Fuzzer) enqueue(input []byte, res target.Result, foundBy string, depth 
 // ImportInput re-executes an input found by another instance and enqueues it
 // if it adds local coverage — AFL's corpus synchronization.
 func (f *Fuzzer) ImportInput(input []byte) bool {
-	res, verdict := f.runOne(input)
+	res, verdict := f.runOne(input, nil)
 	if res.Status != target.StatusOK || verdict == core.VerdictNone {
 		return false
 	}

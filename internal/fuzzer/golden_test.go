@@ -58,15 +58,19 @@ func checkpointDigest(f *Fuzzer) string {
 // and start+1h afterwards, so a deadline cuts a campaign at an exact
 // deadline check instead of at a wall-clock moment.
 type scriptedClock struct {
-	start time.Time
-	n     int
-	calls int
+	start    time.Time
+	n        int
+	calls    int
+	onExpire func() // if set, runs at the first call that reads start+1h
 }
 
 func (c *scriptedClock) now() time.Time {
 	c.calls++
 	if c.calls <= c.n {
 		return c.start
+	}
+	if c.calls == c.n+1 && c.onExpire != nil {
+		c.onExpire()
 	}
 	return c.start.Add(time.Hour)
 }
@@ -122,9 +126,16 @@ func TestGoldenCampaignPins(t *testing.T) {
 // round stopped after check*64-1 havoc mutants, short of the stage's end.
 func cutMidHavoc(t *testing.T, f *Fuzzer, check int) {
 	t.Helper()
+	cutMidHavocWhile(t, f, check, nil)
+}
+
+// cutMidHavocWhile is cutMidHavoc with onExpire run on the fuzzer goroutine
+// just before the expiring deadline check returns.
+func cutMidHavocWhile(t *testing.T, f *Fuzzer, check int, onExpire func()) {
+	t.Helper()
 	// Calls 1 and 2 are RunFor's deadline and loop check; the next
 	// check-1 are havoc checks that pass; the check-th one expires.
-	clock := &scriptedClock{start: time.Unix(0, 0), n: 2 + check - 1}
+	clock := &scriptedClock{start: time.Unix(0, 0), n: 2 + check - 1, onExpire: onExpire}
 	f.now = clock.now
 	before := f.Execs()
 	if err := f.RunFor(time.Minute); err != nil {

@@ -20,6 +20,11 @@ type telemetryHooks struct {
 	pathsFound *telemetry.Counter
 	imports    *telemetry.Counter
 	calibExecs *telemetry.Counter
+	// The havoc helper's runs (havoc.go): every run it executes, and its
+	// time. A run it recorded is counted again, in execs and execNs, when
+	// the fuzzer goroutine replays it.
+	helperExecs  *telemetry.Counter
+	helperExecNs *telemetry.Histogram
 
 	queuePaths *telemetry.Gauge
 	edges      *telemetry.Gauge
@@ -50,6 +55,9 @@ func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
 		pathsFound: r.Counter("fuzzer_paths_found_total"),
 		imports:    r.Counter("fuzzer_imports_total"),
 		calibExecs: r.Counter("fuzzer_calib_execs_total"),
+
+		helperExecs:  r.Counter("fuzzer_helper_execs_total"),
+		helperExecNs: r.Histogram("fuzzer_helper_exec_ns"),
 
 		queuePaths: r.Gauge("fuzzer_queue_paths"),
 		edges:      r.Gauge("fuzzer_edges_discovered"),

@@ -25,7 +25,10 @@ func (m *probeMetric) Begin() {
 
 // metricProbes hands out the ensemble trio (edge, 3-gram, context) as
 // per-instance factories and records every metric each factory builds, so a
-// test can tell which metric instance i runs and when it was rebuilt.
+// test can tell which metrics instance i runs and when they were rebuilt.
+// An instance builds one metric for its executor and, on its first havoc
+// stage, a second for the havoc helper's recorder; the probes count what
+// the metrics built in a span of the campaign ran, not which one is last.
 type metricProbes struct {
 	built [3][]*probeMetric
 }
@@ -53,15 +56,33 @@ func (p *metricProbes) factories() []fuzzer.MetricFactory {
 	return out
 }
 
-// live is the metric factory i built most recently: the one instance i runs.
-func (p *metricProbes) live(i int) *probeMetric { return p.built[i][len(p.built[i])-1] }
+// mark is how many metrics each factory has built so far.
+func (p *metricProbes) mark() [3]int {
+	var n [3]int
+	for i, ms := range p.built {
+		n[i] = len(ms)
+	}
+	return n
+}
 
-// checkBuilt asserts factory i has built want[i] metrics, all of its own kind.
-func (p *metricProbes) checkBuilt(t *testing.T, want [3]int) {
+// runs sums the executions (Begin calls) of the metrics factory i built
+// from its from-th on.
+func (p *metricProbes) runs(i, from int) int64 {
+	var n int64
+	for _, m := range p.built[i][from:] {
+		n += m.begins.Load()
+	}
+	return n
+}
+
+// checkBuilt asserts every metric factory i built is of its own kind, and
+// that it built want[i] since mark (want -1: at least one).
+func (p *metricProbes) checkBuilt(t *testing.T, from, want [3]int) {
 	t.Helper()
 	for i, ms := range p.built {
-		if len(ms) != want[i] {
-			t.Fatalf("Metrics[%d] built %d metrics, want %d", i, len(ms), want[i])
+		n := len(ms) - from[i]
+		if want[i] < 0 && n == 0 || want[i] >= 0 && n != want[i] {
+			t.Fatalf("Metrics[%d] built %d metrics, want %d (-1: at least one)", i, n, want[i])
 		}
 		for _, m := range ms {
 			if m.Name() != probeNames[i] {
@@ -89,10 +110,10 @@ func TestCampaignPerInstanceMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.checkBuilt(t, [3]int{1, 1, 1})
+	p.checkBuilt(t, [3]int{}, [3]int{1, 1, 1})
 	var before [3]int64
 	for i := range before {
-		before[i] = p.live(i).begins.Load()
+		before[i] = p.runs(i, 0)
 		if before[i] == 0 {
 			t.Errorf("instance %d dry-ran its seeds without Metrics[%d]", i, i)
 		}
@@ -101,14 +122,15 @@ func TestCampaignPerInstanceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range before {
-		if p.live(i).begins.Load() <= before[i] {
+		if p.runs(i, 0) <= before[i] {
 			t.Errorf("instance %d fuzzed without Metrics[%d]", i, i)
 		}
 	}
 }
 
 // TestCampaignRevivalKeepsInstanceMetric: an instance revived after a panic
-// runs a fresh Metrics[i], and the dead instance's metric runs nothing more.
+// runs fresh Metrics[i] metrics, the dead instance's metrics run nothing
+// more, and no other factory builds a metric for the revival.
 func TestCampaignRevivalKeepsInstanceMetric(t *testing.T) {
 	prog, seeds := campaignTarget(t)
 	var p metricProbes
@@ -117,26 +139,42 @@ func TestCampaignRevivalKeepsInstanceMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.sleep = func(time.Duration) {}
-	var deadBegins int64
+	// Instance 1's goroutine is the only one building Metrics[1] metrics
+	// while the round runs, so the hook may read p.built[1].
+	var deadBuilt int
+	var deadRuns int64
 	panicked := false
 	c.testFaultHook = func(i int, _ *fuzzer.Fuzzer) {
 		if i == 1 && !panicked {
 			panicked = true
-			deadBegins = p.live(1).begins.Load()
+			deadBuilt = len(p.built[1])
+			deadRuns = p.runs(1, 0)
 			panic("injected fault")
 		}
 	}
-	if err := c.RunRounds(2); err != nil {
+	if err := c.RunRounds(1); err != nil {
+		t.Fatal(err)
+	}
+	if !panicked {
+		t.Fatal("the fault hook never ran")
+	}
+	// Round 1 ended in the revival; instances 0 and 2 have had havoc
+	// stages, so every metric built in round 2 is the revived instance's.
+	revived := p.mark()
+	if revived[1] == deadBuilt {
+		t.Fatal("the revival built no Metrics[1] metric")
+	}
+	if err := c.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Report().Restarts; got != 1 {
 		t.Fatalf("restarts = %d, want 1", got)
 	}
-	p.checkBuilt(t, [3]int{1, 2, 1})
-	if got := p.built[1][0].begins.Load(); got != deadBegins {
-		t.Errorf("dead instance's metric ran %d more execs", got-deadBegins)
+	p.checkBuilt(t, revived, [3]int{0, -1, 0})
+	if got := p.runs(1, 0) - p.runs(1, deadBuilt); got != deadRuns {
+		t.Errorf("dead instance's metrics ran %d more execs", got-deadRuns)
 	}
-	if p.live(1).begins.Load() == 0 {
+	if p.runs(1, deadBuilt) == 0 {
 		t.Error("revived instance 1 fuzzed without Metrics[1]")
 	}
 }
@@ -171,7 +209,7 @@ func TestCampaignResumeKeepsInstanceMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb.checkBuilt(t, [3]int{1, 1, 1})
+	pb.checkBuilt(t, [3]int{}, [3]int{1, 1, 1})
 	if got := checkpoint.EncodeCampaign(b.Snapshot()); !bytes.Equal(got, data) {
 		t.Error("ensemble right after Resume does not encode to its checkpoint's bytes")
 	}
@@ -179,7 +217,7 @@ func TestCampaignResumeKeepsInstanceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range pb.built {
-		if pb.live(i).begins.Load() == 0 {
+		if pb.runs(i, 0) == 0 {
 			t.Errorf("resumed instance %d fuzzed without Metrics[%d]", i, i)
 		}
 	}
