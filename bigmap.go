@@ -225,11 +225,6 @@ func WithPowerSchedule(name string) Option {
 	return func(c *fuzzer.Config) { c.Schedule = fuzzer.PowerSchedule(name) }
 }
 
-// WithAdaptiveHavoc enables MOpt-style adaptive havoc operator scheduling.
-func WithAdaptiveHavoc() Option {
-	return func(c *fuzzer.Config) { c.AdaptiveHavoc = true }
-}
-
 // WithCmpLog enables RedQueen-style input-to-state mutation: failed
 // comparisons observed at runtime are patched directly into the input,
 // solving magic-value roadblocks without laf-intel's edge amplification.

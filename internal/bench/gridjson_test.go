@@ -1,13 +1,15 @@
-package benchjson
+package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 )
 
-func sampleTable(cells ...string) TableJSON {
-	return TableJSON{
+func sampleTable(cells ...string) tableJSON {
+	return tableJSON{
 		Title:  "Figure X: sample",
 		Header: []string{"benchmark", "map", "edges"},
 		Rows:   [][]string{append([]string{"gvn", "64k"}, cells...)},
@@ -15,17 +17,17 @@ func sampleTable(cells ...string) TableJSON {
 }
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
-	rep := &Report{
-		Schema: Schema,
-		Tables: []TableJSON{sampleTable("12")},
+	rep := &gridReport{
+		Schema: reportSchema,
+		Tables: []tableJSON{sampleTable("12")},
 	}
-	if err := Validate(rep); err != nil {
+	if err := validateReport(rep); err != nil {
 		t.Fatalf("well-formed report rejected: %v", err)
 	}
 }
 
 // TestValidateEdgeCases is the table-driven "empty grid" sweep: every way an
-// artifact can be hollow or ragged must be rejected with ErrSchema.
+// artifact can be hollow or ragged must be rejected with errSchema.
 func TestValidateEdgeCases(t *testing.T) {
 	ragged := sampleTable("12")
 	ragged.Rows = append(ragged.Rows, []string{"too", "narrow"})
@@ -40,21 +42,21 @@ func TestValidateEdgeCases(t *testing.T) {
 
 	tests := []struct {
 		name string
-		rep  *Report
+		rep  *gridReport
 	}{
 		{"nil report", nil},
-		{"wrong schema", &Report{Schema: "bogus/v9", Tables: []TableJSON{sampleTable("1")}}},
-		{"empty grid", &Report{Schema: Schema}},
-		{"ragged table", &Report{Schema: Schema, Tables: []TableJSON{ragged}}},
-		{"untitled table", &Report{Schema: Schema, Tables: []TableJSON{noTitle}}},
-		{"headerless table", &Report{Schema: Schema, Tables: []TableJSON{noHeader}}},
-		{"blank header column", &Report{Schema: Schema, Tables: []TableJSON{blankCol}}},
-		{"rowless table", &Report{Schema: Schema, Tables: []TableJSON{noRows}}},
+		{"wrong schema", &gridReport{Schema: "bogus/v9", Tables: []tableJSON{sampleTable("1")}}},
+		{"empty grid", &gridReport{Schema: reportSchema}},
+		{"ragged table", &gridReport{Schema: reportSchema, Tables: []tableJSON{ragged}}},
+		{"untitled table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noTitle}}},
+		{"headerless table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noHeader}}},
+		{"blank header column", &gridReport{Schema: reportSchema, Tables: []tableJSON{blankCol}}},
+		{"rowless table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noRows}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := Validate(tc.rep); !errors.Is(err, ErrSchema) {
-				t.Fatalf("got %v, want ErrSchema", err)
+			if err := validateReport(tc.rep); !errors.Is(err, errSchema) {
+				t.Fatalf("got %v, want errSchema", err)
 			}
 		})
 	}
@@ -65,7 +67,7 @@ func TestValidateEdgeCases(t *testing.T) {
 // stddev is undefined at n=1 and must not leak into the artifact.
 func TestAggregateSingleRepeat(t *testing.T) {
 	in := sampleTable("12.50")
-	got, err := AggregateTables([]TableJSON{in})
+	got, err := aggregateTables([]tableJSON{in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestAggregateSingleRepeat(t *testing.T) {
 }
 
 func TestAggregateMeanAndStddev(t *testing.T) {
-	got, err := AggregateTables([]TableJSON{
+	got, err := aggregateTables([]tableJSON{
 		sampleTable("10"), sampleTable("12"), sampleTable("14"),
 	})
 	if err != nil {
@@ -92,7 +94,7 @@ func TestAggregateMeanAndStddev(t *testing.T) {
 }
 
 func TestAggregateSuffixAndDecimals(t *testing.T) {
-	got, err := AggregateTables([]TableJSON{
+	got, err := aggregateTables([]tableJSON{
 		sampleTable("1.00x"), sampleTable("3.00x"),
 	})
 	if err != nil {
@@ -104,7 +106,7 @@ func TestAggregateSuffixAndDecimals(t *testing.T) {
 }
 
 func TestAggregateIdenticalNumericPassThrough(t *testing.T) {
-	got, err := AggregateTables([]TableJSON{sampleTable("64"), sampleTable("64")})
+	got, err := aggregateTables([]tableJSON{sampleTable("64"), sampleTable("64")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestAggregateIdenticalNumericPassThrough(t *testing.T) {
 func TestAggregateZeroSpreadOmitsStddev(t *testing.T) {
 	// Different strings, same value: zero spread, no ± annotation, and the
 	// output adopts the widest decimal count seen.
-	got, err := AggregateTables([]TableJSON{sampleTable("12"), sampleTable("12.0")})
+	got, err := aggregateTables([]tableJSON{sampleTable("12"), sampleTable("12.0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +140,18 @@ func TestAggregateRejectsMismatches(t *testing.T) {
 
 	tests := []struct {
 		name string
-		in   []TableJSON
+		in   []tableJSON
 	}{
 		{"zero tables", nil},
-		{"title drift", []TableJSON{base, retitled}},
-		{"header drift", []TableJSON{base, reheaded}},
-		{"row count drift", []TableJSON{base, extraRow}},
-		{"label drift", []TableJSON{base, labelFlip}},
+		{"title drift", []tableJSON{base, retitled}},
+		{"header drift", []tableJSON{base, reheaded}},
+		{"row count drift", []tableJSON{base, extraRow}},
+		{"label drift", []tableJSON{base, labelFlip}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := AggregateTables(tc.in); !errors.Is(err, ErrSchema) {
-				t.Fatalf("got %v, want ErrSchema", err)
+			if _, err := aggregateTables(tc.in); !errors.Is(err, errSchema) {
+				t.Fatalf("got %v, want errSchema", err)
 			}
 		})
 	}
@@ -179,5 +181,34 @@ func TestSplitNumeric(t *testing.T) {
 			t.Errorf("splitNumeric(%q) = (%v,%q,%d,%v), want (%v,%q,%d,%v)",
 				tc.in, val, suffix, dec, ok, tc.val, tc.suffix, tc.decimals, tc.ok)
 		}
+	}
+}
+
+func TestReportRoundTripsThroughJSON(t *testing.T) {
+	rep := &gridReport{Schema: reportSchema}
+	rep.Tables = append(rep.Tables, fromTable(
+		"Figure 3", []string{"note"}, []string{"op", "ns"}, [][]string{{"classify", "42"}}))
+	var buf bytes.Buffer
+	if err := rep.write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back gridReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatalf("emitted JSON does not parse: %v", err)
+	}
+	if back.Schema != reportSchema || len(back.Tables) != 1 {
+		t.Errorf("round trip lost data: schema %q, %d tables", back.Schema, len(back.Tables))
+	}
+	if back.Tables[0].Rows[0][1] != "42" {
+		t.Errorf("table payload lost: %+v", back.Tables[0])
+	}
+}
+
+func TestFromTableCopies(t *testing.T) {
+	rows := [][]string{{"a", "b"}}
+	tab := fromTable("t", nil, []string{"h"}, rows)
+	rows[0][0] = "mutated"
+	if tab.Rows[0][0] != "a" {
+		t.Error("fromTable aliases caller rows")
 	}
 }

@@ -7,8 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"github.com/bigmap/bigmap/internal/benchjson"
+	"slices"
 )
 
 // GridSchema identifies the experiments.json layout; bump on incompatible
@@ -154,7 +153,7 @@ func (c *GridConfig) resolve(e GridExperiment) (Options, float64, int) {
 // dropColumns removes the named columns from a table (header and every row).
 // Unknown names are an error: a drop list that no longer matches the table
 // is exactly the schema drift the grid is supposed to catch.
-func dropColumns(t benchjson.TableJSON, drop []string) (benchjson.TableJSON, error) {
+func dropColumns(t tableJSON, drop []string) (tableJSON, error) {
 	if len(drop) == 0 {
 		return t, nil
 	}
@@ -173,7 +172,7 @@ func dropColumns(t benchjson.TableJSON, drop []string) (benchjson.TableJSON, err
 	for d := range unwanted {
 		return t, fmt.Errorf("drop_columns: column %q not in table %q", d, t.Title)
 	}
-	out := benchjson.TableJSON{Title: t.Title, Notes: t.Notes}
+	out := tableJSON{Title: t.Title, Notes: t.Notes}
 	for _, i := range keep {
 		out.Header = append(out.Header, t.Header[i])
 	}
@@ -189,24 +188,11 @@ func dropColumns(t benchjson.TableJSON, drop []string) (benchjson.TableJSON, err
 	return out, nil
 }
 
-// sameHeader reports whether two headers match exactly (order included).
-func sameHeader(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // GridRunResult is the outcome of one RunGridConfig call.
 type GridRunResult struct {
-	// Report aggregates every experiment's tables under the benchjson
+	// report aggregates every experiment's tables under the grid.json
 	// schema; it is what grid.json holds.
-	Report *benchjson.Report
+	report *gridReport
 	// Files lists every artifact written, outDir-relative, in order.
 	Files []string
 }
@@ -214,18 +200,18 @@ type GridRunResult struct {
 // RunGridConfig executes every experiment in the config and writes the
 // artifacts into outDir: per experiment an aligned-text table (<name>.txt)
 // and a CSV (<name>.csv), plus one combined grid.json over the whole run.
-// Every table is schema-validated (benchjson.ValidateTable) and checked
-// against the config's expected headers before anything is written, so a
-// drifted artifact never reaches disk. With fixed seeds and a config
-// restricted to deterministic experiments, consecutive runs produce
-// byte-identical artifacts.
+// Every table is schema-validated (validateTable) and checked against the
+// config's expected headers before anything is written, so a drifted
+// artifact never reaches disk. With fixed seeds and a config restricted to
+// deterministic experiments, consecutive runs produce byte-identical
+// artifacts.
 func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRunResult, error) {
 	logf := func(format string, args ...any) {
 		if progress != nil {
 			fmt.Fprintf(progress, format, args...)
 		}
 	}
-	report := &benchjson.Report{Schema: benchjson.Schema}
+	report := &gridReport{Schema: reportSchema}
 	var written []string
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -244,7 +230,7 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 
 		// One run per repeat, consecutive seeds, each producing the same
 		// list of tables.
-		perRepeat := make([][]benchjson.TableJSON, repeats)
+		perRepeat := make([][]tableJSON, repeats)
 		for r := 0; r < repeats; r++ {
 			ropts := opts
 			ropts.Seed = baseSeed + uint64(r)
@@ -258,7 +244,7 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 					return nil, fmt.Errorf("%s: driver returned a nil table", e.Name)
 				}
 				tj, err := dropColumns(
-					benchjson.FromTable(t.Title, t.Notes, t.Header, t.Rows), e.DropColumns)
+					fromTable(t.Title, t.Notes, t.Header, t.Rows), e.DropColumns)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", e.Name, err)
 				}
@@ -271,13 +257,13 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 		}
 
 		// Aggregate table-by-table across repeats.
-		var aggregated []benchjson.TableJSON
+		var aggregated []tableJSON
 		for ti := range perRepeat[0] {
-			group := make([]benchjson.TableJSON, repeats)
+			group := make([]tableJSON, repeats)
 			for r := range perRepeat {
 				group[r] = perRepeat[r][ti]
 			}
-			agg, err := benchjson.AggregateTables(group)
+			agg, err := aggregateTables(group)
 			if err != nil {
 				return nil, fmt.Errorf("%s: aggregate table %d: %w", e.Name, ti, err)
 			}
@@ -296,10 +282,10 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 				e.Name, len(e.ExpectHeaders), len(aggregated))
 		}
 		for ti, t := range aggregated {
-			if err := benchjson.ValidateTable(&t); err != nil {
+			if err := validateTable(&t); err != nil {
 				return nil, fmt.Errorf("%s: table %d: %w", e.Name, ti, err)
 			}
-			if e.ExpectHeaders != nil && !sameHeader(t.Header, e.ExpectHeaders[ti]) {
+			if e.ExpectHeaders != nil && !slices.Equal(t.Header, e.ExpectHeaders[ti]) {
 				return nil, fmt.Errorf("%s: table %d header drifted:\n  have %q\n  want %q",
 					e.Name, ti, t.Header, e.ExpectHeaders[ti])
 			}
@@ -313,7 +299,7 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 		report.Tables = append(report.Tables, aggregated...)
 	}
 
-	if err := benchjson.Validate(report); err != nil {
+	if err := validateReport(report); err != nil {
 		return nil, fmt.Errorf("grid report failed schema validation: %w", err)
 	}
 	gridJSON := filepath.Join(outDir, "grid.json")
@@ -321,7 +307,7 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 	if err != nil {
 		return nil, err
 	}
-	if err := report.Write(f); err != nil {
+	if err := report.write(f); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -329,12 +315,12 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 		return nil, err
 	}
 	written = append(written, "grid.json")
-	return &GridRunResult{Report: report, Files: written}, nil
+	return &GridRunResult{report: report, Files: written}, nil
 }
 
 // writeExperimentArtifacts renders one experiment's aggregated tables as
 // <name>.txt (aligned text, as the CLI prints) and <name>.csv.
-func writeExperimentArtifacts(outDir, name string, tables []benchjson.TableJSON) ([]string, error) {
+func writeExperimentArtifacts(outDir, name string, tables []tableJSON) ([]string, error) {
 	var txt, csv bytes.Buffer
 	for i, tj := range tables {
 		t := &Table{Title: tj.Title, Notes: tj.Notes, Header: tj.Header, Rows: tj.Rows}

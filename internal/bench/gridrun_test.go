@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/bigmap/bigmap/internal/benchjson"
 )
 
 func TestParseGridConfigRejects(t *testing.T) {
@@ -54,7 +52,7 @@ func TestParseGridConfigAccepts(t *testing.T) {
 }
 
 func TestDropColumns(t *testing.T) {
-	in := benchjson.TableJSON{
+	in := tableJSON{
 		Title:  "t",
 		Header: []string{"a", "b", "c"},
 		Rows:   [][]string{{"1", "2", "3"}, {"4", "5", "6"}},
@@ -95,7 +93,7 @@ func TestRunGridConfigEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := benchjson.Validate(res.Report); err != nil {
+		if err := validateReport(res.report); err != nil {
 			t.Fatalf("report invalid: %v", err)
 		}
 		want := []string{"fig2.txt", "fig2.csv", "grid.json"}
@@ -195,7 +193,7 @@ func TestRunGridConfigRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := res.Report.Tables
+	tables := res.report.Tables
 	if len(tables) != 5 {
 		t.Fatalf("tables = %d, want fig6's 3 and fig78's 2", len(tables))
 	}

@@ -117,12 +117,6 @@ type FuzzerState struct {
 	Entries []Entry
 	Crashes []CrashRecord
 	Paths   []PathFreq
-
-	// Adaptive-havoc operator counters (nil when adaptive mode is off).
-	// OpPending lists operators awaiting reward attribution.
-	OpUsed    []uint64
-	OpSuccess []uint64
-	OpPending []uint64
 }
 
 // CampaignState is the serialized state of a multi-instance campaign,

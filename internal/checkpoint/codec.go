@@ -16,7 +16,11 @@ const (
 	// matrix, since campaigns sync through a dist.Hub rebuilt on resume;
 	// v4 stores each virgin map sparsely (see Virgin) instead of raw; v5
 	// dropped the selective-tracing counters again, with the filter itself.
-	// Older files are rejected rather than misread.
+	// v5's fuzzer payload still ends in the three adaptive-havoc operator
+	// lists (used, success, pending), now always written empty; a v5 file
+	// with a non-empty one came from an adaptive campaign and is refused
+	// with ErrVersion. The next bump drops the three lists. Older files are
+	// rejected rather than misread.
 	Version = 5
 
 	// KindFuzzer frames a single-instance FuzzerState payload.
@@ -378,9 +382,10 @@ func encodeFuzzerPayload(w *writer, st *FuzzerState) {
 		w.u64(st.Paths[i].Hash)
 		w.u64(st.Paths[i].Count)
 	}
-	w.u64s(st.OpUsed)
-	w.u64s(st.OpSuccess)
-	w.u64s(st.OpPending)
+	// The retired adaptive-havoc operator lists, always empty (see Version).
+	w.u64(0)
+	w.u64(0)
+	w.u64(0)
 }
 
 func decodeFuzzerPayload(r *reader) FuzzerState {
@@ -429,9 +434,13 @@ func decodeFuzzerPayload(r *reader) FuzzerState {
 			st.Paths[i] = PathFreq{Hash: r.u64(), Count: r.u64()}
 		}
 	}
-	st.OpUsed = r.u64s()
-	st.OpSuccess = r.u64s()
-	st.OpPending = r.u64s()
+	// A non-empty operator list means an adaptive-havoc campaign, which
+	// this version can no longer resume as it ran.
+	used, success, pending := r.u64(), r.u64(), r.u64()
+	if r.err == nil && used|success|pending != 0 {
+		r.err = fmt.Errorf("%w: adaptive havoc operator lists of %d, %d and %d entries (adaptive havoc was removed)",
+			ErrVersion, used, success, pending)
+	}
 	return st
 }
 

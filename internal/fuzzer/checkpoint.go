@@ -100,13 +100,6 @@ func (f *Fuzzer) Snapshot() *checkpoint.FuzzerState {
 		}
 		sort.Slice(st.Paths, func(i, j int) bool { return st.Paths[i].Hash < st.Paths[j].Hash })
 	}
-	st.OpUsed, st.OpSuccess = f.mut.OperatorStats()
-	if pending := f.mut.PendingOps(); len(pending) > 0 {
-		st.OpPending = make([]uint64, len(pending))
-		for i, op := range pending {
-			st.OpPending[i] = uint64(op)
-		}
-	}
 	return st
 }
 
@@ -205,13 +198,6 @@ func Resume(prog *target.Program, cfg Config, st *checkpoint.FuzzerState) (*Fuzz
 			f.paths.freq[p.Hash] = p.Count
 			f.paths.total += p.Count
 		}
-	}
-	if st.OpUsed != nil || st.OpSuccess != nil {
-		pending := make([]int, len(st.OpPending))
-		for i, op := range st.OpPending {
-			pending[i] = int(op)
-		}
-		f.mut.RestoreOperatorStats(st.OpUsed, st.OpSuccess, pending)
 	}
 	if fa, ok := f.exec.Runner().(*target.Faulty); ok {
 		fa.SetExecCount(st.FaultExecs)

@@ -77,16 +77,16 @@ func stepN(t *testing.T, f *Fuzzer, n int) {
 // checkpointed at step k and resumed through the full encode/decode codec
 // must land on the exact same coverage map, virgin bits, queue, crash set and
 // stats as the campaign that never stopped — across schemes, schedules,
-// adaptive havoc, cmplog, calibration and fault injection.
+// cmplog, calibration and fault injection. Every case runs the havoc
+// pipeline; with calibration or faults on, the helper records no runs.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	configs := map[string]Config{
 		"afl-default": {
 			Seed: 11, HavocRounds: 32, SpliceRounds: 8,
 		},
-		"bigmap-fast-adaptive": {
+		"bigmap-fast": {
 			Scheme: SchemeBigMap, MapSize: core.MapSize2M, Seed: 12,
-			Schedule: ScheduleFast, AdaptiveHavoc: true,
-			HavocRounds: 32, SpliceRounds: 8,
+			Schedule: ScheduleFast, HavocRounds: 32, SpliceRounds: 8,
 		},
 		"bigmap-cmplog-det": {
 			Scheme: SchemeBigMap, MapSize: core.MapSize2M, Seed: 13,
@@ -95,8 +95,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		},
 		"bigmap-calibrated-faulty": {
 			Scheme: SchemeBigMap, MapSize: core.MapSize2M, Seed: 14,
-			CalibrationRuns: 4, AdaptiveHavoc: true,
-			HavocRounds: 32, SpliceRounds: 8,
+			CalibrationRuns: 4, HavocRounds: 32, SpliceRounds: 8,
 			Faults: &target.FaultProfile{
 				Seed: 3, FlakyEdgeFraction: 150, DropRate: 300,
 				SpuriousCrashRate: 30, SpuriousHangRate: 30, CycleJitterPct: 15,

@@ -89,9 +89,6 @@ type Config struct {
 	// Schedule selects the AFLFast power schedule (default: exploit, no
 	// per-exec path accounting).
 	Schedule PowerSchedule
-	// AdaptiveHavoc enables MOpt-style operator scheduling: havoc
-	// operators that produce interesting mutants are selected more often.
-	AdaptiveHavoc bool
 	// EnableCmpLog turns on RedQueen-style input-to-state mutation: each
 	// queue entry gets one compare-collection run, and every failed
 	// comparison yields a targeted mutant patching the wanted operand into

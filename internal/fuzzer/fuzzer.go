@@ -94,9 +94,6 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 	}
 	src := rng.New(cfg.Seed ^ 0xf022a11)
 	mut := mutation.New(src.Split(), cfg.Dict)
-	if cfg.AdaptiveHavoc {
-		mut.EnableAdaptive()
-	}
 	var collector *cmplog.Collector
 	if cfg.EnableCmpLog {
 		collector = cmplog.NewCollector(prog, cfg.ExecBudget, 0)
@@ -300,12 +297,7 @@ func (f *Fuzzer) fuzzEntry(e *corpus.Entry) {
 		}
 	}
 	h0 := f.tel.stageHavoc.Start()
-	var completed bool
-	if f.mut.AdaptiveEnabled() {
-		completed = f.havocAdaptive(e.Input, rounds, depth)
-	} else {
-		completed = f.havocPipelined(e.Input, rounds, depth)
-	}
+	completed := f.havocPipelined(e.Input, rounds, depth)
 	f.tel.stageHavoc.Done(h0)
 	e.FuzzLevel++
 	if !completed {

@@ -10,16 +10,16 @@ import (
 )
 
 // The havoc stage's mutants are a pure function of the mutator's RNG, the
-// entry's input and the dictionary: with adaptive havoc off, no execution
-// result feeds back into them. A mutant's run, in turn, depends only on the
-// program and the mutant. So the stage runs as a pipeline. A helper
-// goroutine owns the mutator for the whole stage and generates the mutants
-// a batch ahead into a fixed pool of reusable batches, recording the
-// mutator's RNG state after each one. When no batch is free it executes
-// mutants the fuzzer goroutine has not reached yet, newest first, and
-// records each run's coverage keys. The fuzzer goroutine takes the mutants
-// in order, executing those the helper did not record and replaying those
-// it did, and alone touches the map, the virgin maps and the queue.
+// entry's input and the dictionary: no execution result feeds back into
+// them. A mutant's run, in turn, depends only on the program and the
+// mutant. So the stage runs as a pipeline. A helper goroutine owns the
+// mutator for the whole stage and generates the mutants a batch ahead into
+// a fixed pool of reusable batches, recording the mutator's RNG state after
+// each one. When no batch is free it executes mutants the fuzzer goroutine
+// has not reached yet, newest first, and records each run's coverage keys.
+// The fuzzer goroutine takes the mutants in order, executing those the
+// helper did not record and replaying those it did, and alone touches the
+// map, the virgin maps and the queue.
 // Mutants, RNG draws, queue, virgin maps and checkpoints are those of the
 // sequential loop; a RunFor cut joins the helper and rewinds the RNG to the
 // state after the last evaluated mutant (DESIGN §13.3).
@@ -312,13 +312,16 @@ func (p *havocPipe) next() *mutantBatch {
 // every batch to free, leaving the pipe ready for the next stage. It is
 // idempotent. A panic the helper raised is re-raised on the caller.
 func (p *havocPipe) join() {
+	// stop is set before the held batch goes back: a helper that batch
+	// wakes must see stop, or it fills the batch, finds no free one and
+	// waits for ever.
+	p.stop.Store(true)
 	if p.held != nil {
 		p.free <- p.held // wakes a helper waiting for a free batch
 		p.held = nil
 	}
 	var r any
 	if p.running {
-		p.stop.Store(true)
 		r = <-p.done
 		p.running = false
 	}
@@ -384,21 +387,6 @@ func (f *Fuzzer) havocPipelined(base []byte, rounds, depth int) bool {
 			last = b.states[k]
 			i++
 		}
-	}
-	return true
-}
-
-// havocAdaptive is the sequential havoc loop adaptive havoc needs: the
-// operator weights of each mutant depend on the reward of the one before.
-// It reports false when a RunFor deadline cut the stage short.
-func (f *Fuzzer) havocAdaptive(base []byte, rounds, depth int) bool {
-	for i := 0; i < rounds; i++ {
-		if i&63 == 63 && f.pastDeadline() {
-			return false
-		}
-		before := f.queue.Len()
-		f.evaluate(f.mut.Havoc(base), nil, "havoc", depth)
-		f.mut.RewardLast(f.queue.Len() > before)
 	}
 	return true
 }

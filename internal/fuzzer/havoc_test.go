@@ -67,6 +67,34 @@ func TestHavocPipeMatchesSequentialHavoc(t *testing.T) {
 	}
 }
 
+// TestHavocJoinStopsTheHelperItWakes cuts a stage whose helper has filled
+// the whole pool and waits for a free batch: the cut's join hands the held
+// batch back, which wakes the helper. join must return every time; a helper
+// that woke before seeing stop filled that batch too and then waited for a
+// free one for ever, a hang the race detector's slower scheduling showed
+// within a few dozen cuts.
+func TestHavocJoinStopsTheHelperItWakes(t *testing.T) {
+	base := []byte("a pipelined havoc base input")
+	p := newHavocPipe(nil, telemetryHooks{})
+	for i := 0; i < 2000; i++ {
+		p.start(mutation.New(rng.New(uint64(i)), pipeDict), base, 1000)
+		for len(p.full) < mutantBatches {
+			runtime.Gosched()
+		}
+		p.next()
+		joined := make(chan struct{})
+		go func() {
+			p.join()
+			close(joined)
+		}()
+		select {
+		case <-joined:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cut %d: join still waits for the helper after 10 s", i)
+		}
+	}
+}
+
 // pipeExecutor builds a BigMap executor over prog with a fresh edge metric.
 func pipeExecutor(t *testing.T, prog *target.Program) (*executor.Executor, *core.BigMap) {
 	t.Helper()

@@ -50,35 +50,23 @@ func BenchmarkHavoc(b *testing.B) {
 
 // TestHavocSpliceZeroAllocs is the runtime counterpart of the
 // //bigmap:hotpath annotations on Havoc and Splice: after warm-up, neither
-// the havoc stage nor the splice stage allocates, with uniform or adaptive
-// operator selection.
+// the havoc stage nor the splice stage allocates.
 func TestHavocSpliceZeroAllocs(t *testing.T) {
 	dict := [][]byte{[]byte("IHDR"), []byte("tEXt")}
 	base, mate := benchBase(), spliceMate()
-	for _, adaptive := range []bool{false, true} {
-		m := New(rng.New(1), dict)
-		if adaptive {
-			m.EnableAdaptive()
-		}
-		havoc := func() {
-			m.Havoc(base)
-			m.RewardLast(false)
-		}
-		splice := func() {
-			m.Havoc(m.Splice(base, mate))
-			m.RewardLast(true)
-		}
-		// Warm-up grows the result buffers to the largest mutants the
-		// stacked operators produce from these bases.
-		for i := 0; i < 5000; i++ {
-			havoc()
-			splice()
-		}
-		if a := testing.AllocsPerRun(500, havoc); a != 0 {
-			t.Errorf("adaptive=%v: Havoc allocates %.2f per call, want 0", adaptive, a)
-		}
-		if a := testing.AllocsPerRun(500, splice); a != 0 {
-			t.Errorf("adaptive=%v: Havoc(Splice(a, b)) allocates %.2f per call, want 0", adaptive, a)
-		}
+	m := New(rng.New(1), dict)
+	havoc := func() { m.Havoc(base) }
+	splice := func() { m.Havoc(m.Splice(base, mate)) }
+	// Warm-up grows the result buffers to the largest mutants the stacked
+	// operators produce from these bases.
+	for i := 0; i < 5000; i++ {
+		havoc()
+		splice()
+	}
+	if a := testing.AllocsPerRun(500, havoc); a != 0 {
+		t.Errorf("Havoc allocates %.2f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(500, splice); a != 0 {
+		t.Errorf("Havoc(Splice(a, b)) allocates %.2f per call, want 0", a)
 	}
 }

@@ -99,28 +99,6 @@ func spliceStream() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// adaptiveStream hashes 2,000 Havoc outputs under adaptive operator
-// scheduling, rewarding every seventh mutant, plus the final operator
-// statistics.
-func adaptiveStream() string {
-	src := rng.New(1)
-	m := New(src, goldenDict)
-	m.EnableAdaptive()
-	bases := goldenBases()
-	h := sha256.New()
-	for i := 0; i < 2000; i++ {
-		hashBytes(h, m.Havoc(bases[i%len(bases)]))
-		m.RewardLast(i%7 == 0)
-	}
-	used, success := m.OperatorStats()
-	for i := range used {
-		hashUint(h, used[i])
-		hashUint(h, success[i])
-	}
-	hashUint(h, src.Uint64())
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 func TestMutatorGoldenStreams(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -129,7 +107,6 @@ func TestMutatorGoldenStreams(t *testing.T) {
 	}{
 		{"havoc", havocStream, "201f8501f022774f2421917841aa4884404ed3f7d5765fa4bb974aba1074f290"},
 		{"splice", spliceStream, "d29e3de3ccfed8daa5fc1a87cd4de606ca3b94daa1da57e60d92eec60973ae29"},
-		{"adaptive", adaptiveStream, "58ae5c299a4179038598be41a52969b8623d65c5b5e6416a53776947a7268392"},
 	} {
 		if got := tc.stream(); got != tc.want {
 			t.Errorf("%s stream digest = %s, want %s", tc.name, got, tc.want)

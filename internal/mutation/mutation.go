@@ -32,12 +32,11 @@ const (
 // Mutator generates test cases from seed inputs. Not safe for concurrent
 // use; each fuzzing instance owns one.
 type Mutator struct {
-	src      *rng.Source
-	dict     [][]byte
-	buf      []byte              // Havoc's and Deterministic's result
-	spliced  []byte              // Splice's result, kept apart so Havoc(Splice(a, b)) can copy it into buf
-	block    [havocBlkSmall]byte // the clone/insert operator's block
-	adaptive *adaptiveState
+	src     *rng.Source
+	dict    [][]byte
+	buf     []byte              // Havoc's and Deterministic's result
+	spliced []byte              // Splice's result, kept apart so Havoc(Splice(a, b)) can copy it into buf
+	block   [havocBlkSmall]byte // the clone/insert operator's block
 }
 
 // New creates a mutator drawing randomness from src. dict is an optional
@@ -247,6 +246,9 @@ func (m *Mutator) DeterministicCount(n int) int {
 	return count
 }
 
+// numHavocOps is the number of havoc operator kinds in Havoc's switch.
+const numHavocOps = 15
+
 // Havoc produces one stacked-random mutant of base. The result buffer is
 // owned by the mutator and reused by the next call; once it has grown to the
 // campaign's input sizes, Havoc does not allocate.
@@ -262,7 +264,7 @@ func (m *Mutator) Havoc(base []byte) []byte {
 			buf = append(buf, byte(src.Uint32())) //bigmap:alloc-ok amortized growth of the mutator-owned result buffer
 			continue
 		}
-		switch m.pickOp() {
+		switch src.Intn(numHavocOps) {
 		case 0: // flip a random bit
 			bit := src.Intn(len(buf) * 8)
 			buf[bit>>3] ^= 1 << uint(bit&7)

@@ -275,7 +275,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 		SyncEvery:           1000,
 		MasterDeterministic: true,
 		Fuzzer: fuzzer.Config{
-			Seed: 12, Scheme: fuzzer.SchemeBigMap, AdaptiveHavoc: true,
+			Seed: 12, Scheme: fuzzer.SchemeBigMap,
 			CalibrationRuns: 3, HavocRounds: 64, SpliceRounds: 8,
 			Faults: &target.FaultProfile{Seed: 6, FlakyEdgeFraction: 100, DropRate: 250},
 		},

@@ -97,9 +97,6 @@ func sampleState(seed uint64) *checkpoint.FuzzerState {
 		TopSlots:    []uint32{1, 2, 3},
 		TopEntries:  []uint64{0, 1, next() % 8},
 		Paths:       []checkpoint.PathFreq{{Hash: next(), Count: 1 + next()%9}},
-		OpUsed:      []uint64{next() % 100, next() % 100},
-		OpSuccess:   []uint64{next() % 50, next() % 50},
-		OpPending:   []uint64{0, next() % 3},
 	}
 	for i := 0; i < int(1+seed%4); i++ {
 		st.Entries = append(st.Entries, checkpoint.Entry{
