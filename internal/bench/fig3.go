@@ -19,13 +19,13 @@ var Fig3Sizes = []int{64 << 10, 2 << 20, 8 << 20}
 // paper reports hours per one million test cases; we run opts.ExecsPerRun
 // cases and normalize to the per-million figure.
 //
-// The phases are read from the telemetry histograms (fuzzer_exec_ns and
-// map_afl_<op>_ns) of a registry private to each cell, so every counted
-// execution, trim runs included, is timed exactly once. The execution
-// column adds the cell's charged execution time (Fuzzer.Charged) to the
-// measured fuzzer_exec_ns and fuzzer_helper_exec_ns: the havoc helper runs
-// the interpreter for the mutants it records, and fuzzer_exec_ns then
-// times only their replay (DESIGN §13.3).
+// The phases are read from the fuzzer's telemetry histograms
+// (fuzzer.ExecMetric and fuzzer.MapOpMetric) of a registry private to each
+// cell, so every counted execution, trim runs included, is timed exactly
+// once. The execution column adds the cell's charged execution time
+// (Fuzzer.Charged) to the measured fuzzer_exec_ns and fuzzer_helper_exec_ns:
+// the havoc helper runs the interpreter for the mutants it records, and
+// fuzzer_exec_ns then times only their replay (DESIGN §13.3).
 func Fig3(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	names := opts.Benchmarks
@@ -65,12 +65,13 @@ func Fig3(opts Options) (*Table, error) {
 			}
 			st := f.Stats()
 			hist := reg.Snapshot().Histograms
+			mapOp := func(op fuzzer.MapOp) uint64 { return hist[fuzzer.MapOpMetric(fuzzer.SchemeAFL, op)].Sum }
 			phases := []uint64{
-				hist["fuzzer_exec_ns"].Sum + hist["fuzzer_helper_exec_ns"].Sum + uint64(f.Charged()),
-				hist["map_afl_classify_ns"].Sum,
-				hist["map_afl_compare_ns"].Sum,
-				hist["map_afl_reset_ns"].Sum,
-				hist["map_afl_hash_ns"].Sum,
+				hist[fuzzer.ExecMetric].Sum + hist[fuzzer.HelperExecMetric].Sum + uint64(f.Charged()),
+				mapOp(fuzzer.MapClassify),
+				mapOp(fuzzer.MapCompare),
+				mapOp(fuzzer.MapReset),
+				mapOp(fuzzer.MapHash),
 			}
 			perM := 1e6 / float64(st.Execs)
 			row := []string{p.Name, fmtSize(size)}

@@ -18,33 +18,10 @@ import (
 // reportSchema identifies the report layout; bump on incompatible changes.
 const reportSchema = "bigmap-bench/v1"
 
-// tableJSON is one cmd/bigmap-bench experiment table in JSON form.
-type tableJSON struct {
-	Title  string     `json:"title"`
-	Notes  []string   `json:"notes,omitempty"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-}
-
 // gridReport is the top-level artifact (results/grid.json).
 type gridReport struct {
-	Schema string      `json:"schema"`
-	Tables []tableJSON `json:"tables,omitempty"`
-}
-
-// fromTable converts a rendered experiment table. It copies the payload so
-// later mutation of the source table does not alias into the report.
-func fromTable(title string, notes, header []string, rows [][]string) tableJSON {
-	t := tableJSON{
-		Title:  title,
-		Notes:  append([]string(nil), notes...),
-		Header: append([]string(nil), header...),
-		Rows:   make([][]string, len(rows)),
-	}
-	for i, r := range rows {
-		t.Rows[i] = append([]string(nil), r...)
-	}
-	return t
+	Schema string  `json:"schema"`
+	Tables []Table `json:"tables,omitempty"`
 }
 
 // write emits the report as indented JSON with a trailing newline.
@@ -87,7 +64,7 @@ func validateReport(r *gridReport) error {
 }
 
 // validateTable checks one table for the rectangularity contract.
-func validateTable(t *tableJSON) error {
+func validateTable(t *Table) error {
 	if t.Title == "" {
 		return fmt.Errorf("%w: table has no title", errSchema)
 	}
@@ -122,32 +99,37 @@ func validateTable(t *tableJSON) error {
 // unit suffix ("2.50x", "25.64%"); the suffix must agree across repeats and
 // is re-attached to the mean. Output precision is the widest decimal count
 // observed among the inputs for that cell.
-func aggregateTables(tables []tableJSON) (tableJSON, error) {
+func aggregateTables(tables []Table) (Table, error) {
 	if len(tables) == 0 {
-		return tableJSON{}, fmt.Errorf("%w: aggregating zero tables", errSchema)
+		return Table{}, fmt.Errorf("%w: aggregating zero tables", errSchema)
 	}
 	first := tables[0]
-	if len(tables) == 1 {
-		return fromTable(first.Title, first.Notes, first.Header, first.Rows), nil
-	}
 	for i, t := range tables[1:] {
 		if t.Title != first.Title {
-			return tableJSON{}, fmt.Errorf("%w: repeat %d titled %q, want %q", errSchema, i+1, t.Title, first.Title)
+			return Table{}, fmt.Errorf("%w: repeat %d titled %q, want %q", errSchema, i+1, t.Title, first.Title)
 		}
 		if !slices.Equal(t.Header, first.Header) {
-			return tableJSON{}, fmt.Errorf("%w: repeat %d of %q changed the header", errSchema, i+1, first.Title)
+			return Table{}, fmt.Errorf("%w: repeat %d of %q changed the header", errSchema, i+1, first.Title)
 		}
 		if len(t.Rows) != len(first.Rows) {
-			return tableJSON{}, fmt.Errorf("%w: repeat %d of %q has %d rows, want %d",
+			return Table{}, fmt.Errorf("%w: repeat %d of %q has %d rows, want %d",
 				errSchema, i+1, first.Title, len(t.Rows), len(first.Rows))
 		}
 	}
-	out := fromTable(first.Title, first.Notes, first.Header, first.Rows)
+	// The result is a copy: callers append notes to it, and the repeats'
+	// tables stay as the drivers returned them.
+	out := Table{
+		Title:  first.Title,
+		Notes:  slices.Clone(first.Notes),
+		Header: slices.Clone(first.Header),
+		Rows:   make([][]string, len(first.Rows)),
+	}
 	for ri := range first.Rows {
+		out.Rows[ri] = make([]string, len(first.Rows[ri]))
 		for ci := range first.Rows[ri] {
 			cell, err := foldCell(tables, ri, ci)
 			if err != nil {
-				return tableJSON{}, fmt.Errorf("%w: table %q row %d col %d: %v",
+				return Table{}, fmt.Errorf("%w: table %q row %d col %d: %v",
 					errSchema, first.Title, ri, ci, err)
 			}
 			out.Rows[ri][ci] = cell
@@ -157,7 +139,7 @@ func aggregateTables(tables []tableJSON) (tableJSON, error) {
 }
 
 // foldCell merges one cell position across all repeats.
-func foldCell(tables []tableJSON, ri, ci int) (string, error) {
+func foldCell(tables []Table, ri, ci int) (string, error) {
 	vals := make([]float64, 0, len(tables))
 	decimals := 0
 	suffix := ""

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-func sampleTable(cells ...string) tableJSON {
-	return tableJSON{
+func sampleTable(cells ...string) Table {
+	return Table{
 		Title:  "Figure X: sample",
 		Header: []string{"benchmark", "map", "edges"},
 		Rows:   [][]string{append([]string{"gvn", "64k"}, cells...)},
@@ -19,7 +19,7 @@ func sampleTable(cells ...string) tableJSON {
 func TestValidateAcceptsWellFormed(t *testing.T) {
 	rep := &gridReport{
 		Schema: reportSchema,
-		Tables: []tableJSON{sampleTable("12")},
+		Tables: []Table{sampleTable("12")},
 	}
 	if err := validateReport(rep); err != nil {
 		t.Fatalf("well-formed report rejected: %v", err)
@@ -45,13 +45,13 @@ func TestValidateEdgeCases(t *testing.T) {
 		rep  *gridReport
 	}{
 		{"nil report", nil},
-		{"wrong schema", &gridReport{Schema: "bogus/v9", Tables: []tableJSON{sampleTable("1")}}},
+		{"wrong schema", &gridReport{Schema: "bogus/v9", Tables: []Table{sampleTable("1")}}},
 		{"empty grid", &gridReport{Schema: reportSchema}},
-		{"ragged table", &gridReport{Schema: reportSchema, Tables: []tableJSON{ragged}}},
-		{"untitled table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noTitle}}},
-		{"headerless table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noHeader}}},
-		{"blank header column", &gridReport{Schema: reportSchema, Tables: []tableJSON{blankCol}}},
-		{"rowless table", &gridReport{Schema: reportSchema, Tables: []tableJSON{noRows}}},
+		{"ragged table", &gridReport{Schema: reportSchema, Tables: []Table{ragged}}},
+		{"untitled table", &gridReport{Schema: reportSchema, Tables: []Table{noTitle}}},
+		{"headerless table", &gridReport{Schema: reportSchema, Tables: []Table{noHeader}}},
+		{"blank header column", &gridReport{Schema: reportSchema, Tables: []Table{blankCol}}},
+		{"rowless table", &gridReport{Schema: reportSchema, Tables: []Table{noRows}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,7 +67,7 @@ func TestValidateEdgeCases(t *testing.T) {
 // stddev is undefined at n=1 and must not leak into the artifact.
 func TestAggregateSingleRepeat(t *testing.T) {
 	in := sampleTable("12.50")
-	got, err := aggregateTables([]tableJSON{in})
+	got, err := aggregateTables([]Table{in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAggregateSingleRepeat(t *testing.T) {
 }
 
 func TestAggregateMeanAndStddev(t *testing.T) {
-	got, err := aggregateTables([]tableJSON{
+	got, err := aggregateTables([]Table{
 		sampleTable("10"), sampleTable("12"), sampleTable("14"),
 	})
 	if err != nil {
@@ -94,7 +94,7 @@ func TestAggregateMeanAndStddev(t *testing.T) {
 }
 
 func TestAggregateSuffixAndDecimals(t *testing.T) {
-	got, err := aggregateTables([]tableJSON{
+	got, err := aggregateTables([]Table{
 		sampleTable("1.00x"), sampleTable("3.00x"),
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestAggregateSuffixAndDecimals(t *testing.T) {
 }
 
 func TestAggregateIdenticalNumericPassThrough(t *testing.T) {
-	got, err := aggregateTables([]tableJSON{sampleTable("64"), sampleTable("64")})
+	got, err := aggregateTables([]Table{sampleTable("64"), sampleTable("64")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAggregateIdenticalNumericPassThrough(t *testing.T) {
 func TestAggregateZeroSpreadOmitsStddev(t *testing.T) {
 	// Different strings, same value: zero spread, no ± annotation, and the
 	// output adopts the widest decimal count seen.
-	got, err := aggregateTables([]tableJSON{sampleTable("12"), sampleTable("12.0")})
+	got, err := aggregateTables([]Table{sampleTable("12"), sampleTable("12.0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestAggregateRejectsMismatches(t *testing.T) {
 
 	tests := []struct {
 		name string
-		in   []tableJSON
+		in   []Table
 	}{
 		{"zero tables", nil},
-		{"title drift", []tableJSON{base, retitled}},
-		{"header drift", []tableJSON{base, reheaded}},
-		{"row count drift", []tableJSON{base, extraRow}},
-		{"label drift", []tableJSON{base, labelFlip}},
+		{"title drift", []Table{base, retitled}},
+		{"header drift", []Table{base, reheaded}},
+		{"row count drift", []Table{base, extraRow}},
+		{"label drift", []Table{base, labelFlip}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,8 +186,9 @@ func TestSplitNumeric(t *testing.T) {
 
 func TestReportRoundTripsThroughJSON(t *testing.T) {
 	rep := &gridReport{Schema: reportSchema}
-	rep.Tables = append(rep.Tables, fromTable(
-		"Figure 3", []string{"note"}, []string{"op", "ns"}, [][]string{{"classify", "42"}}))
+	rep.Tables = append(rep.Tables, Table{
+		Title: "Figure 3", Notes: []string{"note"}, Header: []string{"op", "ns"}, Rows: [][]string{{"classify", "42"}},
+	})
 	var buf bytes.Buffer
 	if err := rep.write(&buf); err != nil {
 		t.Fatal(err)
@@ -201,14 +202,5 @@ func TestReportRoundTripsThroughJSON(t *testing.T) {
 	}
 	if back.Tables[0].Rows[0][1] != "42" {
 		t.Errorf("table payload lost: %+v", back.Tables[0])
-	}
-}
-
-func TestFromTableCopies(t *testing.T) {
-	rows := [][]string{{"a", "b"}}
-	tab := fromTable("t", nil, []string{"h"}, rows)
-	rows[0][0] = "mutated"
-	if tab.Rows[0][0] != "a" {
-		t.Error("fromTable aliases caller rows")
 	}
 }

@@ -153,7 +153,7 @@ func (c *GridConfig) resolve(e GridExperiment) (Options, float64, int) {
 // dropColumns removes the named columns from a table (header and every row).
 // Unknown names are an error: a drop list that no longer matches the table
 // is exactly the schema drift the grid is supposed to catch.
-func dropColumns(t tableJSON, drop []string) (tableJSON, error) {
+func dropColumns(t Table, drop []string) (Table, error) {
 	if len(drop) == 0 {
 		return t, nil
 	}
@@ -172,7 +172,7 @@ func dropColumns(t tableJSON, drop []string) (tableJSON, error) {
 	for d := range unwanted {
 		return t, fmt.Errorf("drop_columns: column %q not in table %q", d, t.Title)
 	}
-	out := tableJSON{Title: t.Title, Notes: t.Notes}
+	out := Table{Title: t.Title, Notes: t.Notes}
 	for _, i := range keep {
 		out.Header = append(out.Header, t.Header[i])
 	}
@@ -230,7 +230,7 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 
 		// One run per repeat, consecutive seeds, each producing the same
 		// list of tables.
-		perRepeat := make([][]tableJSON, repeats)
+		perRepeat := make([][]Table, repeats)
 		for r := 0; r < repeats; r++ {
 			ropts := opts
 			ropts.Seed = baseSeed + uint64(r)
@@ -243,12 +243,11 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 				if t == nil {
 					return nil, fmt.Errorf("%s: driver returned a nil table", e.Name)
 				}
-				tj, err := dropColumns(
-					fromTable(t.Title, t.Notes, t.Header, t.Rows), e.DropColumns)
+				kept, err := dropColumns(*t, e.DropColumns)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", e.Name, err)
 				}
-				perRepeat[r] = append(perRepeat[r], tj)
+				perRepeat[r] = append(perRepeat[r], kept)
 			}
 			if len(perRepeat[r]) != len(perRepeat[0]) {
 				return nil, fmt.Errorf("%s: repeat %d emitted %d tables, repeat 0 emitted %d",
@@ -257,9 +256,9 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 		}
 
 		// Aggregate table-by-table across repeats.
-		var aggregated []tableJSON
+		var aggregated []Table
 		for ti := range perRepeat[0] {
-			group := make([]tableJSON, repeats)
+			group := make([]Table, repeats)
 			for r := range perRepeat {
 				group[r] = perRepeat[r][ti]
 			}
@@ -320,10 +319,10 @@ func RunGridConfig(cfg *GridConfig, outDir string, progress io.Writer) (*GridRun
 
 // writeExperimentArtifacts renders one experiment's aggregated tables as
 // <name>.txt (aligned text, as the CLI prints) and <name>.csv.
-func writeExperimentArtifacts(outDir, name string, tables []tableJSON) ([]string, error) {
+func writeExperimentArtifacts(outDir, name string, tables []Table) ([]string, error) {
 	var txt, csv bytes.Buffer
-	for i, tj := range tables {
-		t := &Table{Title: tj.Title, Notes: tj.Notes, Header: tj.Header, Rows: tj.Rows}
+	for i := range tables {
+		t := &tables[i]
 		if i > 0 {
 			txt.WriteByte('\n')
 			csv.WriteByte('\n')

@@ -52,7 +52,7 @@ func TestParseGridConfigAccepts(t *testing.T) {
 }
 
 func TestDropColumns(t *testing.T) {
-	in := tableJSON{
+	in := Table{
 		Title:  "t",
 		Header: []string{"a", "b", "c"},
 		Rows:   [][]string{{"1", "2", "3"}, {"4", "5", "6"}},

@@ -12,15 +12,16 @@ import (
 	"strings"
 )
 
-// Table is a rendered experiment result.
+// Table is a rendered experiment result. The JSON tags are its layout in
+// grid.json (gridjson.go).
 type Table struct {
 	// Title names the experiment ("Figure 6: ...").
-	Title string
+	Title string `json:"title"`
 	// Notes holds free-form context lines printed under the title.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 	// Header and Rows are the tabular payload.
-	Header []string
-	Rows   [][]string
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // AddRow appends a row of already-formatted cells.

@@ -279,18 +279,6 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-func TestKindOf(t *testing.T) {
-	if k, err := KindOf(EncodeFuzzer(&FuzzerState{})); err != nil || k != KindFuzzer {
-		t.Fatalf("got (%d, %v), want (KindFuzzer, nil)", k, err)
-	}
-	if k, err := KindOf(EncodeCampaign(&CampaignState{})); err != nil || k != KindCampaign {
-		t.Fatalf("got (%d, %v), want (KindCampaign, nil)", k, err)
-	}
-	if _, err := KindOf([]byte("nope")); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
-	}
-}
-
 // FuzzCheckpointRoundTrip feeds arbitrary bytes to both decoders: they must
 // never panic, and anything they accept must re-encode to semantically equal
 // state (decode∘encode = identity on the accepted set). Corrupt or truncated

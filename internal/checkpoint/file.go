@@ -110,15 +110,3 @@ func LoadCampaign(path string) (*CampaignState, error) {
 	}
 	return DecodeCampaign(data)
 }
-
-// KindOf sniffs the payload kind of a framed checkpoint without fully
-// decoding it, so a resume path can accept either kind from one flag.
-func KindOf(data []byte) (byte, error) {
-	if len(data) < headerLen+trailerLen {
-		return 0, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	return data[len(magic)+1], nil
-}

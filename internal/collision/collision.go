@@ -95,14 +95,6 @@ func Measure(keys []uint32) float64 {
 	return float64(collisions) / float64(len(keys))
 }
 
-// MeasureDistinct computes the empirical collision rate of assigning n
-// distinct entities (e.g. static edges) to keys: entities beyond the first
-// occupant of each key are counted as colliding. keys must contain one entry
-// per entity.
-func MeasureDistinct(keys []uint32) float64 {
-	return Measure(keys)
-}
-
 // Colliding generates an adversarial key sequence for a coverage map of the
 // given hash-space size: n keys drawn from only `distinct` values, so every
 // draw past the first sight of each value collides. distinct is clamped to

@@ -1,7 +1,5 @@
 package core
 
-import "github.com/bigmap/bigmap/internal/telemetry"
-
 // AFLMap is the single-level coverage bitmap used by vanilla AFL: one byte of
 // hit-count storage per coverage key. Updates are O(1) but every other map
 // operation (reset, classify, compare, hash) must traverse the entire bitmap,
@@ -12,19 +10,9 @@ import "github.com/bigmap/bigmap/internal/telemetry"
 // itself, which is the paper's point.
 type AFLMap struct {
 	bits []byte
-
-	// tel holds the optional per-operation telemetry histograms; the zero
-	// value is the disabled fast path (nil checks, no clock reads).
-	tel telemetry.MapOps
 }
 
-var (
-	_ Map          = (*AFLMap)(nil)
-	_ Instrumented = (*AFLMap)(nil)
-)
-
-// Instrument installs telemetry histograms for the per-testcase operations.
-func (m *AFLMap) Instrument(ops telemetry.MapOps) { m.tel = ops }
+var _ Map = (*AFLMap)(nil)
 
 // NewAFLMap creates a flat coverage map with the given hash-space size, which
 // must be a positive power of two (e.g. MapSize64K).
@@ -76,9 +64,7 @@ func (m *AFLMap) AddBatch(keys []uint32) {
 //
 //bigmap:hotpath per-exec map clear
 func (m *AFLMap) Reset() {
-	t0 := m.tel.Reset.Start()
 	clear(m.bits)
-	m.tel.Reset.Done(t0)
 }
 
 // Classify converts exact hit counts to bucket bits in place, traversing the
@@ -87,9 +73,7 @@ func (m *AFLMap) Reset() {
 //
 //bigmap:hotpath per-exec bucket classification
 func (m *AFLMap) Classify() {
-	t0 := m.tel.Classify.Start()
 	classifyRegion(m.bits)
-	m.tel.Classify.Done(t0)
 }
 
 // CompareWith implements AFL's has_new_bits over the full map: any trace byte
@@ -98,10 +82,8 @@ func (m *AFLMap) Classify() {
 //
 //bigmap:hotpath per-exec virgin comparison
 func (m *AFLMap) CompareWith(virgin *Virgin) Verdict {
-	t0 := m.tel.Compare.Start()
 	verdict, newEdges := compareRegion(m.bits, virgin.bits)
 	virgin.discovered += newEdges
-	m.tel.Compare.Done(t0)
 	return verdict
 }
 
@@ -110,10 +92,8 @@ func (m *AFLMap) CompareWith(virgin *Virgin) Verdict {
 //
 //bigmap:hotpath per-exec merged classify+compare
 func (m *AFLMap) ClassifyAndCompare(virgin *Virgin) Verdict {
-	t0 := m.tel.ClassifyCompare.Start()
 	verdict, newEdges := classifyCompareRegion(m.bits, virgin.bits)
 	virgin.discovered += newEdges
-	m.tel.ClassifyCompare.Done(t0)
 	return verdict
 }
 
@@ -121,10 +101,7 @@ func (m *AFLMap) ClassifyAndCompare(virgin *Virgin) Verdict {
 //
 //bigmap:hotpath per-discovery trace digest
 func (m *AFLMap) Hash() uint64 {
-	t0 := m.tel.Hash.Start()
-	h := hashRegion(m.bits)
-	m.tel.Hash.Done(t0)
-	return h
+	return hashRegion(m.bits)
 }
 
 // CountNonZero counts keys with non-zero hit counts (AFL's count_bytes),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/bigmap/bigmap/internal/rng"
 )
@@ -15,6 +16,18 @@ func mustBig(t *testing.T, size int) *BigMap {
 		t.Fatalf("NewBigMap(%d): %v", size, err)
 	}
 	return m
+}
+
+// TestBigMapFillsWholeCacheLines pins the struct's padding (bigmap.go): at
+// 128 bytes its size class is line-aligned, so the fields written on every
+// exec share no cache line with another heap object.
+func TestBigMapFillsWholeCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(BigMap{}); got != 128 {
+		t.Fatalf("BigMap is %d bytes, want 128: adjust its padding", got)
+	}
 }
 
 func TestNewBigMapRejectsBadSizes(t *testing.T) {

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
 // Common coverage map sizes from the paper's evaluation. Sizes must be powers
@@ -120,17 +118,6 @@ type Map interface {
 
 	// Scheme names the implementation ("afl" or "bigmap") for reporting.
 	Scheme() string
-}
-
-// Instrumented is the optional interface of maps that can time their
-// per-testcase operations into telemetry histograms. Both schemes implement
-// it; the fuzzer instruments its map when a telemetry registry is configured.
-// Instrumenting with the zero MapOps (all-nil histograms) is the disabled
-// state and costs two nil checks per operation — no clock reads.
-type Instrumented interface {
-	// Instrument installs the per-operation histograms. Call before fuzzing
-	// starts; maps are single-owner, so this is not synchronized.
-	Instrument(ops telemetry.MapOps)
 }
 
 // Saturable is the optional interface of maps whose dense slot space can

@@ -118,10 +118,10 @@ type Config struct {
 	// Stats.MapSaturated) instead of corrupting existing coverage.
 	SlotCap int
 	// Telemetry, when non-nil, wires the instance into the observability
-	// registry: exec and per-stage timing histograms, progress counters, and
-	// per-operation map timings (the coverage map is instrumented through
-	// core.Instrumented). nil — the default — keeps the hot loop entirely
-	// telemetry-free: record sites reduce to nil checks and no clock reads.
+	// registry: exec, per-stage and per-map-operation timing histograms
+	// (MapOpMetric) and progress counters. nil — the default — keeps the hot
+	// loop entirely telemetry-free: record sites reduce to nil checks and no
+	// clock reads.
 	Telemetry *telemetry.Registry
 }
 

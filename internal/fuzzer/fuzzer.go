@@ -119,7 +119,7 @@ func New(prog *target.Program, cfg Config) (*Fuzzer, error) {
 		// never grow it (AppendTouched returns at most UsedKeys entries).
 		touchedScratch: make([]uint32, 0, 4096),
 		varSlots:       make(map[uint32]bool),
-		tel:            newTelemetryHooks(cfg.Telemetry, cov),
+		tel:            newTelemetryHooks(cfg.Telemetry, cfg.Scheme),
 		// The clock feeds only Clock and so the RunFor deadline; nothing
 		// resume-relevant reads it. The field indirection keeps this the
 		// sole wall-clock site in the package.
@@ -394,10 +394,10 @@ func (f *Fuzzer) runOne(input []byte, rec *recordedRun) (target.Result, core.Ver
 	res := f.execute(input, rec)
 	var verdict core.Verdict
 	if f.cfg.SplitClassifyCompare {
-		f.cov.Classify()
-		verdict = f.cov.CompareWith(f.virginFor(res.Status))
+		f.classify()
+		verdict = f.compare(f.virginFor(res.Status))
 	} else {
-		verdict = f.cov.ClassifyAndCompare(f.virginFor(res.Status))
+		verdict = f.classifyCompare(f.virginFor(res.Status))
 	}
 	f.observePath()
 	return res, verdict
@@ -406,7 +406,7 @@ func (f *Fuzzer) runOne(input []byte, rec *recordedRun) (target.Result, core.Ver
 // execute is the one counted execution: reset the map, run input (or replay
 // its recorded run rec), count it. The map holds the raw trace afterwards.
 func (f *Fuzzer) execute(input []byte, rec *recordedRun) target.Result {
-	f.cov.Reset()
+	f.resetMap()
 	e0 := f.tel.execNs.Start()
 	var res target.Result
 	if rec != nil {
@@ -427,7 +427,7 @@ func (f *Fuzzer) execute(input []byte, rec *recordedRun) target.Result {
 // virgin map (if any) the result may touch.
 func (f *Fuzzer) execClassify(input []byte) target.Result {
 	res := f.execute(input, nil)
-	f.cov.Classify()
+	f.classify()
 	return res
 }
 
@@ -449,7 +449,7 @@ func (f *Fuzzer) virginFor(status target.Status) *core.Virgin {
 // original.
 func (f *Fuzzer) observePath() {
 	if f.paths != nil {
-		f.paths.observe(f.cov.Hash())
+		f.paths.observe(f.hash())
 	}
 }
 
@@ -475,7 +475,7 @@ func (f *Fuzzer) runVerified(input []byte) (target.Result, core.Verdict) {
 			}
 		}
 	}
-	verdict := f.cov.CompareWith(f.virginFor(res.Status))
+	verdict := f.compare(f.virginFor(res.Status))
 	f.observePath()
 	return res, verdict
 }
@@ -524,14 +524,14 @@ func (f *Fuzzer) calibrate(input []byte, firstTouched []uint32, firstCycles uint
 // stage needs for path comparison.
 func (f *Fuzzer) runForHash(input []byte) (target.Result, uint64) {
 	res := f.execClassify(input)
-	return res, f.cov.Hash()
+	return res, f.hash()
 }
 
 // enqueue files an interesting input into the queue. The target is
 // deterministic, so a single execution doubles as AFL's calibration run:
 // res.Cycles is already the exact execution cost.
 func (f *Fuzzer) enqueue(input []byte, res target.Result, foundBy string, depth int) {
-	pathHash := f.cov.Hash()
+	pathHash := f.hash()
 
 	f.touchedScratch = f.cov.AppendTouched(f.touchedScratch[:0])
 	touched := make([]uint32, len(f.touchedScratch)) //bigmap:alloc-ok discovery-only: touched slots are copied once per new corpus entry

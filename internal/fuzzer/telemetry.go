@@ -5,6 +5,38 @@ import (
 	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
+// Histograms the fuzzer times its executions into.
+const (
+	// ExecMetric times every counted execution on the fuzzer goroutine:
+	// the target run, or the replay of a run the havoc helper recorded.
+	ExecMetric = "fuzzer_exec_ns"
+	// HelperExecMetric times the havoc helper's recording runs.
+	HelperExecMetric = "fuzzer_helper_exec_ns"
+)
+
+// MapOp is one coverage-map operation of the per-exec cost split that the
+// paper's Figure 3 draws. The fuzzer times every call it makes to one into
+// the histogram MapOpMetric names.
+type MapOp int
+
+// The timed map operations.
+const (
+	MapReset MapOp = iota
+	MapClassify
+	MapCompare
+	MapClassifyCompare
+	MapHash
+	numMapOps
+)
+
+var mapOpNames = [numMapOps]string{"reset", "classify", "compare", "classify_compare", "hash"}
+
+// MapOpMetric names the histogram that times op on a map of the given
+// scheme: map_<scheme>_<op>_ns. Parallel instances of one scheme share it.
+func MapOpMetric(scheme Scheme, op MapOp) string {
+	return "map_" + string(scheme) + "_" + mapOpNames[op] + "_ns"
+}
+
 // telemetryHooks holds the instance's pre-resolved metric handles. Handles
 // are looked up once at construction so the fuzzing loop records through
 // plain pointers — lock-free, allocation-free atomic updates. The zero value
@@ -30,6 +62,7 @@ type telemetryHooks struct {
 	edges      *telemetry.Gauge
 
 	execNs         *telemetry.Histogram
+	mapOps         [numMapOps]*telemetry.Histogram // indexed by MapOp
 	stageDet       *telemetry.Histogram
 	stageHavoc     *telemetry.Histogram
 	stageSplice    *telemetry.Histogram
@@ -38,17 +71,14 @@ type telemetryHooks struct {
 	stageCalibrate *telemetry.Histogram
 }
 
-// newTelemetryHooks resolves the fuzzer's metric handles and instruments the
-// coverage map's per-operation timings (map_<scheme>_*_ns). With a nil
-// registry it returns the zero hooks and leaves the map bare.
-func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
+// newTelemetryHooks resolves the fuzzer's metric handles, the coverage
+// map's per-operation timings (MapOpMetric) included. With a nil registry it
+// returns the zero hooks.
+func newTelemetryHooks(r *telemetry.Registry, scheme Scheme) telemetryHooks {
 	if r == nil {
 		return telemetryHooks{}
 	}
-	if ins, ok := cov.(core.Instrumented); ok {
-		ins.Instrument(telemetry.NewMapOps(r, cov.Scheme()))
-	}
-	return telemetryHooks{
+	h := telemetryHooks{
 		execs:      r.Counter("fuzzer_execs_total"),
 		crashes:    r.Counter("fuzzer_crashes_total"),
 		hangs:      r.Counter("fuzzer_hangs_total"),
@@ -57,12 +87,12 @@ func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
 		calibExecs: r.Counter("fuzzer_calib_execs_total"),
 
 		helperExecs:  r.Counter("fuzzer_helper_execs_total"),
-		helperExecNs: r.Histogram("fuzzer_helper_exec_ns"),
+		helperExecNs: r.Histogram(HelperExecMetric),
 
 		queuePaths: r.Gauge("fuzzer_queue_paths"),
 		edges:      r.Gauge("fuzzer_edges_discovered"),
 
-		execNs:         r.Histogram("fuzzer_exec_ns"),
+		execNs:         r.Histogram(ExecMetric),
 		stageDet:       r.Histogram("fuzzer_stage_det_ns"),
 		stageHavoc:     r.Histogram("fuzzer_stage_havoc_ns"),
 		stageSplice:    r.Histogram("fuzzer_stage_splice_ns"),
@@ -70,6 +100,10 @@ func newTelemetryHooks(r *telemetry.Registry, cov core.Map) telemetryHooks {
 		stageTrim:      r.Histogram("fuzzer_stage_trim_ns"),
 		stageCalibrate: r.Histogram("fuzzer_stage_calibrate_ns"),
 	}
+	for op := range h.mapOps {
+		h.mapOps[op] = r.Histogram(MapOpMetric(scheme, MapOp(op)))
+	}
+	return h
 }
 
 // noteEnqueue refreshes the cheap liveness gauges after a queue add. Both
@@ -78,4 +112,41 @@ func (f *Fuzzer) noteEnqueue() {
 	f.tel.pathsFound.Inc()
 	f.tel.queuePaths.Set(int64(f.queue.Len()))
 	f.tel.edges.Set(int64(f.virginAll.CountDiscovered()))
+}
+
+// The coverage-map operations of the per-exec pipeline. The fuzzer calls
+// each through these, so every call is timed into its MapOpMetric
+// histogram exactly once; with telemetry off a call costs two nil checks.
+
+func (f *Fuzzer) resetMap() {
+	t0 := f.tel.mapOps[MapReset].Start()
+	f.cov.Reset()
+	f.tel.mapOps[MapReset].Done(t0)
+}
+
+func (f *Fuzzer) classify() {
+	t0 := f.tel.mapOps[MapClassify].Start()
+	f.cov.Classify()
+	f.tel.mapOps[MapClassify].Done(t0)
+}
+
+func (f *Fuzzer) compare(virgin *core.Virgin) core.Verdict {
+	t0 := f.tel.mapOps[MapCompare].Start()
+	v := f.cov.CompareWith(virgin)
+	f.tel.mapOps[MapCompare].Done(t0)
+	return v
+}
+
+func (f *Fuzzer) classifyCompare(virgin *core.Virgin) core.Verdict {
+	t0 := f.tel.mapOps[MapClassifyCompare].Start()
+	v := f.cov.ClassifyAndCompare(virgin)
+	f.tel.mapOps[MapClassifyCompare].Done(t0)
+	return v
+}
+
+func (f *Fuzzer) hash() uint64 {
+	t0 := f.tel.mapOps[MapHash].Start()
+	h := f.cov.Hash()
+	f.tel.mapOps[MapHash].Done(t0)
+	return h
 }

@@ -90,7 +90,7 @@ func TestSyncerSurvivesRevival(t *testing.T) {
 	if err := c.RunRounds(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Progress().Revivals; got != 1 {
+	if got := c.Report().Restarts; got != 1 {
 		t.Fatalf("revivals = %d, want 1", got)
 	}
 	st, err := hub.Stats()

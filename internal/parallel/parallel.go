@@ -128,9 +128,8 @@ type Campaign struct {
 	// when a revived instance restarts, never what it computes.
 	jrng *rng.Source
 
-	// progress holds the live counters behind Progress. Instance
-	// goroutines publish into it mid-round, so it is the one piece of
-	// campaign state shared across goroutines.
+	// progress mirrors the campaign's counters into the telemetry
+	// registry, where any goroutine may read them mid-round.
 	progress progressState
 
 	// tel is the shared observability registry, taken from the fuzzer
@@ -152,84 +151,20 @@ type Campaign struct {
 	telUnion *telemetry.Gauge
 }
 
-// progressState is the campaign's live telemetry. Instance goroutines write
-// it concurrently during a round and Progress may be called from any
-// goroutine at any time, so every counter is published under mu instead of
-// being read off the (single-threaded) fuzzers.
+// progressState holds the campaign's telemetry handles: per-instance exec
+// gauges and the round, revival and failure counters. The handles are
+// atomic and nil-safe (all nil when telemetry is off), so instance
+// goroutines publish through them without a lock.
 type progressState struct {
-	mu sync.Mutex
-
-	execs    []uint64 // guarded by mu; per-instance cumulative execs as of the last publish
-	rounds   int      // guarded by mu; completed sync rounds
-	revivals int      // guarded by mu; instance restarts from checkpoint
-	failed   int      // guarded by mu; instances abandoned after exhausting restarts
-
-	// Telemetry mirrors of the counters above. The handles are atomic and
-	// nil-safe (nil when telemetry is off), so they sit outside the mutex.
-	telExecs    []*telemetry.Gauge
-	telRounds   *telemetry.Counter
-	telRevivals *telemetry.Counter
-	telFailed   *telemetry.Counter
+	execs    []*telemetry.Gauge
+	rounds   *telemetry.Counter
+	revivals *telemetry.Counter
+	failed   *telemetry.Counter
 }
 
 func (p *progressState) noteExecs(i int, n uint64) {
-	p.mu.Lock()
-	p.execs[i] = n
-	p.mu.Unlock()
-	if i < len(p.telExecs) {
-		p.telExecs[i].Set(int64(n))
-	}
-}
-
-func (p *progressState) noteRound() {
-	p.mu.Lock()
-	p.rounds++
-	p.mu.Unlock()
-	p.telRounds.Inc()
-}
-
-func (p *progressState) noteRevival() {
-	p.mu.Lock()
-	p.revivals++
-	p.mu.Unlock()
-	p.telRevivals.Inc()
-}
-
-func (p *progressState) noteFailed() {
-	p.mu.Lock()
-	p.failed++
-	p.mu.Unlock()
-	p.telFailed.Inc()
-}
-
-// Progress is a point-in-time snapshot of campaign counters. Unlike Report,
-// it is safe to take from any goroutine while a round is running: the
-// numbers come from counters the instances publish, not from the fuzzers
-// themselves.
-type Progress struct {
-	// Execs holds each instance's cumulative exec count as of its most
-	// recent publish (the end of its last round slice).
-	Execs []uint64
-	// Rounds counts completed sync rounds.
-	Rounds int
-	// Revivals counts instance restarts from a sync-boundary checkpoint.
-	Revivals int
-	// Failed counts instances abandoned after exhausting their restart
-	// budget.
-	Failed int
-}
-
-// Progress returns the campaign's live counters. Safe to call concurrently
-// with a running Run* call, which Report is not.
-func (c *Campaign) Progress() Progress {
-	p := &c.progress
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Progress{
-		Execs:    append([]uint64(nil), p.execs...),
-		Rounds:   p.rounds,
-		Revivals: p.revivals,
-		Failed:   p.failed,
+	if i < len(p.execs) {
+		p.execs[i].Set(int64(n))
 	}
 }
 
@@ -292,15 +227,14 @@ func newShell(prog *target.Program, cfg Config) *Campaign {
 		jrng:     rng.New(cfg.Fuzzer.Seed ^ 0x6a17_7e5b_ac0f_5eed),
 		tel:      cfg.Fuzzer.Telemetry,
 	}
-	c.progress.execs = make([]uint64, n)
 	if r := c.tel; r != nil {
-		c.progress.telExecs = make([]*telemetry.Gauge, n)
+		c.progress.execs = make([]*telemetry.Gauge, n)
 		for i := 0; i < n; i++ {
-			c.progress.telExecs[i] = r.Gauge(fmt.Sprintf("campaign_instance_%d_execs", i))
+			c.progress.execs[i] = r.Gauge(fmt.Sprintf("campaign_instance_%d_execs", i))
 		}
-		c.progress.telRounds = r.Counter("campaign_rounds_total")
-		c.progress.telRevivals = r.Counter("campaign_revivals_total")
-		c.progress.telFailed = r.Counter("campaign_failed_instances_total")
+		c.progress.rounds = r.Counter("campaign_rounds_total")
+		c.progress.revivals = r.Counter("campaign_revivals_total")
+		c.progress.failed = r.Counter("campaign_failed_instances_total")
 		r.Gauge("campaign_instances").Set(int64(n))
 	}
 	return c
@@ -528,7 +462,7 @@ func (c *Campaign) round(fn func(*fuzzer.Fuzzer) error) error {
 	if err := c.allFailedErr(); err != nil {
 		return err
 	}
-	c.progress.noteRound()
+	c.progress.rounds.Inc()
 	return nil
 }
 
@@ -556,7 +490,7 @@ func (c *Campaign) reviveOrFail(i int, cause error) {
 		}
 		if err == nil {
 			c.fuzzers[i] = f
-			c.progress.noteRevival()
+			c.progress.revivals.Inc()
 			c.progress.noteExecs(i, f.Execs())
 			c.tel.Event("instance_revived",
 				fmt.Sprintf("instance %d restart %d: %v", i, c.restarts[i], cause))
@@ -565,7 +499,7 @@ func (c *Campaign) reviveOrFail(i int, cause error) {
 		cause = errors.Join(cause, fmt.Errorf("restart %d: %w", c.restarts[i], err))
 	}
 	c.failed[i] = cause
-	c.progress.noteFailed()
+	c.progress.failed.Inc()
 	c.tel.Event("instance_failed", fmt.Sprintf("instance %d abandoned: %v", i, cause))
 }
 

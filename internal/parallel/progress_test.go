@@ -1,23 +1,27 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/bigmap/bigmap/internal/fuzzer"
+	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
-// TestProgressConcurrentWithRun hammers Progress from several goroutines
-// while the campaign runs. Under `go test -race` this is the proof that the
-// progressState mutex covers every cross-goroutine access — the exact
-// invariant the lockcheck analyzer enforces statically.
+// TestProgressConcurrentWithRun hammers the campaign registry's Snapshot
+// from several goroutines while the campaign runs. Under `go test -race`
+// this is the proof that the campaign's live counters (progressState) are
+// safe to read mid-round: instance goroutines publish through atomic
+// handles, readers never touch the fuzzers.
 func TestProgressConcurrentWithRun(t *testing.T) {
 	prog, seeds := campaignTarget(t)
+	reg := telemetry.New()
 	c, err := NewCampaign(prog, Config{
 		Instances: 3,
 		SyncEvery: 1000,
-		Fuzzer:    fuzzer.Config{Seed: 9, Scheme: fuzzer.SchemeBigMap},
+		Fuzzer:    fuzzer.Config{Seed: 9, Scheme: fuzzer.SchemeBigMap, Telemetry: reg},
 	}, seeds)
 	if err != nil {
 		t.Fatal(err)
@@ -29,16 +33,21 @@ func TestProgressConcurrentWithRun(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			last := make([]int64, 3)
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				p := c.Progress()
-				if len(p.Execs) != 3 {
-					t.Errorf("Progress.Execs has %d entries, want 3", len(p.Execs))
-					return
+				s := reg.Snapshot()
+				for i := range last {
+					n, ok := s.Gauges[fmt.Sprintf("campaign_instance_%d_execs", i)]
+					if !ok || n < last[i] {
+						t.Errorf("instance %d execs gauge = %d (present %v), earlier read %d", i, n, ok, last[i])
+						return
+					}
+					last[i] = n
 				}
 			}
 		}()
@@ -50,29 +59,34 @@ func TestProgressConcurrentWithRun(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	p := c.Progress()
-	if p.Rounds == 0 {
-		t.Error("Progress.Rounds = 0 after RunExecs, want > 0")
+	s := reg.Snapshot()
+	if s.Counters["campaign_rounds_total"] == 0 {
+		t.Error("campaign_rounds_total = 0 after RunExecs, want > 0")
 	}
-	for i, n := range p.Execs {
-		if n < 5000 {
-			t.Errorf("Progress.Execs[%d] = %d, want >= 5000", i, n)
+	rep := c.Report()
+	for i, st := range rep.PerInstance {
+		if got := s.Gauges[fmt.Sprintf("campaign_instance_%d_execs", i)]; got != int64(st.Execs) || got < 5000 {
+			t.Errorf("instance %d execs gauge = %d, Report says %d, want both >= 5000", i, got, st.Execs)
 		}
 	}
-	if p.Revivals != 0 || p.Failed != 0 {
-		t.Errorf("healthy campaign reports Revivals=%d Failed=%d, want 0/0", p.Revivals, p.Failed)
+	if rev, failed := s.Counters["campaign_revivals_total"], s.Counters["campaign_failed_instances_total"]; rev != 0 || failed != 0 {
+		t.Errorf("healthy campaign counts revivals=%d failed=%d, want 0/0", rev, failed)
+	}
+	if rep.Restarts != 0 || rep.FailedInstances != 0 {
+		t.Errorf("healthy campaign reports Restarts=%d FailedInstances=%d, want 0/0", rep.Restarts, rep.FailedInstances)
 	}
 }
 
 // TestProgressCountsRevivalsAndFailures checks the supervisor paths publish
-// into the progress counters.
+// into the registry's campaign counters, in agreement with Report.
 func TestProgressCountsRevivalsAndFailures(t *testing.T) {
 	prog, seeds := campaignTarget(t)
+	reg := telemetry.New()
 	c, err := NewCampaign(prog, Config{
 		Instances:   2,
 		SyncEvery:   500,
 		MaxRestarts: 2,
-		Fuzzer:      fuzzer.Config{Seed: 3, Scheme: fuzzer.SchemeBigMap},
+		Fuzzer:      fuzzer.Config{Seed: 3, Scheme: fuzzer.SchemeBigMap, Telemetry: reg},
 	}, seeds)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +101,17 @@ func TestProgressCountsRevivalsAndFailures(t *testing.T) {
 	if err := c.RunRounds(4); err != nil {
 		t.Fatal(err)
 	}
-	p := c.Progress()
-	if p.Revivals != 2 {
-		t.Errorf("Progress.Revivals = %d, want 2", p.Revivals)
+	s := reg.Snapshot()
+	if got := s.Counters["campaign_revivals_total"]; got != 2 {
+		t.Errorf("campaign_revivals_total = %d, want 2", got)
 	}
-	if p.Failed != 1 {
-		t.Errorf("Progress.Failed = %d, want 1", p.Failed)
+	if got := s.Counters["campaign_failed_instances_total"]; got != 1 {
+		t.Errorf("campaign_failed_instances_total = %d, want 1", got)
 	}
-	if p.Rounds != 4 {
-		t.Errorf("Progress.Rounds = %d, want 4", p.Rounds)
+	if got := s.Counters["campaign_rounds_total"]; got != 4 {
+		t.Errorf("campaign_rounds_total = %d, want 4", got)
+	}
+	if rep := c.Report(); rep.Restarts != 2 || rep.FailedInstances != 1 {
+		t.Errorf("Report: Restarts=%d FailedInstances=%d, want 2/1", rep.Restarts, rep.FailedInstances)
 	}
 }

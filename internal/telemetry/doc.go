@@ -1,9 +1,8 @@
 // Package telemetry is the live observability layer: a standard-library-only
 // metrics registry (atomic counters, gauges, and fixed-bucket log-scale
-// histograms) plus a lightweight span/event tracer, designed so that the
-// fuzzing hot path can be instrumented without giving up its two core
-// properties — zero allocations per execution and bitwise-deterministic
-// resume.
+// histograms) plus a bounded event log, designed so that the fuzzing hot
+// path can be instrumented without giving up its two core properties — zero
+// allocations per execution and bitwise-deterministic resume.
 //
 // # Design constraints
 //

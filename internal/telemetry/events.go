@@ -58,36 +58,3 @@ func (l *EventLog) Snapshot() ([]Event, uint64) {
 	out = append(out, l.buf[:l.next]...)
 	return out, l.total
 }
-
-// Span measures one named operation from StartSpan to End. The zero Span
-// (from a nil registry) is inert. Spans are for cold, coarse operations —
-// checkpoint saves, calibration sweeps — where a map lookup per span and an
-// event log entry are noise; hot paths use pre-resolved Histogram handles.
-type Span struct {
-	r     *Registry
-	name  string
-	start int64
-}
-
-// StartSpan begins a span. Its duration lands in histogram "span_<name>_ns"
-// and its completion is appended to the event log.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, name: name, start: Now()}
-}
-
-// End closes the span, recording its duration and logging the event. detail
-// is free-form context for the event log ("1.4 MiB", "instance 3").
-func (s Span) End(detail string) {
-	if s.r == nil {
-		return
-	}
-	d := Now() - s.start
-	if d < 0 {
-		d = 0
-	}
-	s.r.Histogram("span_" + s.name + "_ns").Observe(uint64(d))
-	s.r.events.Add(s.name, detail)
-}

@@ -51,7 +51,7 @@ func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) {
 
 // promName sanitizes a metric name for the exposition format and applies the
 // namespace prefix. Internal names are already snake_case ASCII; this guards
-// the odd dynamic name (span histograms include caller-supplied span names).
+// the odd dynamic name built at run time.
 func promName(name string) string {
 	var b strings.Builder
 	b.WriteString(namePrefix)

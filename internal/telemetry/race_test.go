@@ -30,10 +30,9 @@ func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 				h.Observe(uint64(g*iters + i))
 				gauge.Set(int64(i))
 				if i%256 == 0 {
-					// Cold-path writes: new registrations, events, spans.
+					// Cold-path writes: new registrations and events.
 					r.Counter("late_total").Inc()
 					r.Event("tick", "")
-					r.StartSpan("op").End("")
 				}
 			}
 		}(g)

@@ -64,33 +64,3 @@ func (r *Registry) Snapshot() Snapshot {
 	snap.Events, snap.EventsTotal = r.events.Snapshot()
 	return snap
 }
-
-// MapOps bundles the per-operation histograms of one coverage-map scheme —
-// the paper's cost breakdown (reset, classify, compare, merged
-// classify+compare, hash) measured per execution rather than estimated. The
-// zero value (all nil) is the disabled state: a map instrumented with it
-// pays two nil checks per operation and reads no clock.
-type MapOps struct {
-	Reset           *Histogram
-	Classify        *Histogram
-	Compare         *Histogram
-	ClassifyCompare *Histogram
-	Hash            *Histogram
-}
-
-// NewMapOps resolves the map-operation histograms for a scheme ("afl",
-// "bigmap"), named map_<scheme>_<op>_ns. Multiple maps of the same scheme
-// (parallel campaign instances) share histograms and aggregate.
-func NewMapOps(r *Registry, scheme string) MapOps {
-	if r == nil {
-		return MapOps{}
-	}
-	p := "map_" + scheme + "_"
-	return MapOps{
-		Reset:           r.Histogram(p + "reset_ns"),
-		Classify:        r.Histogram(p + "classify_ns"),
-		Compare:         r.Histogram(p + "compare_ns"),
-		ClassifyCompare: r.Histogram(p + "classify_compare_ns"),
-		Hash:            r.Histogram(p + "hash_ns"),
-	}
-}

@@ -13,7 +13,7 @@ import (
 var clockBase = time.Now() //bigmap:nondeterministic-ok telemetry is the audited wall-clock sink; readings never feed resume-relevant state
 
 // Now returns monotonic nanoseconds since process start. It is the package's
-// only clock read; every span, histogram timing and event timestamp flows
+// only clock read; every histogram timing and event timestamp flows
 // through it, which keeps the determinism audit surface a single line.
 func Now() int64 {
 	return int64(time.Since(clockBase)) //bigmap:nondeterministic-ok telemetry is the audited wall-clock sink; readings never feed resume-relevant state

@@ -35,7 +35,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	r.Event("e", "detail")
-	r.StartSpan("s").End("detail")
 	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Events) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
 	}
@@ -174,33 +173,6 @@ func TestEventLogRingWraps(t *testing.T) {
 		if events[i].AtNanos < events[i-1].AtNanos {
 			t.Fatalf("events out of order at %d: %d < %d", i, events[i].AtNanos, events[i-1].AtNanos)
 		}
-	}
-}
-
-func TestSpan(t *testing.T) {
-	r := New()
-	sp := r.StartSpan("checkpoint_save")
-	sp.End("1234 bytes")
-	s := r.Snapshot()
-	if s.Histograms["span_checkpoint_save_ns"].Count != 1 {
-		t.Fatal("span duration not recorded")
-	}
-	if len(s.Events) != 1 || s.Events[0].Name != "checkpoint_save" {
-		t.Fatalf("span event not logged: %+v", s.Events)
-	}
-}
-
-func TestMapOps(t *testing.T) {
-	r := New()
-	ops := NewMapOps(r, "bigmap")
-	ops.Reset.Done(ops.Reset.Start())
-	if r.Histogram("map_bigmap_reset_ns").Count() != 1 {
-		t.Fatal("MapOps.Reset not wired to map_bigmap_reset_ns")
-	}
-	// A nil registry yields the all-nil (disabled) bundle.
-	off := NewMapOps(nil, "afl")
-	if off.Reset != nil || off.Hash != nil {
-		t.Fatal("NewMapOps(nil, ...) must return the zero MapOps")
 	}
 }
 
