@@ -133,9 +133,6 @@ func (g *Graph) NodeFor(fn *types.Func) *Node {
 	return g.byFunc[origin(fn)]
 }
 
-// LitNode returns the node of a function literal, nil if unknown.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // Lookup finds a declared node by its Name() string, nil if absent.
 func (g *Graph) Lookup(name string) *Node {
 	for _, n := range g.Nodes {

@@ -53,13 +53,13 @@ func (s *Store) Handler() http.Handler {
 }
 
 func (s *Store) handleAllStats(w http.ResponseWriter, _ *http.Request) {
-	all := make(map[string]dist.StatsResponse)
+	all := make(map[string]dist.Stats)
 	for _, name := range s.Campaigns() {
 		st, err := s.Stats(name)
 		if err != nil {
 			continue
 		}
-		all[name] = statsResponse(st)
+		all[name] = st
 	}
 	writeJSON(w, http.StatusOK, all)
 }
@@ -109,7 +109,7 @@ func (s *Store) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statsResponse(st))
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Store) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +122,7 @@ func (s *Store) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dist.JoinResponse{LastSeq: info.LastSeq, Cursor: info.Cursor})
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Store) handlePush(w http.ResponseWriter, r *http.Request) {
@@ -130,25 +130,12 @@ func (s *Store) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	b := dist.Batch{Seq: req.Seq, Inputs: req.Inputs, Delta: req.Delta}
-	for _, cr := range req.Crashes {
-		b.Crashes = append(b.Crashes, dist.Crash{
-			Key: cr.Key, Site: cr.Site, StackDepth: cr.StackDepth, Input: cr.Input,
-		})
-	}
-	rcpt, err := s.Push(r.PathValue("name"), req.Worker, b)
+	rcpt, err := s.Push(r.PathValue("name"), req.Worker, req.Batch)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dist.PushResponse{
-		Seq:             rcpt.Seq,
-		NewInputs:       rcpt.NewInputs,
-		DupInputs:       rcpt.DupInputs,
-		NewCrashes:      rcpt.NewCrashes,
-		DeltaWords:      rcpt.DeltaWords,
-		UnionDiscovered: rcpt.UnionDiscovered,
-	})
+	writeJSON(w, http.StatusOK, rcpt)
 }
 
 func (s *Store) handlePull(w http.ResponseWriter, r *http.Request) {
@@ -161,11 +148,10 @@ func (s *Store) handlePull(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp := dist.PullResponse{Inputs: make([]dist.WirePulled, 0, len(pulled))}
-	for _, p := range pulled {
-		resp.Inputs = append(resp.Inputs, dist.WirePulled{Hash: p.Hash, Input: p.Input})
+	if pulled == nil {
+		pulled = []dist.Pulled{} // an empty pull is [] on the wire, never null
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, dist.PullResponse{Inputs: pulled})
 }
 
 func (s *Store) handleInput(w http.ResponseWriter, r *http.Request) {
@@ -184,13 +170,7 @@ func (s *Store) handleCrashes(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	out := make([]dist.WireCrash, 0, len(crashes))
-	for _, cr := range crashes {
-		out = append(out, dist.WireCrash{
-			Key: cr.Key, Site: cr.Site, StackDepth: cr.StackDepth, Input: cr.Input,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, crashes)
 }
 
 func (s *Store) handleLedger(w http.ResponseWriter, r *http.Request) {
@@ -200,19 +180,6 @@ func (s *Store) handleLedger(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, records)
-}
-
-func statsResponse(st dist.Stats) dist.StatsResponse {
-	return dist.StatsResponse{
-		MapSize:         st.MapSize,
-		Inputs:          st.Inputs,
-		Crashes:         st.Crashes,
-		Workers:         st.Workers,
-		Batches:         st.Batches,
-		DedupHits:       st.DedupHits,
-		DeltaWords:      st.DeltaWords,
-		UnionDiscovered: st.UnionDiscovered,
-	}
 }
 
 // decodeBody parses a JSON request body, answering 400 on failure.

@@ -41,12 +41,6 @@ type campaignMeta struct {
 	Format  int    `json:"format"`
 }
 
-// workerCursor is one worker's workers.json entry.
-type workerCursor struct {
-	Cursor  int    `json:"cursor"`
-	LastSeq uint64 `json:"last_seq"`
-}
-
 // createJournal lays out a new campaign directory and its campaign.json.
 func createJournal(dir, name string, mapSize int) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -111,14 +105,10 @@ func (j *journal) appendLocked(rec Record) error {
 // SaveCursors atomically replaces workers.json (temp file, then rename).
 // Losing it is recoverable (workers re-pull and re-push; dedup absorbs
 // both), so it is written after the ledger, never as part of the chain, and
-// never fsynced.
+// never fsynced. Each entry is a dist.JoinInfo ({"last_seq", "cursor"});
+// files written with the keys in the other order load the same.
 func (j *journal) SaveCursors(cursors map[string]dist.JoinInfo) error {
-	out := make(map[string]workerCursor, len(cursors))
-	//bigmap:nondeterministic-ok map-to-map copy; json sorts the keys
-	for name, info := range cursors {
-		out[name] = workerCursor{Cursor: info.Cursor, LastSeq: info.LastSeq}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(cursors, "", "  ")
 	if err != nil {
 		return fmt.Errorf("corpusd: encode workers: %w", err)
 	}
@@ -228,14 +218,9 @@ func recoverCampaign(dir string) (*campaign, error) {
 	}
 
 	if wdata, err := os.ReadFile(filepath.Join(dir, "workers.json")); err == nil {
-		var cursors map[string]workerCursor
+		var cursors map[string]dist.JoinInfo
 		if err := json.Unmarshal(wdata, &cursors); err == nil {
-			infos := make(map[string]dist.JoinInfo, len(cursors))
-			//bigmap:nondeterministic-ok map-to-map copy; order cannot matter
-			for name, wc := range cursors {
-				infos[name] = dist.JoinInfo{Cursor: wc.Cursor, LastSeq: wc.LastSeq}
-			}
-			c.hub.RestoreCursors(infos)
+			c.hub.RestoreCursors(cursors)
 		}
 	}
 	return c, nil

@@ -29,15 +29,15 @@ func KeyOf(site uint32, stack []uint32) uint64 {
 // Record describes one unique crash bucket.
 type Record struct {
 	// Key is the dedup hash.
-	Key uint64
+	Key uint64 `json:"key"`
 	// Site is the faulting block ID.
-	Site uint32
+	Site uint32 `json:"site"`
 	// StackDepth is the call-stack depth at the crash.
-	StackDepth int
+	StackDepth int `json:"stack_depth"`
 	// Count is how many crashing executions fell into this bucket.
-	Count int
+	Count int `json:"count"`
 	// Input is the first input that produced the bucket.
-	Input []byte
+	Input []byte `json:"input"`
 }
 
 // Deduper accumulates crash observations. Not safe for concurrent use.

@@ -66,34 +66,20 @@ func (c *Client) EnsureCampaign(mapSize int) error {
 
 // Join implements Syncer.
 func (c *Client) Join(worker string) (JoinInfo, error) {
-	var resp JoinResponse
-	err := c.do("POST", c.path("join"), JoinRequest{Worker: worker}, &resp)
-	if err != nil {
+	var info JoinInfo
+	if err := c.do("POST", c.path("join"), JoinRequest{Worker: worker}, &info); err != nil {
 		return JoinInfo{}, err
 	}
-	return JoinInfo{LastSeq: resp.LastSeq, Cursor: resp.Cursor}, nil
+	return info, nil
 }
 
 // Push implements Syncer.
 func (c *Client) Push(worker string, b Batch) (Receipt, error) {
-	req := PushRequest{Worker: worker, Seq: b.Seq, Inputs: b.Inputs, Delta: b.Delta}
-	for _, cr := range b.Crashes {
-		req.Crashes = append(req.Crashes, WireCrash{
-			Key: cr.Key, Site: cr.Site, StackDepth: cr.StackDepth, Input: cr.Input,
-		})
-	}
-	var resp PushResponse
-	if err := c.do("POST", c.path("push"), req, &resp); err != nil {
+	var rcpt Receipt
+	if err := c.do("POST", c.path("push"), PushRequest{Worker: worker, Batch: b}, &rcpt); err != nil {
 		return Receipt{}, err
 	}
-	return Receipt{
-		Seq:             resp.Seq,
-		NewInputs:       resp.NewInputs,
-		DupInputs:       resp.DupInputs,
-		NewCrashes:      resp.NewCrashes,
-		DeltaWords:      resp.DeltaWords,
-		UnionDiscovered: resp.UnionDiscovered,
-	}, nil
+	return rcpt, nil
 }
 
 // Pull implements Syncer.
@@ -102,29 +88,16 @@ func (c *Client) Pull(worker string) ([]Pulled, error) {
 	if err := c.do("POST", c.path("pull"), PullRequest{Worker: worker}, &resp); err != nil {
 		return nil, err
 	}
-	var out []Pulled
-	for _, p := range resp.Inputs {
-		out = append(out, Pulled{Hash: p.Hash, Input: p.Input})
-	}
-	return out, nil
+	return resp.Inputs, nil
 }
 
 // Stats implements Syncer.
 func (c *Client) Stats() (Stats, error) {
-	var resp StatsResponse
-	if err := c.do("GET", c.path(""), nil, &resp); err != nil {
+	var st Stats
+	if err := c.do("GET", c.path(""), nil, &st); err != nil {
 		return Stats{}, err
 	}
-	return Stats{
-		MapSize:         resp.MapSize,
-		Inputs:          resp.Inputs,
-		Crashes:         resp.Crashes,
-		Workers:         resp.Workers,
-		Batches:         resp.Batches,
-		DedupHits:       resp.DedupHits,
-		DeltaWords:      resp.DeltaWords,
-		UnionDiscovered: resp.UnionDiscovered,
-	}, nil
+	return st, nil
 }
 
 func (c *Client) path(tail string) string {

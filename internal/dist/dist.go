@@ -73,78 +73,78 @@ var (
 type JoinInfo struct {
 	// LastSeq is the highest batch sequence the store has accepted from
 	// this worker (0 for a new worker); the next push must use LastSeq+1.
-	LastSeq uint64
+	LastSeq uint64 `json:"last_seq"`
 	// Cursor is the worker's pull position in the global input log.
-	Cursor int
+	Cursor int `json:"cursor"`
 }
 
 // Crash is one crash bucket in a batch, carrying the Crashwalk-style dedup
 // key computed by the worker (internal/crash.KeyOf) plus the fields triage
 // output needs.
 type Crash struct {
-	Key        uint64
-	Site       uint32
-	StackDepth int
-	Input      []byte
+	Key        uint64 `json:"key"`
+	Site       uint32 `json:"site"`
+	StackDepth int    `json:"stack_depth"`
+	Input      []byte `json:"input,omitempty"`
 }
 
 // Batch is one worker's sync-boundary publish.
 type Batch struct {
 	// Seq is the worker's batch sequence number (1-based, dense).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Inputs holds the worker's queue entries not yet pushed, in queue
 	// order.
-	Inputs [][]byte
+	Inputs [][]byte `json:"inputs,omitempty"`
 	// Crashes holds crash buckets not yet pushed.
-	Crashes []Crash
+	Crashes []Crash `json:"crashes,omitempty"`
 	// Delta is an encoded core.VirginDelta carrying the worker's coverage
 	// words that changed since its previous push; nil when nothing changed.
-	Delta []byte
+	Delta []byte `json:"delta,omitempty"`
 }
 
 // Receipt is the store's acknowledgement of an accepted (or replayed)
 // batch.
 type Receipt struct {
 	// Seq echoes the accepted batch sequence.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// NewInputs and DupInputs split the batch's inputs into first-seen and
 	// content-duplicate.
-	NewInputs int
-	DupInputs int
+	NewInputs int `json:"new_inputs"`
+	DupInputs int `json:"dup_inputs"`
 	// NewCrashes counts crash buckets first seen in this batch.
-	NewCrashes int
+	NewCrashes int `json:"new_crashes"`
 	// DeltaWords counts the virgin-delta words merged.
-	DeltaWords int
+	DeltaWords int `json:"delta_words"`
 	// UnionDiscovered is the campaign union's discovered-key count after
 	// the merge.
-	UnionDiscovered int
+	UnionDiscovered int `json:"union_edges"`
 }
 
 // Pulled is one input delivered by Pull.
 type Pulled struct {
 	// Hash is the input's content address (hex SHA-256).
-	Hash string
+	Hash string `json:"hash"`
 	// Input is the input bytes.
-	Input []byte
+	Input []byte `json:"input"`
 }
 
 // Stats is a point-in-time snapshot of a campaign store.
 type Stats struct {
 	// MapSize is the campaign's coverage key space.
-	MapSize int
+	MapSize int `json:"map_size"`
 	// Inputs is the number of distinct stored inputs.
-	Inputs int
+	Inputs int `json:"inputs"`
 	// Crashes is the number of distinct crash buckets.
-	Crashes int
+	Crashes int `json:"crashes"`
 	// Workers is the number of joined workers.
-	Workers int
+	Workers int `json:"workers"`
 	// Batches counts accepted batches (replays excluded).
-	Batches int
+	Batches int `json:"batches"`
 	// DedupHits counts pushed inputs that were already stored.
-	DedupHits uint64
+	DedupHits uint64 `json:"dedup_hits"`
 	// DeltaWords counts virgin-delta words merged over the campaign's
 	// lifetime.
-	DeltaWords uint64
+	DeltaWords uint64 `json:"delta_words"`
 	// UnionDiscovered is the campaign union's discovered-key count.
-	UnionDiscovered int
+	UnionDiscovered int `json:"union_edges"`
 }

@@ -370,7 +370,8 @@ func (h *Hub) UnionSnapshot() []byte {
 	return append([]byte(nil), h.union...)
 }
 
-// Crashes returns the deduplicated crash buckets sorted by key.
+// Crashes returns the deduplicated crash buckets sorted by key; never nil,
+// so an empty list marshals as [].
 func (h *Hub) Crashes() []Crash {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -1,9 +1,12 @@
 package dist
 
-// Wire DTOs for the v1 corpus-service protocol (docs/DISTRIBUTED.md). Both
-// the dist.Client and the internal/corpusd server marshal through these
-// types, so the two sides cannot drift. encoding/json renders []byte as
-// base64, which is the wire form for all input bytes and encoded deltas.
+// The v1 corpus-service protocol (docs/DISTRIBUTED.md) marshals the
+// package's own types: JoinInfo, Batch, Crash, Receipt, Pulled and Stats
+// carry their wire names as JSON tags, and this file adds only the request
+// envelopes and error body around them. The dist.Client and the
+// internal/corpusd server both marshal through these types, so the two
+// sides cannot drift. encoding/json renders []byte as base64, which is the
+// wire form for all input bytes and encoded deltas.
 
 // WireError is the JSON body of every non-2xx response. Code carries a
 // stable machine-readable cause that the client maps back onto the package
@@ -38,37 +41,11 @@ type JoinRequest struct {
 	Worker string `json:"worker"`
 }
 
-// JoinResponse is the worker's server-side resume state.
-type JoinResponse struct {
-	LastSeq uint64 `json:"last_seq"`
-	Cursor  int    `json:"cursor"`
-}
-
-// WireCrash is one crash bucket on the wire.
-type WireCrash struct {
-	Key        uint64 `json:"key"`
-	Site       uint32 `json:"site"`
-	StackDepth int    `json:"stack_depth"`
-	Input      []byte `json:"input,omitempty"`
-}
-
-// PushRequest submits one batch.
+// PushRequest submits one batch: the worker name, then the batch's own
+// fields.
 type PushRequest struct {
-	Worker  string      `json:"worker"`
-	Seq     uint64      `json:"seq"`
-	Inputs  [][]byte    `json:"inputs,omitempty"`
-	Crashes []WireCrash `json:"crashes,omitempty"`
-	Delta   []byte      `json:"delta,omitempty"`
-}
-
-// PushResponse is the receipt for an accepted (or replayed) batch.
-type PushResponse struct {
-	Seq             uint64 `json:"seq"`
-	NewInputs       int    `json:"new_inputs"`
-	DupInputs       int    `json:"dup_inputs"`
-	NewCrashes      int    `json:"new_crashes"`
-	DeltaWords      int    `json:"delta_words"`
-	UnionDiscovered int    `json:"union_edges"`
+	Worker string `json:"worker"`
+	Batch
 }
 
 // PullRequest asks for peer inputs since the worker's cursor.
@@ -76,25 +53,7 @@ type PullRequest struct {
 	Worker string `json:"worker"`
 }
 
-// WirePulled is one delivered input.
-type WirePulled struct {
-	Hash  string `json:"hash"`
-	Input []byte `json:"input"`
-}
-
 // PullResponse delivers peer inputs in global arrival order.
 type PullResponse struct {
-	Inputs []WirePulled `json:"inputs"`
-}
-
-// StatsResponse snapshots a campaign store.
-type StatsResponse struct {
-	MapSize         int    `json:"map_size"`
-	Inputs          int    `json:"inputs"`
-	Crashes         int    `json:"crashes"`
-	Workers         int    `json:"workers"`
-	Batches         int    `json:"batches"`
-	DedupHits       uint64 `json:"dedup_hits"`
-	DeltaWords      uint64 `json:"delta_words"`
-	UnionDiscovered int    `json:"union_edges"`
+	Inputs []Pulled `json:"inputs"`
 }

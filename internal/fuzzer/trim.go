@@ -26,10 +26,10 @@ func (f *Fuzzer) trim(e *corpus.Entry) {
 	budget := f.execs + maxTrimExecs
 
 	lenP2 := nextPow2(len(input))
-	removeLen := maxi(lenP2/16, 4)
+	removeLen := max(lenP2/16, 4)
 	trimmed := false
 
-	for removeLen >= maxi(lenP2/1024, 4) && f.execs < budget {
+	for removeLen >= max(lenP2/1024, 4) && f.execs < budget {
 		pos := 0
 		for pos < len(input) && f.execs < budget {
 			avail := removeLen
@@ -68,11 +68,4 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

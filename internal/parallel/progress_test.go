@@ -77,6 +77,30 @@ func TestProgressConcurrentWithRun(t *testing.T) {
 	}
 }
 
+// TestSingleInstanceExecsGauge pins the round's own exec publish: a
+// one-instance campaign without a Syncer has no sync boundary, so the end
+// of each round is the only place its campaign_instance_0_execs gauge is
+// set.
+func TestSingleInstanceExecsGauge(t *testing.T) {
+	prog, seeds := campaignTarget(t)
+	reg := telemetry.New()
+	c, err := NewCampaign(prog, Config{
+		Instances: 1,
+		SyncEvery: 1000,
+		Fuzzer:    fuzzer.Config{Seed: 9, Scheme: fuzzer.SchemeBigMap, Telemetry: reg},
+	}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunRounds(2); err != nil {
+		t.Fatal(err)
+	}
+	want := c.Report().PerInstance[0].Execs
+	if got := reg.Snapshot().Gauges["campaign_instance_0_execs"]; got != int64(want) || want < 2000 {
+		t.Fatalf("instance 0 execs gauge = %d, Report says %d, want both >= 2000", got, want)
+	}
+}
+
 // TestProgressCountsRevivalsAndFailures checks the supervisor paths publish
 // into the registry's campaign counters, in agreement with Report.
 func TestProgressCountsRevivalsAndFailures(t *testing.T) {

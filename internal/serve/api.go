@@ -148,34 +148,6 @@ type CampaignStats struct {
 	FailedInstances int `json:"failed_instances,omitempty"`
 }
 
-// CrashBucket is one deduplicated crash group, served by
-// GET /campaigns/{id}/crashes.
-type CrashBucket struct {
-	// Key is the Crashwalk-style bucket key (site + stack shape).
-	Key uint64 `json:"key"`
-	// Site is the crashing block ID.
-	Site uint32 `json:"site"`
-	// StackDepth is the call depth at the crash.
-	StackDepth int `json:"stack_depth"`
-	// Count is how many crashing executions fell into this bucket.
-	Count int `json:"count"`
-	// Input is the first input that reached the bucket.
-	Input []byte `json:"input"`
-}
-
-// EventRecord is one campaign event (new coverage, new crash bucket,
-// revival, checkpoint), served by GET /campaigns/{id}/events.
-type EventRecord struct {
-	// AtNanos is monotonic nanoseconds since daemon start (the telemetry
-	// clock), not wall time.
-	AtNanos int64 `json:"at_ns"`
-	// Name is the event kind: new_coverage, new_crash, worker_crashed,
-	// checkpoint_saved, instance_revived, instance_failed, ...
-	Name string `json:"name"`
-	// Detail is a human-readable elaboration.
-	Detail string `json:"detail,omitempty"`
-}
-
 // Info is the full public view of one campaign.
 type Info struct {
 	// ID addresses the campaign in every endpoint.
@@ -199,11 +171,6 @@ type Info struct {
 	// Stats is the latest cached progress snapshot, nil before the first
 	// completed quantum.
 	Stats *CampaignStats `json:"stats,omitempty"`
-}
-
-// ErrorResponse is the JSON body of every non-2xx API answer.
-type ErrorResponse struct {
-	Error string `json:"error"`
 }
 
 // Sentinel errors mapped to HTTP statuses by the handler layer.

@@ -49,7 +49,7 @@ type campaign struct {
 	// endpoints, so polling never touches a running campaign. guarded by
 	// mu.
 	stats   *CampaignStats
-	crashes []CrashBucket
+	crashes []crash.Record
 
 	// reg is the per-campaign telemetry registry (events + metrics under
 	// /campaigns/{id}/...). Atomic and nil-safe by the telemetry package's
@@ -119,17 +119,13 @@ func statsFromReport(rounds int, rep parallel.Report) *CampaignStats {
 	return st
 }
 
-// bucketsFromRecords converts crash records to the wire shape.
-func bucketsFromRecords(recs []*crash.Record) []CrashBucket {
-	out := make([]CrashBucket, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, CrashBucket{
-			Key:        r.Key,
-			Site:       r.Site,
-			StackDepth: r.StackDepth,
-			Count:      r.Count,
-			Input:      append([]byte(nil), r.Input...),
-		})
+// bucketsFromRecords copies crash records for the read endpoints, each
+// input cloned so the cache shares no bytes with the campaign's fuzzers.
+func bucketsFromRecords(recs []*crash.Record) []crash.Record {
+	out := make([]crash.Record, len(recs))
+	for i, r := range recs {
+		out[i] = *r
+		out[i].Input = append([]byte(nil), r.Input...)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/bigmap/bigmap/internal/checkpoint"
+	"github.com/bigmap/bigmap/internal/crash"
 	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/rng"
 	"github.com/bigmap/bigmap/internal/telemetry"
@@ -388,7 +389,6 @@ func (d *Daemon) Submit(ctx context.Context, req SubmitRequest) (*Info, error) {
 	return info, nil
 }
 
-// activeLocked counts non-terminal campaigns, optionally for one tenant.
 // corpusSyncer builds the campaign's corpus-service attachment: a
 // dist.Client on a service campaign named after the serve campaign ID.
 // Returns nil — local-only sync — when no CorpusURL is configured or the
@@ -413,6 +413,7 @@ func (d *Daemon) corpusSyncer(c *campaign) dist.Syncer {
 	return client
 }
 
+// activeLocked counts non-terminal campaigns, optionally for one tenant.
 func (d *Daemon) activeLocked(tenant string) int {
 	n := 0
 	for _, c := range d.campaigns {
@@ -469,20 +470,22 @@ func (d *Daemon) Stats(id string) (*CampaignStats, error) {
 }
 
 // Crashes returns the campaign's deduplicated crash buckets as of the last
-// boundary snapshot.
-func (d *Daemon) Crashes(id string) ([]CrashBucket, error) {
+// boundary snapshot; never nil, so no buckets marshal as [].
+func (d *Daemon) Crashes(id string) ([]crash.Record, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c, ok := d.campaigns[id]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]CrashBucket(nil), c.crashes...), nil
+	out := make([]crash.Record, len(c.crashes))
+	copy(out, c.crashes)
+	return out, nil
 }
 
 // Events returns the campaign's event ring: new coverage, new crash
 // buckets, worker crashes, checkpoints, revivals.
-func (d *Daemon) Events(id string) ([]EventRecord, error) {
+func (d *Daemon) Events(id string) ([]telemetry.Event, error) {
 	d.mu.Lock()
 	c, ok := d.campaigns[id]
 	d.mu.Unlock()
@@ -490,11 +493,7 @@ func (d *Daemon) Events(id string) ([]EventRecord, error) {
 		return nil, ErrNotFound
 	}
 	evs, _ := c.reg.Events().Snapshot()
-	out := make([]EventRecord, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, EventRecord{AtNanos: e.AtNanos, Name: e.Name, Detail: e.Detail})
-	}
-	return out, nil
+	return evs, nil
 }
 
 // Registry exposes a campaign's telemetry registry for the

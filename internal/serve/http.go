@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/bigmap/bigmap/internal/dist"
 	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
@@ -62,7 +63,7 @@ func (d *Daemon) DaemonStats() DaemonStats {
 //	GET  /campaigns/{id}/metrics    per-campaign Prometheus metrics
 //
 // Every request carries a Config.RequestTimeout deadline on its context.
-// Errors map to JSON ErrorResponse bodies: 400 bad spec, 404 unknown
+// Errors map to dist.WireError JSON bodies (no code): 400 bad spec, 404 unknown
 // campaign, 409 illegal transition, 429 quota exceeded (with Retry-After),
 // 503 draining.
 func (d *Daemon) Handler() http.Handler {
@@ -254,5 +255,5 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
+	writeJSON(w, code, dist.WireError{Error: err.Error()})
 }

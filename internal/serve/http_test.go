@@ -11,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/bigmap/bigmap/internal/crash"
+	"github.com/bigmap/bigmap/internal/dist"
+	"github.com/bigmap/bigmap/internal/telemetry"
 )
 
 // httpDaemon boots a daemon behind an httptest server.
@@ -112,7 +116,7 @@ func TestHTTPSession(t *testing.T) {
 	}
 
 	// Observability endpoints: every campaign records into its own registry.
-	var events []EventRecord
+	var events []telemetry.Event
 	doJSON(t, "GET", base+"/campaigns/"+info.ID+"/events", nil, &events)
 	seen := map[string]bool{}
 	for _, e := range events {
@@ -123,7 +127,7 @@ func TestHTTPSession(t *testing.T) {
 			t.Errorf("event log missing %q: have %v", want, seen)
 		}
 	}
-	var buckets []CrashBucket
+	var buckets []crash.Record
 	doJSON(t, "GET", base+"/campaigns/"+info.ID+"/crashes", nil, &buckets)
 
 	metrics, err := http.Get(base + "/campaigns/" + info.ID + "/metrics")
@@ -150,7 +154,7 @@ func TestHTTPSession(t *testing.T) {
 	if cancelled.State != StateCancelled {
 		t.Fatalf("cancel ack state %s", cancelled.State)
 	}
-	var er ErrorResponse
+	var er dist.WireError
 	if resp := doJSON(t, "POST", base+"/campaigns/"+info.ID+"/resume", nil, &er); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("resume after cancel: %d, want 409", resp.StatusCode)
 	}
@@ -172,7 +176,7 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d, want 400", resp.StatusCode)
 	}
-	var er ErrorResponse
+	var er dist.WireError
 	if resp := doJSON(t, "POST", base+"/campaigns", SubmitRequest{Spec: Spec{Bench: "nope", Rounds: 1}}, &er); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: %d, want 400", resp.StatusCode)
 	}
@@ -257,7 +261,7 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var er ErrorResponse
+		var er dist.WireError
 		decErr := json.NewDecoder(resp.Body).Decode(&er)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -269,5 +273,27 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		if !strings.Contains(er.Error, `"`+c.field+`"`) {
 			t.Fatalf("%s: error %q does not name the field", c.field, er.Error)
 		}
+	}
+}
+
+// TestCrashesEmptyIsArray pins that a campaign without crash buckets
+// answers GET /campaigns/{id}/crashes with [], never null.
+func TestCrashesEmptyIsArray(t *testing.T) {
+	d, srv := httpDaemon(t, testConfig(t.TempDir()))
+	spec := testSpec(1)
+	spec.Bench = "sqlite3"
+	info := submit(t, d, "acme", spec)
+	final := waitFor(t, d, info.ID, "finished", func(i *Info) bool { return i.State == StateFinished })
+	if final.Stats == nil || final.Stats.UniqueCrashes != 0 {
+		t.Fatalf("campaign found crash buckets, want none: %+v", final.Stats)
+	}
+	resp, err := http.Get(srv.URL + "/campaigns/" + info.ID + "/crashes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "[]\n" {
+		t.Fatalf("crashes: %d %q, %v; want 200 \"[]\\n\"", resp.StatusCode, body, err)
 	}
 }

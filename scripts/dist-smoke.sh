@@ -5,7 +5,9 @@
 #   1. start bigmap-corpusd with a persistent state dir
 #   2. join two bigmap-fuzz workers to one campaign and let them sync
 #   3. assert the service saw both workers, deduplicated overlapping
-#      inputs and accepted virgin-map deltas (dedup + delta counters)
+#      inputs and accepted virgin-map deltas (dedup + delta counters), that
+#      the crash list is an array and that GET /stats agrees with the
+#      campaign's own stats
 #   4. kill one worker mid-sync, assert nothing already deduplicated was
 #      lost, then rejoin it under the same name and assert it resumes its
 #      sequence chain and the campaign keeps growing
@@ -89,6 +91,11 @@ echo "=== assert dedup + delta counters"
 [ "$(stat_of delta_words)" -gt 0 ] || die "delta_words = 0: no coverage deltas accepted"
 [ "$(stat_of union_edges)" -gt 0 ] || die "union_edges = 0: no campaign-wide coverage"
 echo "    $(curl -fsS "$BASE/v1/campaigns/smoke" | jq -c '{workers, inputs, batches, dedup_hits, delta_words, union_edges}')"
+curl -fsS "$BASE/v1/campaigns/smoke/crashes" | jq -e 'type == "array"' >/dev/null \
+    || die "crashes is not an array"
+ALL_UNION=$(curl -fsS "$BASE/stats" | jq -r '.smoke.union_edges')
+[ "$ALL_UNION" = "$(stat_of union_edges)" ] \
+    || die "GET /stats has smoke.union_edges = $ALL_UNION, the campaign says $(stat_of union_edges)"
 
 echo "=== kill worker w3 mid-sync"
 INPUTS_BEFORE=$(stat_of inputs)

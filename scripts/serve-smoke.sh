@@ -4,7 +4,8 @@
 #
 #   1. start the daemon (chaos mode on, tiny checkpoint cadence)
 #   2. submit a campaign, watch it make progress
-#   3. pause, resume, and verify the state machine answers
+#   3. pause, resume, and verify the state machine answers; the event log
+#      is an array of {at_ns, name, ...} and the crash list an array
 #   4. chaos-kill the owning worker mid-run and assert auto-recovery
 #      (restart counted, campaign running again, rounds still advancing)
 #   5. submit-and-cancel a second campaign
@@ -82,6 +83,13 @@ curl -fsS -X POST "$BASE/campaigns/$ID/pause" | jq -e '.state == "paused"' >/dev
     || die "pause not acknowledged"
 curl -fsS -X POST "$BASE/campaigns/$ID/resume" >/dev/null
 poll '.state == "running" or .state == "queued"' true "$BASE/campaigns/$ID"
+
+echo "=== event log and crash buckets"
+curl -fsS "$BASE/campaigns/$ID/events" \
+    | jq -e 'type == "array" and length > 0 and all(.[]; has("at_ns") and has("name"))' >/dev/null \
+    || die "events is not a non-empty array of {at_ns, name}"
+curl -fsS "$BASE/campaigns/$ID/crashes" | jq -e 'type == "array"' >/dev/null \
+    || die "crashes is not an array"
 
 echo "=== chaos-kill the worker mid-run"
 poll '.state == "running"' true "$BASE/campaigns/$ID"
